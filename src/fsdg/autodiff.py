@@ -38,24 +38,12 @@ __all__ = [
     "finite_difference_grad",
     "primitive_forward",
     "add", "sub", "mul", "div", "matmul", "relu", "tanh", "exp", "log",
-    "softplus", "sigmoid", "square", "sqrt", "tensor_sum", "tensor_mean",
+    "softplus", "square", "sqrt", "tensor_sum", "tensor_mean",
     "tensor_max", "concat", "narrow", "take_rows", "broadcast_to", "reshape",
     "transpose", "scale", "neg", "detach", "leaf", "constant", "zeros", "ones",
 ]
 
 _grad_enabled = True
-
-
-@contextlib.contextmanager
-def no_grad() -> Iterator[None]:
-    """Disable graph recording inside the block (evaluation fast path)."""
-    global _grad_enabled
-    saved = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = saved
 
 
 @contextlib.contextmanager
@@ -67,6 +55,11 @@ def _grad_mode(flag: bool) -> Iterator[None]:
         yield
     finally:
         _grad_enabled = saved
+
+
+def no_grad() -> contextlib.AbstractContextManager[None]:
+    """Disable graph recording inside the block (evaluation fast path)."""
+    return _grad_mode(False)
 
 
 class Tensor:
@@ -315,11 +308,6 @@ def softplus(a) -> Tensor:
     out = _fresh("softplus", np.logaddexp(0.0, a.data))
     # d softplus / dx = sigmoid(x) = exp(x - softplus(x)), stable at both tails.
     return _link(out, ((a, lambda g: mul(g, exp(sub(a, out)))),))
-
-
-def sigmoid(a) -> Tensor:
-    a = _wrap(a)
-    return exp(sub(a, softplus(a)))
 
 
 def square(a) -> Tensor:

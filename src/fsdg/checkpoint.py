@@ -13,17 +13,18 @@ verbatim and parsed on load to recover the head kind and block layout.
 from __future__ import annotations
 
 import io
+import logging
 import struct
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore
-from .encoder import BlockParams, EncoderConfig, EncoderState
-from .errors import FormatError, LengthError, VersionError
-from .ft import FTParams
-from .heads import RelationHeadState
-from .training import ModelState
+from .encoder import EncoderConfig
+from .errors import ConfigError, FormatError, LengthError, ParseError, VersionError
+from .training import ModelState, assemble_model
+
+log = logging.getLogger(__name__)
 
 CHECKPOINT_MAGIC = b"FTCP"
 CHECKPOINT_VERSION = 1
@@ -91,47 +92,15 @@ def model_from_store(store: ParamStore, head_kind: str) -> ModelState:
     )
     if block_ids != list(range(len(block_ids))) or not block_ids:
         raise FormatError("checkpoint encoder blocks are not a contiguous range")
-    blocks = []
-    for i in block_ids:
-        try:
-            blocks.append(BlockParams(
-                store[f"enc.block{i}.weight"],
-                store[f"enc.block{i}.bias"],
-                store[f"enc.block{i}.bn_scale"],
-                store[f"enc.block{i}.bn_shift"],
-            ))
-        except KeyError as err:
-            raise FormatError(f"checkpoint is missing encoder tensor {err}") from None
-    input_dim = blocks[0].weight.shape[0]
-    widths = tuple(b.weight.shape[1] for b in blocks)
-    ft_flags = tuple(f"ft.block{i}.gamma" in store for i in block_ids)
-    has_ft = any(ft_flags)
-    config = EncoderConfig(input_dim, widths, ft_flags if has_ft else ())
-    encoder = EncoderState(config, blocks)
-
-    head = None
-    if "head.rel.w1" in store:
-        try:
-            head = RelationHeadState(
-                store["head.rel.w1"], store["head.rel.b1"],
-                store["head.rel.w2"], store["head.rel.b2"],
-            )
-        except KeyError as err:
-            raise FormatError(f"checkpoint is missing relation tensor {err}") from None
-
-    ft = None
-    if has_ft:
-        gammas, betas = [], []
-        for i, on in enumerate(ft_flags):
-            if not on:
-                continue
-            try:
-                gammas.append(store[f"ft.block{i}.gamma"])
-                betas.append(store[f"ft.block{i}.beta"])
-            except KeyError as err:
-                raise FormatError(f"checkpoint is missing modulation tensor {err}") from None
-        ft = FTParams(gammas, betas)
-    return ModelState(head_kind, encoder, head, ft)
+    try:
+        weights = [store[f"enc.block{i}.weight"] for i in block_ids]
+        ft_flags = tuple(f"ft.block{i}.gamma" in store for i in block_ids)
+        has_ft = any(ft_flags)
+        config = EncoderConfig(weights[0].shape[0], tuple(w.shape[1] for w in weights),
+                               ft_flags if has_ft else ())
+        return assemble_model(config, head_kind, store, with_ft=has_ft)
+    except KeyError as err:
+        raise FormatError(f"checkpoint is missing tensor {err}") from None
 
 
 def load_checkpoint(path: str) -> tuple[ModelState, str]:
@@ -142,6 +111,7 @@ def load_checkpoint(path: str) -> tuple[ModelState, str]:
     head_kind = "relation" if "head.rel.w1" in store else "proto"
     try:
         head_kind = parse_config_text(config_text).head
-    except Exception:
-        pass  # fall back to the structural guess for foreign config text
+    except (ConfigError, ParseError) as err:
+        log.warning("checkpoint %s: config text not understood (%s); head kind %r "
+                    "guessed from the tensor names", path, err, head_kind)
     return model_from_store(store, head_kind), config_text

@@ -54,6 +54,11 @@ class Domain:
                 raise ContractError(
                     f"domain {self.name!r}: class {cid} has shape {arr.shape}, expected (*, {self.dim})"
                 )
+            bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+            if bad.size:
+                raise ContractError(
+                    f"domain {self.name!r}: class {cid} row {bad[0]} has non-finite values"
+                )
             arr.setflags(write=False)
         for cid, tag in self.splits.items():
             if tag not in SPLIT_NAMES:
@@ -223,6 +228,8 @@ def load_domain_csv(path: str, name: str | None = None) -> Domain:
                 values = [float(v) for v in row[1:]]
             except ValueError as err:
                 raise ParseError(f"dataset csv line {lineno}: {err}") from None
+            if not np.isfinite(values).all():
+                raise ParseError(f"dataset csv line {lineno}: non-finite feature value")
             rows.setdefault(cid, []).append(values)
     if not rows:
         raise ParseError("dataset csv has no sample rows")

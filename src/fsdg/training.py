@@ -8,12 +8,13 @@ Three modes share one update core:
     hyper-parameters,
   * lft: each iteration samples a pseudo-seen and a pseudo-unseen episode
     from two different training domains.  The model takes one gradient
-    step on the pseudo-seen episode with modulation active; the stepped
-    parameters are kept.  The pseudo-unseen episode is then scored with
-    modulation off, and the gradient of that loss with respect to the
-    modulation hyper-parameters flows through the kept step (a second
-    order derivative), mimicking "train here, generalize there" inside
-    every iteration.
+    step on the pseudo-seen episode with modulation active.  The
+    pseudo-unseen episode is then scored with modulation off, and the
+    gradient of that loss with respect to the modulation hyper-parameters
+    flows through the step (a second order derivative), mimicking "train
+    here, generalize there" inside every iteration.  With SGD the stepped
+    encoder and head parameters are kept; Adam instead steps them from the
+    same inner gradients.
 
 All sampling is driven by substreams keyed on the config seed and the
 iteration index, so a run is a pure function of its config and inputs.
@@ -22,8 +23,8 @@ iteration index, so a run is a pure function of its config and inputs.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
-from typing import IO, Sequence
+from dataclasses import dataclass
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -120,36 +121,39 @@ class ModelState:
 
     def with_values(self, values: dict[str, Tensor]) -> "ModelState":
         """Rebuild the state with some parameters replaced (by name)."""
+        current = dict(self.trainable() + self.ft_named())
+        return assemble_model(self.encoder.config, self.head_kind, {**current, **values},
+                              with_ft=self.ft is not None)
 
-        def pick(name: str, old: Tensor) -> Tensor:
-            return values.get(name, old)
 
-        blocks = [
-            BlockParams(
-                pick(f"enc.block{i}.weight", b.weight),
-                pick(f"enc.block{i}.bias", b.bias),
-                pick(f"enc.block{i}.bn_scale", b.bn_scale),
-                pick(f"enc.block{i}.bn_shift", b.bn_shift),
-            )
-            for i, b in enumerate(self.encoder.blocks)
-        ]
-        encoder = EncoderState(self.encoder.config, blocks)
-        head = self.head
-        if head is not None:
-            head = RelationHeadState(
-                pick("head.rel.w1", head.w1),
-                pick("head.rel.b1", head.b1),
-                pick("head.rel.w2", head.w2),
-                pick("head.rel.b2", head.b2),
-            )
-        ft = self.ft
-        if ft is not None:
-            flagged = [i for i, on in enumerate(self.encoder.config.ft_blocks) if on]
-            ft = FTParams(
-                [pick(f"ft.block{b}.gamma", g) for b, g in zip(flagged, ft.gammas)],
-                [pick(f"ft.block{b}.beta", t) for b, t in zip(flagged, ft.betas)],
-            )
-        return ModelState(self.head_kind, encoder, head, ft)
+def assemble_model(config: EncoderConfig, head_kind: str, values: Mapping[str, Tensor],
+                   with_ft: bool) -> ModelState:
+    """Place named tensors into a model with the given encoder layout.
+
+    The relation head exists if its names do; the modulation part exists
+    if ``with_ft``, one gamma and beta per flagged block (a layout that
+    flags no block owns no modulation tensor, so names alone cannot tell).
+    Names of no part are ignored; a missing name raises KeyError.
+    """
+    blocks = [
+        BlockParams(
+            values[f"enc.block{i}.weight"],
+            values[f"enc.block{i}.bias"],
+            values[f"enc.block{i}.bn_scale"],
+            values[f"enc.block{i}.bn_shift"],
+        )
+        for i in range(len(config.block_widths))
+    ]
+    head = None
+    if "head.rel.w1" in values:
+        head = RelationHeadState(values["head.rel.w1"], values["head.rel.b1"],
+                                 values["head.rel.w2"], values["head.rel.b2"])
+    ft = None
+    if with_ft:
+        flagged = [i for i, on in enumerate(config.ft_blocks) if on]
+        ft = FTParams([values[f"ft.block{b}.gamma"] for b in flagged],
+                      [values[f"ft.block{b}.beta"] for b in flagged])
+    return ModelState(head_kind, EncoderState(config, blocks), head, ft)
 
 
 def build_model(config: TrainConfig, input_dim: int, rng: RngStream,
@@ -182,27 +186,32 @@ def episode_forward(model: ModelState, episode: Episode, mode: str, use_ft: bool
                           episode.n_way, model.head)
 
 
-def inner_update(model: ModelState, episode: Episode, ft_enabled: bool, alpha: float,
-                 create_graph: bool, rng: RngStream | None = None,
-                 modulations=None) -> tuple[ModelState, float]:
-    """One episodic gradient step on encoder and head parameters.
-
-    With create_graph the stepped parameters stay attached to the graph
-    (in particular to the modulation hyper-parameters through the sampled
-    perturbation), so a later loss of the stepped model can be
-    differentiated with respect to those hyper-parameters.  Without it
-    the result is a plain detached model.
-    """
-    logits = episode_forward(model, episode, "train", ft_enabled, rng, modulations)
+def episode_gradients(model: ModelState, episode: Episode, ft_enabled: bool,
+                      rng: RngStream | None = None, create_graph: bool = False,
+                      ) -> tuple[float, dict[str, tuple[Tensor, Tensor]]]:
+    """Training-mode loss of one episode and, by name, each trainable
+    parameter with its gradient (the input of an optimizer step)."""
+    logits = episode_forward(model, episode, "train", ft_enabled, rng)
     loss = episode_loss(logits, episode.query_y)
-    names = [n for n, _ in model.trainable()]
-    params = [t for _, t in model.trainable()]
-    grads = ad.backward(loss, params, create_graph=create_graph)
-    if create_graph:
-        stepped = {n: ad.sub(t, ad.scale(g, alpha)) for n, t, g in zip(names, params, grads)}
-    else:
-        stepped = {n: ad.leaf(t.data - alpha * g.data) for n, t, g in zip(names, params, grads)}
-    return model.with_values(stepped), loss.item()
+    trainable = model.trainable()
+    grads = ad.backward(loss, [t for _, t in trainable], create_graph=create_graph)
+    return loss.item(), {n: (t, g) for (n, t), g in zip(trainable, grads)}
+
+
+def inner_update(model: ModelState, episode: Episode, ft_enabled: bool, alpha: float,
+                 rng: RngStream | None = None,
+                 ) -> tuple[ModelState, float, dict[str, tuple[Tensor, Tensor]]]:
+    """One graph-attached episodic SGD step on encoder and head parameters.
+
+    The stepped parameters stay attached to the graph (in particular to
+    the modulation hyper-parameters through the sampled perturbation), so
+    a later loss of the stepped model can be differentiated with respect
+    to those hyper-parameters.  Returns the stepped model, the episode
+    loss, and the named parameters with the gradients the step used.
+    """
+    loss, grads = episode_gradients(model, episode, ft_enabled, rng, create_graph=True)
+    stepped = {n: ad.sub(t, ad.scale(g, alpha)) for n, (t, g) in grads.items()}
+    return model.with_values(stepped), loss, grads
 
 
 def pseudo_unseen_loss(model: ModelState, episode: Episode) -> Tensor:
@@ -224,64 +233,68 @@ def ft_regularizer(model: ModelState, weight: float) -> Tensor:
 
 def lft_outer_loss(model: ModelState, pseudo_seen: Episode, pseudo_unseen: Episode,
                    config: TrainConfig, rng: RngStream,
-                   ) -> tuple[Tensor, float, float, ModelState]:
+                   ) -> tuple[Tensor, float, float, ModelState, dict[str, tuple[Tensor, Tensor]]]:
     """Pseudo-unseen loss of the stepped model plus the hyper-parameter
     penalty, as one graph-attached scalar.
 
-    Returns (total, pseudo-seen loss, pseudo-unseen loss, stepped model).
-    The total is differentiable with respect to the modulation
-    hyper-parameters of ``model``; gradients flow through the kept inner
-    step(s), which is where the second-order term comes from.
+    Returns (total, pseudo-seen loss, pseudo-unseen loss, stepped model,
+    first inner step's named parameters and gradients).  The total is
+    differentiable with respect to the modulation hyper-parameters of
+    ``model``; gradients flow through the kept inner step(s), which is
+    where the second-order term comes from.
     """
     if model.ft is None:
         raise ContractError("lft_outer_loss: model has no modulation hyper-parameters")
     stepped = model
     loss_ps = 0.0
     for step in range(config.inner_steps):
-        stepped, loss_ps = inner_update(
+        stepped, loss_ps, grads = inner_update(
             stepped, pseudo_seen, ft_enabled=True, alpha=config.alpha,
-            create_graph=True, rng=rng.substream("inner-noise", step),
+            rng=rng.substream("inner-noise", step),
         )
+        if step == 0:
+            first_grads = grads
     loss_pu_t = pseudo_unseen_loss(stepped, pseudo_unseen)
     total = ad.add(loss_pu_t, ft_regularizer(model, config.ft_reg_weight))
-    return total, loss_ps, loss_pu_t.item(), stepped
+    return total, loss_ps, loss_pu_t.item(), stepped, first_grads
 
 
 def lft_train_step(model: ModelState, pseudo_seen: Episode, pseudo_unseen: Episode,
                    config: TrainConfig, rng: RngStream,
-                   optimizer: "Adam | None" = None) -> tuple[ModelState, float, float]:
+                   optimizer: "SGD | Adam | None" = None) -> tuple[ModelState, float, float]:
     """One full learning-to-learn iteration.
 
-    Keeps the inner-stepped encoder/head parameters and applies the
-    meta-gradient to the modulation hyper-parameters, all at the same
-    step size.  The differentiation graph dies with this call's locals.
+    The optimizer (SGD at ``config.alpha`` when None) applies the
+    meta-gradient to the modulation hyper-parameters.  Encoder and head
+    parameters depend on the optimizer: SGD keeps the inner-stepped
+    values, while Adam instead takes one adaptive step from the first
+    inner step's gradients.  The differentiation graph dies with this
+    call's locals.
     """
-    total, loss_ps, loss_pu, stepped = lft_outer_loss(model, pseudo_seen, pseudo_unseen, config, rng)
-    ft_items = model.ft_named()
-    ft_tensors = [t for _, t in ft_items]
-    meta_grads = ad.backward(total, ft_tensors) if ft_tensors else []
-
-    new_values: dict[str, Tensor] = {}
     if optimizer is None:
-        for (name, theta), g in zip(ft_items, meta_grads):
-            new_values[name] = ad.leaf(theta.data - config.alpha * g.data)
-        for name, t in stepped.trainable():
-            new_values[name] = ad.leaf(t.data)
+        optimizer = SGD(config.alpha)
+    total, loss_ps, loss_pu, stepped, inner_grads = lft_outer_loss(
+        model, pseudo_seen, pseudo_unseen, config, rng)
+    ft_items = model.ft_named()
+    meta_grads = ad.backward(total, [t for _, t in ft_items]) if ft_items else []
+
+    if isinstance(optimizer, SGD):
+        new_values = {n: ad.leaf(t.data) for n, t in stepped.trainable()}
     else:
-        # Adaptive variant: the meta-gradient still flows through the
-        # vanilla inner step; persistence itself uses adaptive updates
-        # driven by the first-step episodic gradients (noise replayed).
-        replay = rng.substream("inner-noise", 0)
-        logits = episode_forward(model, pseudo_seen, "train", True, replay)
-        loss = episode_loss(logits, pseudo_seen.query_y)
-        names = [n for n, _ in model.trainable()]
-        params = [t for _, t in model.trainable()]
-        grads = ad.backward(loss, params)
-        new_values.update(optimizer.step(
-            {n: (t, g) for n, t, g in zip(names, params, grads)}))
-        new_values.update(optimizer.step(
-            {n: (t, g) for (n, t), g in zip(ft_items, meta_grads)}))
+        new_values = optimizer.step(inner_grads)
+    new_values.update(optimizer.step({n: (t, g) for (n, t), g in zip(ft_items, meta_grads)}))
     return model.with_values(new_values), loss_ps, loss_pu
+
+
+class SGD:
+    """Plain gradient descent over named parameters."""
+
+    def __init__(self, alpha: float):
+        self.alpha = alpha
+
+    def step(self, named: dict[str, tuple[Tensor, Tensor]]) -> dict[str, Tensor]:
+        return {name: ad.leaf(theta.data - self.alpha * grad.data)
+                for name, (theta, grad) in named.items()}
 
 
 class Adam:
@@ -360,7 +373,7 @@ def train_loop(config: TrainConfig, domains: Sequence[Domain],
             "pseudo-unseen episodes will come from the same domain"
         )
 
-    optimizer = Adam(config.alpha) if config.optimizer == "adam" else None
+    optimizer = Adam(config.alpha) if config.optimizer == "adam" else SGD(config.alpha)
     if log_file is not None:
         log_file.write("iter,mode,loss_ps,loss_pu\n")
 
@@ -371,18 +384,8 @@ def train_loop(config: TrainConfig, domains: Sequence[Domain],
             episode = sample_episode(domains[int(pick)], config.way, config.shot,
                                      config.query, root.substream("ps-episode", it))
             noise = root.substream("ft-noise", it)
-            if optimizer is None:
-                model, loss_ps = inner_update(model, episode, config.mode == "ft",
-                                              config.alpha, create_graph=False, rng=noise)
-            else:
-                logits = episode_forward(model, episode, "train", config.mode == "ft", noise)
-                loss_t = episode_loss(logits, episode.query_y)
-                names = [n for n, _ in model.trainable()]
-                params = [t for _, t in model.trainable()]
-                grads = ad.backward(loss_t, params)
-                model = model.with_values(optimizer.step(
-                    {n: (t, g) for n, t, g in zip(names, params, grads)}))
-                loss_ps = loss_t.item()
+            loss_ps, grads = episode_gradients(model, episode, config.mode == "ft", noise)
+            model = model.with_values(optimizer.step(grads))
             row = LogRow(it, config.mode, loss_ps)
         else:
             if len(domains) >= 2:
@@ -433,6 +436,7 @@ def pretrain_encoder(encoder: EncoderState, domain: Domain, epochs: int,
     weight = ad.leaf(glorot_uniform(head_rng, encoder.output_dim, k_classes))
     bias = ad.leaf(np.zeros(k_classes))
 
+    sgd = SGD(alpha)
     epoch_losses = []
     for epoch in range(epochs):
         order = rng.substream("pretrain-epoch", epoch).permutation(n)
@@ -446,23 +450,11 @@ def pretrain_encoder(encoder: EncoderState, domain: Domain, epochs: int,
             emb = encode(encoder, None, batch, "train")
             logits = ad.add(ad.matmul(emb, weight), bias)
             loss = episode_loss(logits, labels)
-            params = [t for _, t in encoder.parameters()] + [weight, bias]
-            grads = ad.backward(loss, params)
-            stepped = [ad.leaf(t.data - alpha * g.data) for t, g in zip(params, grads)]
-            enc_params = stepped[:-2]
-            names = [name for name, _ in encoder.parameters()]
-            lookup = dict(zip(names, enc_params))
-            blocks = [
-                BlockParams(
-                    lookup[f"enc.block{i}.weight"],
-                    lookup[f"enc.block{i}.bias"],
-                    lookup[f"enc.block{i}.bn_scale"],
-                    lookup[f"enc.block{i}.bn_shift"],
-                )
-                for i in range(len(encoder.blocks))
-            ]
-            encoder = EncoderState(encoder.config, blocks)
-            weight, bias = stepped[-2], stepped[-1]
+            named = encoder.parameters() + [("pretrain.weight", weight), ("pretrain.bias", bias)]
+            grads = ad.backward(loss, [t for _, t in named])
+            stepped = sgd.step({n: (t, g) for (n, t), g in zip(named, grads)})
+            encoder = assemble_model(encoder.config, "proto", stepped, with_ft=False).encoder
+            weight, bias = stepped["pretrain.weight"], stepped["pretrain.bias"]
             batch_losses.append(loss.item())
         epoch_losses.append(float(np.mean(batch_losses)))
     return encoder, epoch_losses

@@ -146,7 +146,7 @@ def test_criterion_3_meta_gradient_matches_finite_differences():
 
         def build(s):
             shifted = model.with_values({n: s[n] for n in s.names()})
-            total, _, _, _ = lft_outer_loss(shifted, ps, pu, cfg, RngStream(900 + seed))
+            total, _, _, _, _ = lft_outer_loss(shifted, ps, pu, cfg, RngStream(900 + seed))
             return total
 
         fd = ad.finite_difference_grad(build, store, 1e-4)

@@ -1,3 +1,4 @@
+import logging
 import struct
 
 import numpy as np
@@ -202,11 +203,13 @@ def test_baseline_checkpoint_has_no_ft(tmp_path):
     assert loaded.head is None
 
 
-def test_head_kind_falls_back_to_structure_for_foreign_config(tmp_path):
+def test_head_kind_falls_back_to_structure_for_foreign_config(tmp_path, caplog):
     cfg, model = toy_model(head="relation")
     path = str(tmp_path / "model.ckpt")
     ck.save_checkpoint(model, "not a config at all", path)
-    loaded, text = ck.load_checkpoint(path)
+    with caplog.at_level(logging.WARNING, logger="fsdg.checkpoint"):
+        loaded, text = ck.load_checkpoint(path)
+    assert path in caplog.text and "not a config at all" in caplog.text
     assert text == "not a config at all"
     assert loaded.head_kind == "relation"
     assert loaded.head is not None
@@ -216,3 +219,18 @@ def test_head_kind_falls_back_to_structure_for_foreign_config(tmp_path):
     ck.save_checkpoint(model2, "???", path2)
     loaded2, _ = ck.load_checkpoint(path2)
     assert loaded2.head_kind == "proto"
+
+
+def test_unexpected_config_parse_failure_propagates(tmp_path, monkeypatch):
+    import fsdg.config
+
+    cfg, model = toy_model()
+    path = str(tmp_path / "model.ckpt")
+    ck.save_checkpoint(model, format_config(cfg), path)
+
+    def broken(text):
+        raise RuntimeError("parser bug")
+
+    monkeypatch.setattr(fsdg.config, "parse_config_text", broken)
+    with pytest.raises(RuntimeError, match="parser bug"):
+        ck.load_checkpoint(path)

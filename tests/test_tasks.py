@@ -273,6 +273,25 @@ def test_load_csv_error_taxonomy(tmp_path):
         tasks.load_domain(write("norows.csv", "class_id,f0\n"))
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_values_rejected_at_load(tmp_path, bad):
+    csv_path = str(tmp_path / "dom.csv")
+    open(csv_path, "w").write(f"class_id,f0,f1\n0,1.0,2.0\n1,3.0,{bad}\n")
+    with pytest.raises(ParseError, match="line 3"):
+        tasks.load_domain(csv_path)
+
+    # binary files carry raw floats; the domain names the class and row
+    import struct
+
+    bin_path = str(tmp_path / "dom.bin")
+    rows = np.array([[1.0, 2.0], [float(bad), 0.0]], dtype="<f8")
+    with open(bin_path, "wb") as fh:
+        fh.write(tasks.DATASET_MAGIC + struct.pack("<III", tasks.DATASET_VERSION, 1, 2))
+        fh.write(struct.pack("<II", 4, 2) + rows.tobytes())
+    with pytest.raises(ContractError, match="dom.bin.*class 4 row 1"):
+        tasks.load_domain(bin_path)
+
+
 # ---------------------------------------------------------------------------
 # episode sampling
 

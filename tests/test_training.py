@@ -106,8 +106,8 @@ def test_inner_update_zero_alpha_is_identity():
     domain = toy_domains(n=1)[0]
     model = tr.build_model(cfg, domain.dim, RngStream(5))
     ep = toy_episode(domain, cfg)
-    stepped, loss = tr.inner_update(model, ep, ft_enabled=False, alpha=0.0,
-                                    create_graph=False)
+    loss, grads = tr.episode_gradients(model, ep, ft_enabled=False)
+    stepped = model.with_values(tr.SGD(0.0).step(grads))
     for (_, a), (_, b) in zip(model.trainable(), stepped.trainable()):
         assert np.array_equal(a.data, b.data)
     assert np.isfinite(loss)
@@ -124,8 +124,8 @@ def test_inner_update_is_one_sgd_step():
     tensors = [t for _, t in model.trainable()]
     grads = ad.backward(loss, tensors)
 
-    stepped, _ = tr.inner_update(model, ep, ft_enabled=False, alpha=0.07,
-                                 create_graph=False)
+    _, named = tr.episode_gradients(model, ep, ft_enabled=False)
+    stepped = model.with_values(tr.SGD(0.07).step(named))
     for (_, old), g, (_, new) in zip(model.trainable(), grads, stepped.trainable()):
         assert np.allclose(new.data, old.data - 0.07 * g.data, atol=1e-15)
 
@@ -135,8 +135,8 @@ def test_inner_update_with_create_graph_stays_attached():
     domain = toy_domains(n=1)[0]
     model = tr.build_model(cfg, domain.dim, RngStream(7))
     ep = toy_episode(domain, cfg)
-    stepped, _ = tr.inner_update(model, ep, ft_enabled=True, alpha=cfg.alpha,
-                                 create_graph=True, rng=RngStream(8))
+    stepped, _, _ = tr.inner_update(model, ep, ft_enabled=True, alpha=cfg.alpha,
+                                    rng=RngStream(8))
     w = stepped.encoder.blocks[0].weight
     assert w.requires_grad and w.parents
     # a scalar of the stepped model differentiates back to the modulation
@@ -152,8 +152,8 @@ def test_inner_update_without_graph_returns_leaves():
     domain = toy_domains(n=1)[0]
     model = tr.build_model(cfg, domain.dim, RngStream(9))
     ep = toy_episode(domain, cfg)
-    stepped, _ = tr.inner_update(model, ep, ft_enabled=False, alpha=cfg.alpha,
-                                 create_graph=False)
+    _, grads = tr.episode_gradients(model, ep, ft_enabled=False)
+    stepped = model.with_values(tr.SGD(cfg.alpha).step(grads))
     for _, t in stepped.trainable():
         assert t.requires_grad and t.parents == ()
 
@@ -163,12 +163,12 @@ def test_ft_disabled_step_is_independent_of_ft_values():
     domain = toy_domains(n=1)[0]
     model = tr.build_model(cfg, domain.dim, RngStream(10))
     ep = toy_episode(domain, cfg)
-    a, _ = tr.inner_update(model, ep, ft_enabled=False, alpha=cfg.alpha,
-                           create_graph=False)
+    _, grads = tr.episode_gradients(model, ep, ft_enabled=False)
+    a = model.with_values(tr.SGD(cfg.alpha).step(grads))
     shifted = model.with_values({
         "ft.block0.gamma": ad.leaf(model.ft.gammas[0].data + 3.0)})
-    b, _ = tr.inner_update(shifted, ep, ft_enabled=False, alpha=cfg.alpha,
-                           create_graph=False)
+    _, grads = tr.episode_gradients(shifted, ep, ft_enabled=False)
+    b = shifted.with_values(tr.SGD(cfg.alpha).step(grads))
     for (_, ta), (_, tb) in zip(a.trainable(), b.trainable()):
         assert np.array_equal(ta.data, tb.data)
 
@@ -178,7 +178,7 @@ def test_ft_disabled_step_is_independent_of_ft_values():
 
 
 def pinned_outer_total(model, ps, pu, cfg, noise_seed):
-    total, _, _, _ = tr.lft_outer_loss(model, ps, pu, cfg, RngStream(noise_seed))
+    total, _, _, _, _ = tr.lft_outer_loss(model, ps, pu, cfg, RngStream(noise_seed))
     return total
 
 
@@ -279,7 +279,7 @@ def test_lft_train_step_keeps_inner_parameters_and_steps_ft():
     model = tr.build_model(cfg, d0.dim, RngStream(17))
     ps, pu = toy_episode(d0, cfg, 11), toy_episode(d1, cfg, 12)
 
-    total, loss_ps, loss_pu, stepped = tr.lft_outer_loss(model, ps, pu, cfg, RngStream(13))
+    total, loss_ps, loss_pu, stepped, _ = tr.lft_outer_loss(model, ps, pu, cfg, RngStream(13))
     meta = ad.backward(total, [t for _, t in model.ft_named()])
 
     new_model, got_ps, got_pu = tr.lft_train_step(model, ps, pu, cfg, RngStream(13))
@@ -294,6 +294,27 @@ def test_lft_train_step_keeps_inner_parameters_and_steps_ft():
     # and the new state is made of detached leaves
     for _, t in new_model.trainable() + new_model.ft_named():
         assert t.parents == ()
+
+
+def test_lft_adam_step_uses_first_inner_gradients():
+    # Adam steps encoder and head from the gradients of the first inner
+    # step: the same values as replaying the pseudo-seen episode with that
+    # step's noise and differentiating it without a graph
+    cfg = toy_config(mode="lft", head="relation", ft_reg_weight=1e-3)
+    d0, d1 = toy_domains(n=2)
+    model = tr.build_model(cfg, d0.dim, RngStream(20))
+    ps, pu = toy_episode(d0, cfg, 21), toy_episode(d1, cfg, 22)
+    new_model, _, _ = tr.lft_train_step(model, ps, pu, cfg, RngStream(23), tr.Adam(cfg.alpha))
+
+    replay = RngStream(23).substream("inner-noise", 0)
+    logits = tr.episode_forward(model, ps, "train", True, replay)
+    loss = episode_loss(logits, ps.query_y)
+    trainable = model.trainable()
+    grads = ad.backward(loss, [t for _, t in trainable])
+    expected = tr.Adam(cfg.alpha).step({n: (t, g) for (n, t), g in zip(trainable, grads)})
+    assert new_model.head is not None
+    for name, t in new_model.trainable():
+        assert np.array_equal(t.data, expected[name].data)
 
 
 # ---------------------------------------------------------------------------
