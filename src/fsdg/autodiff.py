@@ -10,14 +10,17 @@ second-order meta-gradient in the training loop.
 Conventions:
   * scalars have shape ``()``,
   * elementwise ops broadcast with trailing-dimension alignment,
-  * every operation checks its result for non-finite values and raises
-    NumericError instead of propagating NaN or inf,
-  * arrays inside tensors are write-locked; updates always build new leaves.
+  * every result is checked exactly: an operation whose result holds a NaN
+    or an infinity raises NumericError naming it instead of propagating it,
+  * results may share memory with their inputs; every array is write-locked,
+    so updates always build new leaves.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
+import weakref
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -65,11 +68,11 @@ def no_grad() -> contextlib.AbstractContextManager[None]:
 class Tensor:
     """Immutable float64 array with optional links into the gradient graph."""
 
-    __slots__ = ("data", "parents", "requires_grad")
+    __slots__ = ("data", "parents", "requires_grad", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64)
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise NumericError("tensor: non-finite values in input data")
         arr.setflags(write=False)
         self.data = arr
@@ -166,10 +169,18 @@ def _wrap(x) -> Tensor:
     return Tensor(x)
 
 
+def _all_finite(data: np.ndarray) -> bool:
+    # The ufunc reduction itself: np.all adds a Python-level wrapper per call.
+    return bool(np.logical_and.reduce(np.isfinite(data), None))
+
+
 def _fresh(op: str, data: np.ndarray) -> Tensor:
-    if not np.all(np.isfinite(data)):
+    if not _all_finite(data):
         raise NumericError(f"{op}: non-finite values in result")
-    if data.base is not None or data.flags.writeable is False:
+    # Contiguous views are kept.  Transposes, stride-0 broadcasts and the
+    # NumPy scalars that 0-d ufunc results come back as are copied, so BLAS
+    # and reductions downstream see the memory layouts they always saw.
+    if type(data) is not np.ndarray or not data.flags.c_contiguous:
         data = np.array(data)
     data.setflags(write=False)
     t = Tensor.__new__(Tensor)
@@ -189,15 +200,19 @@ def _link(out: Tensor, parents: Sequence[tuple[Tensor, Callable]]) -> Tensor:
     return out
 
 
-def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
+def _elementwise(op: str, ufunc: np.ufunc, a: Tensor, b: Tensor) -> Tensor:
+    """Result of a broadcasting binary ufunc; NumPy itself rejects bad shapes."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        data = ufunc(a.data, b.data)
     except ValueError:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+    return _fresh(op, data)
 
 
 def _unbroadcast(g: Tensor, shape: tuple[int, ...]) -> Tensor:
     """Reduce a broadcast gradient back to the original operand shape."""
+    if g.data.shape == shape:
+        return g
     while g.ndim > len(shape):
         g = tensor_sum(g, axis=0)
     for axis, dim in enumerate(shape):
@@ -214,8 +229,7 @@ def _unbroadcast(g: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    _check_broadcast("add", a, b)
-    out = _fresh("add", np.add(a.data, b.data))
+    out = _elementwise("add", np.add, a, b)
     return _link(out, (
         (a, lambda g: _unbroadcast(g, a.shape)),
         (b, lambda g: _unbroadcast(g, b.shape)),
@@ -224,8 +238,7 @@ def add(a, b) -> Tensor:
 
 def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    _check_broadcast("sub", a, b)
-    out = _fresh("sub", np.subtract(a.data, b.data))
+    out = _elementwise("sub", np.subtract, a, b)
     return _link(out, (
         (a, lambda g: _unbroadcast(g, a.shape)),
         (b, lambda g: _unbroadcast(neg(g), b.shape)),
@@ -234,8 +247,7 @@ def sub(a, b) -> Tensor:
 
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    _check_broadcast("mul", a, b)
-    out = _fresh("mul", np.multiply(a.data, b.data))
+    out = _elementwise("mul", np.multiply, a, b)
     return _link(out, (
         (a, lambda g: _unbroadcast(mul(g, b), a.shape)),
         (b, lambda g: _unbroadcast(mul(g, a), b.shape)),
@@ -244,9 +256,8 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    _check_broadcast("div", a, b)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = _fresh("div", np.divide(a.data, b.data))
+        out = _elementwise("div", np.divide, a, b)
     return _link(out, (
         (a, lambda g: _unbroadcast(div(g, b), a.shape)),
         (b, lambda g: _unbroadcast(neg(div(mul(g, a), mul(b, b))), b.shape)),
@@ -267,6 +278,11 @@ def neg(a) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # nonlinearities
+#
+# A VJP that needs its op's output holds it by weak reference.  The output
+# holds the VJP, so a strong reference would be a cycle that keeps the whole
+# upstream graph alive until the cyclic garbage collector happens to run.
+# Backward only calls a VJP while it holds the output itself.
 
 
 def relu(a) -> Tensor:
@@ -280,7 +296,8 @@ def relu(a) -> Tensor:
 def tanh(a) -> Tensor:
     a = _wrap(a)
     out = _fresh("tanh", np.tanh(a.data))
-    return _link(out, ((a, lambda g: mul(g, sub(1.0, square(out)))),))
+    ref = weakref.ref(out)
+    return _link(out, ((a, lambda g: mul(g, sub(1.0, square(ref())))),))
 
 
 def exp(a) -> Tensor:
@@ -291,7 +308,8 @@ def exp(a) -> Tensor:
         except FloatingPointError:
             raise NumericError("exp: overflow") from None
     out = _fresh("exp", data)
-    return _link(out, ((a, lambda g: mul(g, out)),))
+    ref = weakref.ref(out)
+    return _link(out, ((a, lambda g: mul(g, ref())),))
 
 
 def log(a) -> Tensor:
@@ -307,7 +325,8 @@ def softplus(a) -> Tensor:
     a = _wrap(a)
     out = _fresh("softplus", np.logaddexp(0.0, a.data))
     # d softplus / dx = sigmoid(x) = exp(x - softplus(x)), stable at both tails.
-    return _link(out, ((a, lambda g: mul(g, exp(sub(a, out)))),))
+    ref = weakref.ref(out)
+    return _link(out, ((a, lambda g: mul(g, exp(sub(a, ref())))),))
 
 
 def square(a) -> Tensor:
@@ -321,7 +340,8 @@ def sqrt(a) -> Tensor:
     if np.any(a.data < 0.0):
         raise DomainError("sqrt: argument must be non-negative")
     out = _fresh("sqrt", np.sqrt(a.data))
-    return _link(out, ((a, lambda g: div(g, scale(out, 2.0))),))
+    ref = weakref.ref(out)
+    return _link(out, ((a, lambda g: div(g, scale(ref(), 2.0))),))
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +357,12 @@ def _axis_restore_shape(shape: tuple[int, ...], axis: int) -> tuple[int, ...]:
 def tensor_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
     if axis is None:
-        out = _fresh("sum", np.sum(a.data, keepdims=keepdims))
+        out = _fresh("sum", np.add.reduce(a.data, axis=None, keepdims=keepdims))
         return _link(out, ((a, lambda g: broadcast_to(reshape(g, (1,) * a.ndim), a.shape)),))
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"sum: axis {axis} out of range for shape {a.shape}")
     axis = axis % a.ndim
-    out = _fresh("sum", np.sum(a.data, axis=axis, keepdims=keepdims))
+    out = _fresh("sum", np.add.reduce(a.data, axis=axis, keepdims=keepdims))
     mid = _axis_restore_shape(a.shape, axis)
     return _link(out, ((a, lambda g: broadcast_to(reshape(g, mid), a.shape)),))
 
@@ -406,7 +426,7 @@ def transpose(a) -> Tensor:
 def reshape(a, shape) -> Tensor:
     a = _wrap(a)
     shape = tuple(int(d) for d in shape)
-    if int(np.prod(shape, dtype=np.int64)) != a.size:
+    if math.prod(shape) != a.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
     out = _fresh("reshape", a.data.reshape(shape))
     return _link(out, ((a, lambda g: reshape(g, a.shape)),))
@@ -578,20 +598,19 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) ->
     adjoints: dict[int, Tensor] = {id(loss): _bare(np.ones(()))}
     with _grad_mode(create_graph):
         for node in reversed(order):
-            if id(node) in wanted:
-                g = adjoints.get(id(node))
-            else:
-                g = adjoints.pop(id(node), None)
+            key = id(node)
+            g = adjoints.get(key) if key in wanted else adjoints.pop(key, None)
             if g is None:
                 continue
             for parent, vjp in node.parents:
                 contribution = vjp(g)
-                if contribution.shape != parent.shape:
+                if contribution.data.shape != parent.data.shape:
                     raise ShapeError(
                         f"backward: vjp produced {contribution.shape}, expected {parent.shape}"
                     )
-                held = adjoints.get(id(parent))
-                adjoints[id(parent)] = contribution if held is None else add(held, contribution)
+                pid = id(parent)
+                held = adjoints.get(pid)
+                adjoints[pid] = contribution if held is None else add(held, contribution)
     return [adjoints.get(id(w), _bare(np.zeros(w.shape))) for w in wrt]
 
 

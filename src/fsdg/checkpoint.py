@@ -7,7 +7,8 @@ Layout (all integers little-endian u32, all floats little-endian f64):
 
 Tensors are written in lexicographic name order, so two models with equal
 parameters serialize to byte-identical files.  The config text is carried
-verbatim and parsed on load to recover the head kind and block layout.
+verbatim and parsed on load to recover the head kind and, where the
+tensor names cannot tell, the modulation layout.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import ParamStore
 from .encoder import EncoderConfig
 from .errors import ConfigError, FormatError, LengthError, ParseError, VersionError
-from .training import ModelState, assemble_model
+from .training import ModelState, TrainConfig, assemble_model
 
 log = logging.getLogger(__name__)
 
@@ -85,8 +86,17 @@ def read_checkpoint(path: str) -> tuple[ParamStore, str]:
     return store, config_text
 
 
-def model_from_store(store: ParamStore, head_kind: str) -> ModelState:
-    """Rebuild a model from named tensors; layout is implied by the names."""
+def model_from_store(store: ParamStore, head_kind: str,
+                     config: TrainConfig | None = None) -> ModelState:
+    """Rebuild a model from named tensors; layout is implied by the names.
+
+    Names cannot tell a model without modulation from one whose layout
+    flags no block: neither owns an ``ft.*`` tensor.  When there is none,
+    ``config``, the run configuration saved with the tensors, supplies the
+    block flags, and the model modulates iff its mode is ft or lft and it
+    flags no block (an encoder saved without its modulation, as
+    ``fsdg pretrain`` writes it, flags blocks but holds no ``ft.*`` tensor).
+    """
     block_ids = sorted(
         {int(n.split(".")[1][len("block"):]) for n in store.names() if n.startswith("enc.block")}
     )
@@ -96,9 +106,14 @@ def model_from_store(store: ParamStore, head_kind: str) -> ModelState:
         weights = [store[f"enc.block{i}.weight"] for i in block_ids]
         ft_flags = tuple(f"ft.block{i}.gamma" in store for i in block_ids)
         has_ft = any(ft_flags)
-        config = EncoderConfig(weights[0].shape[0], tuple(w.shape[1] for w in weights),
-                               ft_flags if has_ft else ())
-        return assemble_model(config, head_kind, store, with_ft=has_ft)
+        if not has_ft:
+            ft_flags = ()
+            if config is not None and len(config.ft_blocks) == len(block_ids):
+                ft_flags = config.ft_blocks
+                has_ft = config.mode in ("ft", "lft") and not any(ft_flags)
+        enc_config = EncoderConfig(weights[0].shape[0], tuple(w.shape[1] for w in weights),
+                                   ft_flags)
+        return assemble_model(enc_config, head_kind, store, with_ft=has_ft)
     except KeyError as err:
         raise FormatError(f"checkpoint is missing tensor {err}") from None
 
@@ -108,10 +123,13 @@ def load_checkpoint(path: str) -> tuple[ModelState, str]:
     from .config import parse_config_text
 
     store, config_text = read_checkpoint(path)
-    head_kind = "relation" if "head.rel.w1" in store else "proto"
     try:
-        head_kind = parse_config_text(config_text).head
+        config = parse_config_text(config_text)
     except (ConfigError, ParseError) as err:
+        config = None
+        head_kind = "relation" if "head.rel.w1" in store else "proto"
         log.warning("checkpoint %s: config text not understood (%s); head kind %r "
                     "guessed from the tensor names", path, err, head_kind)
-    return model_from_store(store, head_kind), config_text
+    else:
+        head_kind = config.head
+    return model_from_store(store, head_kind, config), config_text

@@ -101,9 +101,11 @@ class RngStream:
         items = list(range(n))
         if n < 2:
             return items
-        draws = self._raw(n - 1)
+        # Python ints: indexing a uint64 array and mixing in np.uint64
+        # scalars would cost more than the shuffle itself.
+        draws = self._raw(n - 1).tolist()
         for i in range(n - 1, 0, -1):
-            j = int(draws[n - 1 - i] % np.uint64(i + 1))
+            j = draws[n - 1 - i] % (i + 1)
             items[i], items[j] = items[j], items[i]
         return items
 

@@ -8,6 +8,7 @@ the run log doubles as the acceptance report.  Budgets are asserted with
 import time
 
 import numpy as np
+import pytest
 
 from fsdg import autodiff as ad
 from fsdg.checkpoint import load_checkpoint, save_checkpoint
@@ -232,6 +233,7 @@ def test_criterion_5_untrained_models_sit_at_chance():
 # criterion 6: directional cross-domain claim
 
 
+@pytest.mark.slow
 def test_criterion_6_learned_modulation_beats_fixed_beats_baseline():
     per_mode = {"baseline": [], "ft": [], "lft": []}
     slowest = 0.0

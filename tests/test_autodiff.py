@@ -1,3 +1,7 @@
+import gc
+import warnings
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -340,6 +344,13 @@ def test_shape_error_names_op_and_shapes():
         ad.add(ad.constant(np.ones((2, 3))), ad.constant(np.ones((4,))))
 
 
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div])
+def test_elementwise_shape_error_names_op_and_both_shapes(op):
+    a, b = ad.constant(np.ones((2, 3))), ad.constant(np.ones((4,)))
+    with pytest.raises(ShapeError, match=rf"^{op.__name__}: shapes \(2, 3\) and \(4,\) do not broadcast$"):
+        op(a, b)
+
+
 def test_log_rejects_non_positive():
     with pytest.raises(DomainError):
         ad.log(ad.constant([-1.0]))
@@ -362,6 +373,34 @@ def test_tensor_rejects_non_finite_input():
         ad.Tensor([np.inf, 1.0])
 
 
+BIG = [[1e200, 1e200]]
+
+
+@pytest.mark.parametrize("op,a,b", [
+    ("mul", BIG, BIG),                                  # +inf
+    ("mul", BIG, [[-1e200, 1.0]]),                      # -inf
+    ("div", [[1.0, 2.0]], [[0.0, 1.0]]),                # +inf
+    ("div", [[-1.0, 2.0]], [[0.0, 1.0]]),               # -inf
+    ("div", [[0.0, 2.0]], [[0.0, 1.0]]),                # nan
+    ("matmul", BIG, [[1e200], [1e200]]),                # +inf
+    ("matmul", BIG, [[1e200], [-1e200]]),               # inf - inf = nan
+])
+def test_non_finite_result_raises_numeric_error_naming_op(op, a, b):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError, match=rf"^{op}: non-finite values in result$"):
+            getattr(ad, op)(ad.constant(a), ad.constant(b))
+
+
+def test_large_finite_values_pass_without_warning():
+    # A check by "the sum is finite" would overflow and warn on these.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = ad.constant([1e308, 1e308])
+        half = ad.constant([5e307, 5e307])
+        out = ad.add(half, half)
+    assert np.array_equal(big.data, out.data)
+
+
 def test_backward_requires_scalar_attached_loss():
     x = ad.leaf(np.ones(3))
     with pytest.raises(ContractError):
@@ -375,6 +414,23 @@ def test_backward_rejects_detached_wrt():
     c = ad.constant(3.0)
     with pytest.raises(DetachedTensorError):
         ad.backward(ad.square(x), [c])
+
+
+def test_attached_graph_is_freed_without_the_cycle_collector():
+    # Ops whose VJP needs their own output (exp, tanh, softplus, sqrt) must
+    # not make reference cycles, or every graph waits for gc to run.
+    gc.disable()
+    try:
+        x = ad.leaf(np.array([0.1, 0.7]))
+        y = ad.tensor_sum(ad.sqrt(ad.softplus(ad.tanh(ad.exp(x)))))
+        (g,) = ad.backward(y, [x], create_graph=True)
+        (gg,) = ad.backward(ad.tensor_sum(g), [x])
+        probes = [weakref.ref(y), weakref.ref(g)]
+        del y, g
+        assert [p() for p in probes] == [None, None]
+    finally:
+        gc.enable()
+    assert np.all(np.isfinite(gg.data))
 
 
 def test_no_grad_suppresses_graph_building():
@@ -391,6 +447,22 @@ def test_tensor_data_is_write_locked():
     out = ad.add(t, t)
     with pytest.raises(ValueError):
         out.data[0] = 5.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda x: ad.reshape(x, (3, 2)),
+    lambda x: ad.narrow(x, 0, 0, 1),
+    lambda x: ad.narrow(x, 1, 1, 3),
+    lambda x: ad.broadcast_to(x, (4, 2, 3)),
+    lambda x: ad.transpose(x),
+])
+def test_view_op_results_are_write_locked(make):
+    x = ad.leaf(np.arange(6.0).reshape(2, 3))
+    out = make(x)
+    assert out.data.flags.writeable is False
+    with pytest.raises(ValueError):
+        out.data[(0,) * out.ndim] = 5.0
+    assert np.array_equal(x.data, np.arange(6.0).reshape(2, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,37 @@ def test_ft_flags_recovered_from_names(tmp_path):
     assert loaded.ft.gammas[0].shape == (4,)
 
 
+def test_lft_model_flagging_no_block_round_trips(tmp_path):
+    # Such a model owns no ft tensor; the config text says it still modulates.
+    cfg = tr.TrainConfig(mode="lft", encoder_widths=(8, 4), ft_blocks=(False, False),
+                         iterations=0)
+    model = tr.build_model(cfg, 6, RngStream(4))
+    path = str(tmp_path / "model.ckpt")
+    ck.save_checkpoint(model, format_config(cfg), path)
+    loaded, _ = ck.load_checkpoint(path)
+    assert loaded.encoder.config.ft_blocks == (False, False)
+    assert loaded.ft is not None and loaded.ft.n_layers == 0
+    assert loaded.param_store().names() == model.param_store().names()
+
+    domain = toy_domain()
+    trained, rows = tr.train_loop(tr.TrainConfig(
+        mode="lft", encoder_widths=(8, 4), ft_blocks=(False, False), iterations=2,
+        way=3, shot=2, query=3, alpha=0.01), [domain], init=loaded)
+    assert len(rows) == 2 and trained.ft.n_layers == 0
+
+
+def test_encoder_saved_without_modulation_takes_flags_from_config(tmp_path):
+    cfg = tr.TrainConfig(mode="ft", encoder_widths=(8, 4), ft_blocks=(False, True),
+                         iterations=0)
+    model = tr.build_model(cfg, 6, RngStream(4))
+    path = str(tmp_path / "model.ckpt")
+    ck.save_checkpoint(tr.ModelState(model.head_kind, model.encoder, None, None),
+                       format_config(cfg), path)
+    loaded, _ = ck.load_checkpoint(path)
+    assert loaded.ft is None
+    assert loaded.encoder.config.ft_blocks == (False, True)
+
+
 def test_baseline_checkpoint_has_no_ft(tmp_path):
     cfg, model = toy_model(mode="baseline")
     path = str(tmp_path / "model.ckpt")

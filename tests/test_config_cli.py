@@ -317,6 +317,21 @@ def test_pretrain_then_train_with_init(workspace, capsys):
     assert warm.ft is not None
 
 
+def test_train_with_init_from_lft_model_flagging_no_block(workspace):
+    cfg = workspace / "noft.cfg"
+    cfg.write_text(TINY_CONFIG + "ft_blocks = 0,0\n")
+    first = workspace / "first.ckpt"
+    args = ["train", "--config", str(cfg), "--mode", "lft",
+            "--seen", str(workspace / "dom_a.bin"), str(workspace / "dom_b.bin")]
+    assert run_cli([*args, "--out", str(first)]) == 0
+    second = workspace / "second.ckpt"
+    assert run_cli([*args, "--out", str(second), "--init", str(first)]) == 0
+    model, _ = load_checkpoint(str(second))
+    assert model.encoder.config.ft_blocks == (False, False)
+    assert model.ft is not None and model.ft.n_layers == 0
+    assert not [n for n in model.param_store().names() if n.startswith("ft.")]
+
+
 def test_train_missing_init_checkpoint_exits_two(workspace, capsys):
     code = run_cli(["train", "--config", str(workspace / "run.cfg"),
                     "--seen", str(workspace / "dom_a.bin"),

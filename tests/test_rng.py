@@ -118,6 +118,28 @@ def test_permutation_is_a_permutation(seed, n):
     assert sorted(perm) == list(range(n))
 
 
+# Outputs of the stream as it stands; any change to the raw draws, their
+# order or the Fisher-Yates index rule changes every episode ever sampled.
+GOLDEN_PERMUTATIONS = [
+    (0, 5, [0, 4, 1, 3, 2]),
+    (1, 12, [3, 5, 11, 8, 2, 7, 6, 1, 9, 0, 10, 4]),
+    (7, 20, [1, 19, 16, 2, 17, 0, 10, 5, 6, 3, 4, 13, 18, 8, 15, 9, 7, 12, 11, 14]),
+    (12345, 3, [0, 2, 1]),
+    (MASK - 4, 9, [7, 0, 5, 4, 3, 2, 1, 8, 6]),
+]
+
+
+@pytest.mark.parametrize("seed,n,want", GOLDEN_PERMUTATIONS)
+def test_permutation_golden_values(seed, n, want):
+    assert RngStream(seed).permutation(n) == want
+
+
+def test_permutation_golden_values_advance_the_stream():
+    stream = RngStream(99)
+    assert stream.permutation(6) == [3, 0, 1, 2, 4, 5]
+    assert stream.permutation(6) == [1, 0, 3, 5, 4, 2]
+
+
 @settings(max_examples=50)
 @given(st.integers(0, MASK), st.integers(1, 30), st.data())
 def test_sample_without_replacement_distinct(seed, n, data):
