@@ -11,7 +11,13 @@ Conventions:
   * scalars have shape ``()``,
   * elementwise ops broadcast with trailing-dimension alignment,
   * every result is checked exactly: an operation whose result holds a NaN
-    or an infinity raises NumericError naming it instead of propagating it,
+    or an infinity raises NumericError naming it instead of propagating it.
+    Outside ``trap_non_finite()`` each result is scanned.  Inside it the
+    IEEE overflow, invalid and divide-by-zero flags catch the value as the
+    ufunc makes it: every Tensor is finite, and arithmetic on finite
+    operands only gives a NaN or an infinity by raising one of those flags.
+    ``matmul`` scans in both modes, because BLAS worker threads may set
+    flags that never reach NumPy,
   * results may share memory with their inputs; every array is write-locked,
     so updates always build new leaves.
 """
@@ -19,6 +25,7 @@ Conventions:
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
 import weakref
 from typing import Callable, Iterable, Iterator, Sequence
@@ -63,6 +70,33 @@ def _grad_mode(flag: bool) -> Iterator[None]:
 def no_grad() -> contextlib.AbstractContextManager[None]:
     """Disable graph recording inside the block (evaluation fast path)."""
     return _grad_mode(False)
+
+
+# NumPy's error state belongs to one thread (a thread started inside an
+# errstate block sees the defaults), and so does a context variable, so a
+# thread that gets no trap keeps scanning its results.
+_trapping: contextvars.ContextVar[bool] = contextvars.ContextVar("fsdg_trapping", default=False)
+
+
+@contextlib.contextmanager
+def trap_non_finite() -> Iterator[None]:
+    """Catch non-finite results by IEEE flags instead of a scan of each one.
+
+    Inside the block, overflow, invalid operations and division by zero
+    raise FloatingPointError, which each primitive re-raises as the
+    NumericError that the scan would have raised.  A nested entry does
+    nothing.  Plain NumPy arithmetic of the caller inside the block raises
+    FloatingPointError as well.
+    """
+    if _trapping.get():
+        yield
+        return
+    token = _trapping.set(True)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    finally:
+        _trapping.reset(token)
 
 
 class Tensor:
@@ -174,9 +208,14 @@ def _all_finite(data: np.ndarray) -> bool:
     return bool(np.logical_and.reduce(np.isfinite(data), None))
 
 
-def _fresh(op: str, data: np.ndarray) -> Tensor:
-    if not _all_finite(data):
-        raise NumericError(f"{op}: non-finite values in result")
+def _non_finite(op: str) -> NumericError:
+    return NumericError(f"{op}: non-finite values in result")
+
+
+def _fresh(op: str, data: np.ndarray, scan: bool = False) -> Tensor:
+    """Wrap an op's result, scanned for NaN and inf outside the trap or if ``scan``."""
+    if (scan or not _trapping.get()) and not _all_finite(data):
+        raise _non_finite(op)
     # Contiguous views are kept.  Transposes, stride-0 broadcasts and the
     # NumPy scalars that 0-d ufunc results come back as are copied, so BLAS
     # and reductions downstream see the memory layouts they always saw.
@@ -206,6 +245,8 @@ def _elementwise(op: str, ufunc: np.ufunc, a: Tensor, b: Tensor) -> Tensor:
         data = ufunc(a.data, b.data)
     except ValueError:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+    except FloatingPointError:
+        raise _non_finite(op) from None
     return _fresh(op, data)
 
 
@@ -256,8 +297,11 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    if _trapping.get():
         out = _elementwise("div", np.divide, a, b)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = _elementwise("div", np.divide, a, b)
     return _link(out, (
         (a, lambda g: _unbroadcast(div(g, b), a.shape)),
         (b, lambda g: _unbroadcast(neg(div(mul(g, a), mul(b, b))), b.shape)),
@@ -268,7 +312,11 @@ def scale(a, c: float) -> Tensor:
     """Multiply by a python constant; the constant is not a graph node."""
     a = _wrap(a)
     c = float(c)
-    out = _fresh("scale", a.data * c)
+    try:
+        data = a.data * c
+    except FloatingPointError:
+        raise _non_finite("scale") from None
+    out = _fresh("scale", data)
     return _link(out, ((a, lambda g: scale(g, c)),))
 
 
@@ -302,11 +350,14 @@ def tanh(a) -> Tensor:
 
 def exp(a) -> Tensor:
     a = _wrap(a)
-    with np.errstate(over="raise"):
-        try:
+    try:
+        if _trapping.get():
             data = np.exp(a.data)
-        except FloatingPointError:
-            raise NumericError("exp: overflow") from None
+        else:
+            with np.errstate(over="raise"):
+                data = np.exp(a.data)
+    except FloatingPointError:
+        raise NumericError("exp: overflow") from None
     out = _fresh("exp", data)
     ref = weakref.ref(out)
     return _link(out, ((a, lambda g: mul(g, ref())),))
@@ -331,7 +382,11 @@ def softplus(a) -> Tensor:
 
 def square(a) -> Tensor:
     a = _wrap(a)
-    out = _fresh("square", np.square(a.data))
+    try:
+        data = np.square(a.data)
+    except FloatingPointError:
+        raise _non_finite("square") from None
+    out = _fresh("square", data)
     return _link(out, ((a, lambda g: mul(g, scale(a, 2.0))),))
 
 
@@ -356,13 +411,17 @@ def _axis_restore_shape(shape: tuple[int, ...], axis: int) -> tuple[int, ...]:
 
 def tensor_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
+    if axis is not None:
+        if not -a.ndim <= axis < a.ndim:
+            raise ShapeError(f"sum: axis {axis} out of range for shape {a.shape}")
+        axis = axis % a.ndim
+    try:
+        data = np.add.reduce(a.data, axis=axis, keepdims=keepdims)
+    except FloatingPointError:
+        raise _non_finite("sum") from None
+    out = _fresh("sum", data)
     if axis is None:
-        out = _fresh("sum", np.add.reduce(a.data, axis=None, keepdims=keepdims))
         return _link(out, ((a, lambda g: broadcast_to(reshape(g, (1,) * a.ndim), a.shape)),))
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"sum: axis {axis} out of range for shape {a.shape}")
-    axis = axis % a.ndim
-    out = _fresh("sum", np.add.reduce(a.data, axis=axis, keepdims=keepdims))
     mid = _axis_restore_shape(a.shape, axis)
     return _link(out, ((a, lambda g: broadcast_to(reshape(g, mid), a.shape)),))
 
@@ -408,7 +467,11 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: expected 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} vs {b.shape}")
-    out = _fresh("matmul", a.data @ b.data)
+    try:
+        data = a.data @ b.data
+    except FloatingPointError:
+        raise _non_finite("matmul") from None
+    out = _fresh("matmul", data, scan=True)
     return _link(out, (
         (a, lambda g: matmul(g, transpose(b))),
         (b, lambda g: matmul(transpose(a), g)),
@@ -506,7 +569,10 @@ def take_rows(a, indices: Sequence[int]) -> Tensor:
 def _scatter_rows(g: Tensor, indices: tuple[int, ...], n_rows: int) -> Tensor:
     g = _wrap(g)
     data = np.zeros((n_rows,) + g.shape[1:])
-    np.add.at(data, list(indices), g.data)
+    try:
+        np.add.at(data, list(indices), g.data)
+    except FloatingPointError:
+        raise _non_finite("scatter_rows") from None
     out = _fresh("scatter_rows", data)
     return _link(out, ((g, lambda h: take_rows(h, indices)),))
 
@@ -557,23 +623,35 @@ def primitive_forward(op: str, inputs: Sequence, **params) -> Tensor:
 # backward pass
 
 
-def _topological_order(loss: Tensor) -> list[Tensor]:
+def _reaching_order(loss: Tensor, wanted: set[int]) -> tuple[list[Tensor], set[int]]:
+    """The nodes under ``loss`` that have a path to a wanted node (or are
+    one), parents before children, and the set of their ids."""
     order: list[Tensor] = []
+    reach: set[int] = set()
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
         node, expanded = stack.pop()
+        key = id(node)
         if expanded:
-            order.append(node)
+            if key in wanted:
+                reach.add(key)
+                order.append(node)
+            else:
+                for parent, _ in node.parents:
+                    if id(parent) in reach:
+                        reach.add(key)
+                        order.append(node)
+                        break
             continue
-        if id(node) in visited:
+        if key in visited:
             continue
-        visited.add(id(node))
+        visited.add(key)
         stack.append((node, True))
         for parent, _ in node.parents:
             if id(parent) not in visited:
                 stack.append((parent, False))
-    return order
+    return order, reach
 
 
 def backward(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) -> list[Tensor]:
@@ -583,6 +661,13 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) ->
     returned gradient is attached and supports another backward pass.
     Tensors in wrt that do not influence the loss get zero gradients;
     tensors that are not on any graph raise DetachedTensorError.
+
+    Only the nodes with a path to some tensor in wrt get adjoints: every
+    contribution to such a node comes from another such node, so each sum
+    and its order are those of the full pass.  A non-finite value on a
+    path that reaches no tensor in wrt is therefore never computed, and
+    does not raise.  Every vector-Jacobian product runs inside
+    ``trap_non_finite()``.
     """
     if not isinstance(loss, Tensor) or loss.shape != ():
         raise ContractError("backward: loss must be a scalar tensor")
@@ -594,21 +679,23 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) ->
             raise DetachedTensorError(f"backward: wrt[{i}] is not attached to a graph")
 
     wanted = {id(w) for w in wrt}
-    order = _topological_order(loss)
+    order, reach = _reaching_order(loss, wanted)
     adjoints: dict[int, Tensor] = {id(loss): _bare(np.ones(()))}
-    with _grad_mode(create_graph):
+    with _grad_mode(create_graph), trap_non_finite():
         for node in reversed(order):
             key = id(node)
             g = adjoints.get(key) if key in wanted else adjoints.pop(key, None)
             if g is None:
                 continue
             for parent, vjp in node.parents:
+                pid = id(parent)
+                if pid not in reach:
+                    continue
                 contribution = vjp(g)
                 if contribution.data.shape != parent.data.shape:
                     raise ShapeError(
                         f"backward: vjp produced {contribution.shape}, expected {parent.shape}"
                     )
-                pid = id(parent)
                 held = adjoints.get(pid)
                 adjoints[pid] = contribution if held is None else add(held, contribution)
     return [adjoints.get(id(w), _bare(np.zeros(w.shape))) for w in wrt]

@@ -193,12 +193,25 @@ def _cmd_pretrain(args) -> int:
     return 0
 
 
+def _check_init_layout(loaded: ModelState, config: TrainConfig) -> None:
+    """The new checkpoint carries the run config, so it must describe the
+    encoder layout that ``--init`` loads."""
+    enc = loaded.encoder.config
+    if (enc.block_widths, enc.ft_blocks) != (config.encoder_widths, config.ft_blocks):
+        raise ConfigError(
+            f"train: the --init checkpoint has encoder widths {enc.block_widths} and FT "
+            f"blocks {enc.ft_blocks}, but the config has encoder widths "
+            f"{config.encoder_widths} and FT blocks {config.ft_blocks}"
+        )
+
+
 def _cmd_train(args) -> int:
     config = _config_from_args(args)
     domains = [load_domain(p) for p in args.seen]
     init = None
     if args.init:
         loaded, _ = load_checkpoint(args.init)
+        _check_init_layout(loaded, config)
         init = build_model(config, domains[0].dim, RngStream(config.seed),
                            encoder=loaded.encoder)
         if loaded.head is not None and config.head == "relation":

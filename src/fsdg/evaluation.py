@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ContractError
+from .errors import ContractError, NumericError
 from .ft import FTParams, quartile_stats
 from .heads import predict_episode
 from .rng import RngStream, derive_seed, label_hash
@@ -46,19 +46,25 @@ def summarize(accuracies: Sequence[float]) -> tuple[float, float]:
 
 def trial_accuracy(model: ModelState, domain: Domain, n_way: int, n_shot: int,
                    n_query: int, seed: int, trial: int, split: str | None = None) -> float:
-    """Accuracy of one evaluation episode, identified by its trial index."""
+    """Accuracy of one evaluation episode, identified by its trial index.
+
+    A NumericError of the trial is re-raised with the trial index.
+    """
     rng = RngStream(derive_seed(seed, "eval-trial", trial))
     episode = sample_episode(domain, n_way, n_shot, n_query, rng, split)
-    with ad.no_grad():
-        batch = ad.constant(np.concatenate([episode.support_x.data, episode.query_x.data]))
-        from .encoder import encode
+    from .encoder import encode
 
-        emb = encode(model.encoder, None, batch, "eval")
-        n_support = n_way * n_shot
-        support = ad.narrow(emb, 0, 0, n_support)
-        query = ad.narrow(emb, 0, n_support, emb.shape[0])
-        preds = predict_episode(model.head_kind, support, episode.support_y,
-                                query, n_way, model.head)
+    with ad.no_grad(), ad.trap_non_finite():
+        try:
+            batch = ad.constant(np.concatenate([episode.support_x.data, episode.query_x.data]))
+            emb = encode(model.encoder, None, batch, "eval")
+            n_support = n_way * n_shot
+            support = ad.narrow(emb, 0, 0, n_support)
+            query = ad.narrow(emb, 0, n_support, emb.shape[0])
+            preds = predict_episode(model.head_kind, support, episode.support_y,
+                                    query, n_way, model.head)
+        except NumericError as err:
+            raise NumericError(f"evaluation trial {trial}: {err}") from err
     return float(np.mean(preds == np.asarray(episode.query_y)))
 
 

@@ -49,10 +49,23 @@ def _check_support(support_emb: Tensor, support_labels: Sequence[int], n_way: in
 
 
 def class_prototypes(support_emb: Tensor, support_labels: Sequence[int], n_way: int) -> Tensor:
-    """Per-class mean embedding, rows ordered by class index."""
+    """Per-class mean embedding, rows ordered by class index.
+
+    With equal shots the support is viewed as (n_way, shot, dim) and
+    averaged over the shot axis, after one gather if it is not already
+    class-sorted; each class still sums its rows in support order.
+    """
     groups = _check_support(support_emb, support_labels, n_way)
-    rows = [ad.tensor_mean(ad.take_rows(support_emb, g), axis=0, keepdims=True) for g in groups]
-    return ad.concat(rows, axis=0)
+    shot = len(groups[0])
+    if any(len(rows) != shot for rows in groups):
+        means = [ad.tensor_mean(ad.take_rows(support_emb, g), axis=0, keepdims=True)
+                 for g in groups]
+        return ad.concat(means, axis=0)
+    order = [row for rows in groups for row in rows]
+    if order != list(range(len(order))):
+        support_emb = ad.take_rows(support_emb, order)
+    by_class = ad.reshape(support_emb, (n_way, shot, support_emb.shape[1]))
+    return ad.tensor_mean(by_class, axis=1)
 
 
 def proto_logits(support_emb: Tensor, support_labels: Sequence[int],

@@ -31,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
 from .encoder import EncoderConfig, EncoderState, encode, build_encoder, BlockParams
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, NumericError
 from .ft import FTParams, init_ft_params
 from .heads import (
     HEAD_KINDS,
@@ -293,8 +293,13 @@ class SGD:
         self.alpha = alpha
 
     def step(self, named: dict[str, tuple[Tensor, Tensor]]) -> dict[str, Tensor]:
-        return {name: ad.leaf(theta.data - self.alpha * grad.data)
-                for name, (theta, grad) in named.items()}
+        out = {}
+        for name, (theta, grad) in named.items():
+            try:
+                out[name] = ad.leaf(theta.data - self.alpha * grad.data)
+            except FloatingPointError:
+                raise NumericError(f"sgd: non-finite update of {name}") from None
+        return out
 
 
 class Adam:
@@ -322,12 +327,15 @@ class Adam:
             v = self.v[name]
             self.t[name] += 1
             t = self.t[name]
-            m = self.beta1 * m + (1.0 - self.beta1) * g
-            v = self.beta2 * v + (1.0 - self.beta2) * g * g
+            try:
+                m = self.beta1 * m + (1.0 - self.beta1) * g
+                v = self.beta2 * v + (1.0 - self.beta2) * g * g
+                m_hat = m / (1.0 - self.beta1**t)
+                v_hat = v / (1.0 - self.beta2**t)
+                out[name] = ad.leaf(theta.data - self.alpha * m_hat / (np.sqrt(v_hat) + self.eps))
+            except FloatingPointError:
+                raise NumericError(f"adam: non-finite update of {name}") from None
             self.m[name], self.v[name] = m, v
-            m_hat = m / (1.0 - self.beta1**t)
-            v_hat = v / (1.0 - self.beta2**t)
-            out[name] = ad.leaf(theta.data - self.alpha * m_hat / (np.sqrt(v_hat) + self.eps))
         return out
 
 
@@ -342,6 +350,31 @@ class LogRow:
 def _format_log_row(row: LogRow) -> str:
     pu = "" if row.loss_pu is None else f"{row.loss_pu:.6f}"
     return f"{row.iteration},{row.mode},{row.loss_ps:.6f},{pu}\n"
+
+
+def _train_iteration(model: ModelState, config: TrainConfig, domains: Sequence[Domain],
+                     root: RngStream, optimizer: "SGD | Adam",
+                     it: int) -> tuple[ModelState, LogRow]:
+    """Iteration ``it`` of train_loop: draw its episodes and take its step."""
+    if config.mode in ("baseline", "ft"):
+        pick = root.substream("loop-domain", it).integers(1, len(domains))[0]
+        episode = sample_episode(domains[int(pick)], config.way, config.shot,
+                                 config.query, root.substream("ps-episode", it))
+        noise = root.substream("ft-noise", it)
+        loss_ps, grads = episode_gradients(model, episode, config.mode == "ft", noise)
+        return model.with_values(optimizer.step(grads)), LogRow(it, config.mode, loss_ps)
+    if len(domains) >= 2:
+        pair = root.substream("loop-domain", it).sample_without_replacement(len(domains), 2)
+        ps_dom, pu_dom = domains[pair[0]], domains[pair[1]]
+    else:
+        ps_dom = pu_dom = domains[0]
+    ps = sample_episode(ps_dom, config.way, config.shot, config.query,
+                        root.substream("ps-episode", it))
+    pu = sample_episode(pu_dom, config.way, config.shot, config.query,
+                        root.substream("pu-episode", it))
+    model, loss_ps, loss_pu = lft_train_step(model, ps, pu, config,
+                                             root.substream("ft-noise", it), optimizer)
+    return model, LogRow(it, config.mode, loss_ps, loss_pu)
 
 
 def train_loop(config: TrainConfig, domains: Sequence[Domain],
@@ -378,33 +411,17 @@ def train_loop(config: TrainConfig, domains: Sequence[Domain],
         log_file.write("iter,mode,loss_ps,loss_pu\n")
 
     rows: list[LogRow] = []
-    for it in range(config.iterations):
-        if config.mode in ("baseline", "ft"):
-            pick = root.substream("loop-domain", it).integers(1, len(domains))[0]
-            episode = sample_episode(domains[int(pick)], config.way, config.shot,
-                                     config.query, root.substream("ps-episode", it))
-            noise = root.substream("ft-noise", it)
-            loss_ps, grads = episode_gradients(model, episode, config.mode == "ft", noise)
-            model = model.with_values(optimizer.step(grads))
-            row = LogRow(it, config.mode, loss_ps)
-        else:
-            if len(domains) >= 2:
-                pair = root.substream("loop-domain", it).sample_without_replacement(len(domains), 2)
-                ps_dom, pu_dom = domains[pair[0]], domains[pair[1]]
-            else:
-                ps_dom = pu_dom = domains[0]
-            ps = sample_episode(ps_dom, config.way, config.shot, config.query,
-                                root.substream("ps-episode", it))
-            pu = sample_episode(pu_dom, config.way, config.shot, config.query,
-                                root.substream("pu-episode", it))
-            model, loss_ps, loss_pu = lft_train_step(model, ps, pu, config,
-                                                     root.substream("ft-noise", it), optimizer)
-            row = LogRow(it, config.mode, loss_ps, loss_pu)
-        rows.append(row)
-        if log_file is not None:
-            log_file.write(_format_log_row(row))
-            if (it + 1) % 100 == 0:
-                log_file.flush()
+    with ad.trap_non_finite():
+        for it in range(config.iterations):
+            try:
+                model, row = _train_iteration(model, config, domains, root, optimizer, it)
+            except NumericError as err:
+                raise NumericError(f"{config.mode} iteration {it}: {err}") from err
+            rows.append(row)
+            if log_file is not None:
+                log_file.write(_format_log_row(row))
+                if (it + 1) % 100 == 0:
+                    log_file.flush()
     if log_file is not None:
         log_file.flush()
     return model, rows
@@ -438,23 +455,25 @@ def pretrain_encoder(encoder: EncoderState, domain: Domain, epochs: int,
 
     sgd = SGD(alpha)
     epoch_losses = []
-    for epoch in range(epochs):
-        order = rng.substream("pretrain-epoch", epoch).permutation(n)
-        batch_losses = []
-        for start in range(0, n, batch_size):
-            chunk = order[start:start + batch_size]
-            if len(chunk) < 2:
-                continue  # batch norm cannot use a single row
-            batch = ad.constant(xs[chunk])
-            labels = [int(ys[i]) for i in chunk]
-            emb = encode(encoder, None, batch, "train")
-            logits = ad.add(ad.matmul(emb, weight), bias)
-            loss = episode_loss(logits, labels)
-            named = encoder.parameters() + [("pretrain.weight", weight), ("pretrain.bias", bias)]
-            grads = ad.backward(loss, [t for _, t in named])
-            stepped = sgd.step({n: (t, g) for (n, t), g in zip(named, grads)})
-            encoder = assemble_model(encoder.config, "proto", stepped, with_ft=False).encoder
-            weight, bias = stepped["pretrain.weight"], stepped["pretrain.bias"]
-            batch_losses.append(loss.item())
-        epoch_losses.append(float(np.mean(batch_losses)))
+    with ad.trap_non_finite():
+        for epoch in range(epochs):
+            order = rng.substream("pretrain-epoch", epoch).permutation(n)
+            batch_losses = []
+            for start in range(0, n, batch_size):
+                chunk = order[start:start + batch_size]
+                if len(chunk) < 2:
+                    continue  # batch norm cannot use a single row
+                batch = ad.constant(xs[chunk])
+                labels = [int(ys[i]) for i in chunk]
+                emb = encode(encoder, None, batch, "train")
+                logits = ad.add(ad.matmul(emb, weight), bias)
+                loss = episode_loss(logits, labels)
+                named = encoder.parameters() + [("pretrain.weight", weight),
+                                                ("pretrain.bias", bias)]
+                grads = ad.backward(loss, [t for _, t in named])
+                stepped = sgd.step({n: (t, g) for (n, t), g in zip(named, grads)})
+                encoder = assemble_model(encoder.config, "proto", stepped, with_ft=False).encoder
+                weight, bias = stepped["pretrain.weight"], stepped["pretrain.bias"]
+                batch_losses.append(loss.item())
+            epoch_losses.append(float(np.mean(batch_losses)))
     return encoder, epoch_losses

@@ -1,5 +1,7 @@
 """Shared test utilities: gradient comparison and tiny fixtures."""
 
+import dataclasses
+
 import numpy as np
 
 from fsdg import autodiff as ad
@@ -55,3 +57,21 @@ def random_tensor(stream: RngStream, shape, lo: float = -2.0, hi: float = 2.0,
     n = int(np.prod(shape)) if shape else 1
     data = (stream.uniforms(n) * (hi - lo) + lo).reshape(shape)
     return ad.Tensor(data, requires_grad=requires_grad)
+
+
+def overflow_nth_episode(monkeypatch, module, index: int) -> None:
+    """Scale the inputs of the ``index``-th episode that ``module`` samples
+    (counting from 0) by 1e200, so that encoding it overflows."""
+    real = module.sample_episode
+    count = [0]
+
+    def sampler(*args, **kwargs):
+        episode = real(*args, **kwargs)
+        count[0] += 1
+        if count[0] - 1 != index:
+            return episode
+        return dataclasses.replace(episode,
+                                   support_x=ad.constant(episode.support_x.data * 1e200),
+                                   query_x=ad.constant(episode.query_x.data * 1e200))
+
+    monkeypatch.setattr(module, "sample_episode", sampler)

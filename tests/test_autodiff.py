@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import threading
 import warnings
 import weakref
 
@@ -363,9 +365,15 @@ def test_sqrt_rejects_negative():
         ad.sqrt(ad.constant([-0.5]))
 
 
+def _scopes():
+    """The scan path (warnings silenced) and the IEEE-trap path."""
+    return (np.errstate(over="ignore", invalid="ignore"), ad.trap_non_finite())
+
+
 def test_exp_overflow_raises_numeric_error():
-    with pytest.raises(NumericError):
-        ad.exp(ad.constant(1000.0))
+    for scope in _scopes():
+        with scope, pytest.raises(NumericError, match=r"^exp: overflow$"):
+            ad.exp(ad.constant(1000.0))
 
 
 def test_tensor_rejects_non_finite_input():
@@ -374,6 +382,9 @@ def test_tensor_rejects_non_finite_input():
 
 
 BIG = [[1e200, 1e200]]
+HUGE = [[1e308], [1e308]]
+# Ops whose name is not their function's name, called as fn(constant(a), b).
+_NAMED = {"sum": ad.tensor_sum, "scatter_rows": lambda g, rows: ad._scatter_rows(g, rows, 1)}
 
 
 @pytest.mark.parametrize("op,a,b", [
@@ -384,21 +395,93 @@ BIG = [[1e200, 1e200]]
     ("div", [[0.0, 2.0]], [[0.0, 1.0]]),                # nan
     ("matmul", BIG, [[1e200], [1e200]]),                # +inf
     ("matmul", BIG, [[1e200], [-1e200]]),               # inf - inf = nan
+    pytest.param("add", HUGE, HUGE, id="add"),
+    pytest.param("sub", HUGE, [[-1e308], [0.0]], id="sub"),
+    pytest.param("scale", BIG, 1e200, id="scale"),
+    pytest.param("square", BIG, None, id="square"),
+    pytest.param("sum", HUGE, None, id="sum-all"),
+    pytest.param("sum", HUGE, 0, id="sum-axis"),
+    pytest.param("scatter_rows", HUGE, (0, 0), id="scatter_rows"),
 ])
 def test_non_finite_result_raises_numeric_error_naming_op(op, a, b):
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError, match=rf"^{op}: non-finite values in result$"):
-            getattr(ad, op)(ad.constant(a), ad.constant(b))
+    # The same error with every result scanned and inside the IEEE trap.
+    fn = _NAMED.get(op) or getattr(ad, op)
+    args = (ad.constant(a),) if b is None else (ad.constant(a), b)
+    for scope in _scopes():
+        with scope, pytest.raises(NumericError, match=rf"^{op}: non-finite values in result$"):
+            fn(*args)
 
 
 def test_large_finite_values_pass_without_warning():
-    # A check by "the sum is finite" would overflow and warn on these.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        big = ad.constant([1e308, 1e308])
-        half = ad.constant([5e307, 5e307])
-        out = ad.add(half, half)
-    assert np.array_equal(big.data, out.data)
+    # A check by "the sum is finite" would overflow and warn on these, and
+    # so would a trap that caught more than overflow, invalid and 1/0.
+    for scope in (contextlib.nullcontext(), ad.trap_non_finite()):
+        with warnings.catch_warnings(), scope:
+            warnings.simplefilter("error")
+            big = ad.constant([1e308, 1e308])
+            half = ad.constant([5e307, 5e307])
+            out = ad.add(half, half)
+            tiny = ad.mul(ad.constant([1e-300]), ad.constant([1e-300]))  # underflows to 0
+        assert np.array_equal(big.data, out.data)
+        assert np.array_equal(tiny.data, [0.0])
+
+
+def test_trap_is_per_thread():
+    # A thread started inside the trap gets NumPy's default error state, so
+    # it must keep scanning its results rather than trust flags it cannot see.
+    errors = []
+
+    def work():
+        with np.errstate(over="ignore"):
+            try:
+                ad.mul(ad.constant(BIG), ad.constant(BIG))
+            except NumericError as err:
+                errors.append(str(err))
+
+    with ad.trap_non_finite():
+        thread = threading.Thread(target=work)
+        thread.start()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert errors == ["mul: non-finite values in result"]
+
+
+def test_nested_trap_leaves_the_outer_one_on():
+    with ad.trap_non_finite():
+        with ad.trap_non_finite():
+            pass
+        with pytest.raises(NumericError, match="^mul: "):
+            ad.mul(ad.constant(BIG), ad.constant(BIG))
+        assert np.geterr()["over"] == "raise"
+    assert np.geterr()["over"] != "raise"
+
+
+def test_backward_runs_no_vjp_on_a_branch_that_reaches_no_wrt():
+    x, z = ad.leaf(np.array([1.0, 2.0])), ad.leaf(3.0)
+    loss = ad.add(ad.tensor_sum(ad.square(x)), ad.square(z))
+    calls = []
+
+    def counted(vjp):
+        return lambda g: calls.append(g) or vjp(g)
+
+    (x_side, x_vjp), (branch, to_branch) = loss.parents
+    ((_, from_branch),) = branch.parents
+    loss.parents = ((x_side, x_vjp), (branch, counted(to_branch)))
+    branch.parents = ((z, counted(from_branch)),)
+    (gx,) = ad.backward(loss, [x])
+    assert calls == [] and np.array_equal(gx.data, [2.0, 4.0])
+    _, gz = ad.backward(loss, [x, z])
+    assert len(calls) == 2 and gz.item() == 6.0
+
+
+def test_backward_skips_a_non_finite_value_on_an_unreached_branch():
+    # d(c / z)/dz = -c / z^2 overflows; only a gradient that needs it raises.
+    x, z = ad.leaf(2.0), ad.leaf(1e-200)
+    loss = ad.add(ad.square(x), ad.div(ad.constant(1e-200), z))
+    (gx,) = ad.backward(loss, [x])
+    assert gx.item() == 4.0
+    with pytest.raises(NumericError, match="^div: "):
+        ad.backward(loss, [x, z])
 
 
 def test_backward_requires_scalar_attached_loss():

@@ -332,6 +332,23 @@ def test_train_with_init_from_lft_model_flagging_no_block(workspace):
     assert not [n for n in model.param_store().names() if n.startswith("ft.")]
 
 
+def test_train_rejects_init_with_another_encoder_layout(workspace, capsys):
+    pre = workspace / "pre.ckpt"  # default config: encoder_widths = 32,16
+    assert run_cli(["pretrain", str(workspace / "dom_a.bin"), "--out", str(pre),
+                    "--epochs", "1", "--batch-size", "8"]) == 0
+    cfg = workspace / "small.cfg"
+    cfg.write_text(TINY_CONFIG + "ft_blocks = 0,1\n")
+    out = workspace / "warm.ckpt"
+    capsys.readouterr()
+    code = run_cli(["train", "--config", str(cfg), "--seen", str(workspace / "dom_a.bin"),
+                    "--out", str(out), "--mode", "ft", "--init", str(pre)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "encoder widths (32, 16) and FT blocks (True, True)" in err
+    assert "encoder widths (8, 4) and FT blocks (False, True)" in err
+    assert not out.exists()
+
+
 def test_train_missing_init_checkpoint_exits_two(workspace, capsys):
     code = run_cli(["train", "--config", str(workspace / "run.cfg"),
                     "--seen", str(workspace / "dom_a.bin"),

@@ -4,11 +4,11 @@ import pytest
 from fsdg import autodiff as ad
 from fsdg import evaluation as ev
 from fsdg import training as tr
-from fsdg.errors import ContractError
+from fsdg.errors import ContractError, NumericError
 from fsdg.ft import FTParams, init_ft_params
 from fsdg.rng import RngStream
 from fsdg.tasks import Domain, SyntheticDomainSpec, generate_synthetic_domain
-from helpers import noise_domain
+from helpers import noise_domain, overflow_nth_episode
 
 
 def toy_model(head="proto", mode="baseline", dim=6, seed=1, widths=(8, 4)):
@@ -86,6 +86,14 @@ def test_evaluate_matches_manual_trials():
 def test_evaluate_requires_positive_trials():
     with pytest.raises(ContractError):
         ev.evaluate(toy_model(), toy_domain(), 3, 2, trials=0)
+
+
+def test_numeric_error_names_the_trial(monkeypatch):
+    overflow_nth_episode(monkeypatch, ev, 1)
+    with pytest.raises(NumericError, match=r"^evaluation trial 1: \w+: non-finite") as info:
+        ev.evaluate(toy_model(), toy_domain(), 3, 2, trials=3, seed=3, n_query=4)
+    assert isinstance(info.value.__cause__, NumericError)
+    assert str(info.value) == f"evaluation trial 1: {info.value.__cause__}"
 
 
 def test_evaluation_ignores_modulation_state():

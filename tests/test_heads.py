@@ -31,6 +31,46 @@ def test_class_prototypes_with_one_shot_are_the_rows():
     assert np.array_equal(protos.data, [[3.0, 4.0], [5.0, 6.0], [1.0, 2.0]])
 
 
+def _per_class_prototypes(support, labels, n_way):
+    """The reference: one gather and one mean per class, then a concat."""
+    groups = [[i for i, y in enumerate(labels) if y == k] for k in range(n_way)]
+    return ad.concat([ad.tensor_mean(ad.take_rows(support, g), axis=0, keepdims=True)
+                      for g in groups], axis=0)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_reshape_prototypes_are_bit_identical_to_the_per_class_path(seed):
+    rng = np.random.default_rng(seed)
+    way, shot, dim = (int(v) for v in rng.integers(1, [7, 12, 20], endpoint=True))
+    labels = [k for k in range(way) for _ in range(shot)]
+    if seed % 3:
+        labels = [int(y) for y in rng.permutation(labels)]
+    values = rng.standard_normal((way * shot, dim)) * 3.0
+    weights = ad.constant(rng.standard_normal((way, dim)))
+    probe = ad.constant(rng.standard_normal((way * shot, dim)))
+    results = []
+    for prototypes in (heads.class_prototypes, _per_class_prototypes):
+        support = ad.leaf(values)
+        protos = prototypes(support, labels, way)
+        loss = ad.tensor_sum(ad.mul(ad.square(protos), weights))
+        (grad,) = ad.backward(loss, [support], create_graph=True)
+        (second,) = ad.backward(ad.tensor_sum(ad.mul(grad, probe)), [support])
+        results.append((protos.data, grad.data, second.data))
+    for ours, ref in zip(*results):
+        assert ours.shape == ref.shape and np.array_equal(ours, ref)
+
+
+def test_sorted_equal_shot_prototypes_gather_nothing():
+    support = ad.leaf(np.arange(12.0).reshape(6, 2))
+    protos = heads.class_prototypes(support, [0, 0, 1, 1, 2, 2], 3)
+    assert np.array_equal(protos.data, [[1.0, 2.0], [5.0, 6.0], [9.0, 10.0]])
+    ops, node = [], protos
+    while node.parents:
+        ops.append(node)
+        node = node.parents[0][0]
+    assert node is support and len(ops) == 3  # reshape, sum, scale
+
+
 def test_missing_class_rejected():
     sup = ad.constant(np.ones((3, 2)))
     with pytest.raises(ContractError, match="class 1"):

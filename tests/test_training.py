@@ -7,12 +7,12 @@ import pytest
 from fsdg import autodiff as ad
 from fsdg import training as tr
 from fsdg.encoder import encode
-from fsdg.errors import ConfigError, ContractError
+from fsdg.errors import ConfigError, ContractError, NumericError
 from fsdg.evaluation import evaluate
 from fsdg.heads import episode_loss
 from fsdg.rng import RngStream
 from fsdg.tasks import SyntheticDomainSpec, generate_synthetic_domain, sample_episode
-from helpers import max_rel_err, noise_domain
+from helpers import max_rel_err, noise_domain, overflow_nth_episode
 
 
 def toy_config(**kw):
@@ -434,6 +434,16 @@ def test_lft_draws_pseudo_pair_from_distinct_domains(monkeypatch):
     assert len(set(pairs)) > 1
 
 
+@pytest.mark.parametrize("mode,episodes_per_iter", [("baseline", 1), ("lft", 2)])
+def test_numeric_error_names_mode_and_iteration(monkeypatch, mode, episodes_per_iter):
+    overflow_nth_episode(monkeypatch, tr, 2 * episodes_per_iter)
+    with pytest.raises(NumericError, match=rf"^{mode} iteration 2: \w+: non-finite") as info:
+        tr.train_loop(toy_config(mode=mode, iterations=4), toy_domains())
+    cause = info.value.__cause__
+    assert isinstance(cause, NumericError)
+    assert str(info.value) == f"{mode} iteration 2: {cause}"
+
+
 def test_single_domain_lft_warns_once(caplog):
     domain = toy_domains(n=1)[0]
     with caplog.at_level(logging.WARNING, logger="fsdg.training"):
@@ -514,6 +524,14 @@ def test_adam_update_rule_single_step():
 
 # ---------------------------------------------------------------------------
 # supervised warm start
+
+
+@pytest.mark.parametrize("optimizer,name", [(tr.SGD(1.0), "sgd"), (tr.Adam(1.0), "adam")])
+def test_optimizer_overflow_in_the_trap_is_a_numeric_error(optimizer, name):
+    w = ad.leaf([-1e308, 0.0])
+    message = rf"^{name}: non-finite update of w$"
+    with ad.trap_non_finite(), pytest.raises(NumericError, match=message):
+        optimizer.step({"w": (w, ad.constant([1e308, 1e200]))})
 
 
 def test_pretrain_reduces_loss_and_returns_epoch_means():
