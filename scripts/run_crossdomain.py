@@ -3,7 +3,9 @@
 Trains the three training modes (baseline, fixed feature modulation, learned
 feature modulation) on four of five synthetic domains and evaluates each on
 the held-out fifth, rotating the held-out domain across master seeds.  Prints
-one row per (seed, mode) and a final mean table.
+one row per (seed, mode), a final mean table, and the paired differences
+between modes with two-sided 95% t-intervals: over seeds, and over trials
+(every mode of a seed is evaluated on the same episodes).
 
 Example:
     python3 scripts/run_crossdomain.py --seeds 11 12 13 14 15 --trials 1000
@@ -25,6 +27,23 @@ from fsdg.tasks import SyntheticDomainSpec, generate_synthetic_domain
 from fsdg.training import TrainConfig, train_loop
 
 MODES = ("baseline", "ft", "lft")
+PAIRS = (("lft", "baseline"), ("lft", "ft"), ("ft", "baseline"))
+
+# Two-sided 95% quantiles of Student's t by degrees of freedom.  A df
+# between two rows uses the smaller df, whose quantile is the larger.
+T_975 = {1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447, 7: 2.365,
+         8: 2.306, 9: 2.262, 10: 2.228, 12: 2.179, 15: 2.131, 20: 2.086,
+         30: 2.042, 40: 2.021, 60: 2.000, 120: 1.980, 1000: 1.962}
+
+
+def t_interval(values) -> tuple[float, float]:
+    """Mean and half-width of the two-sided 95% t-interval of the mean."""
+    x = np.asarray(values, dtype=np.float64)
+    if x.size < 2:
+        raise ValueError("t_interval: needs at least two values")
+    df = x.size - 1
+    t = T_975[max(k for k in T_975 if k <= df)]
+    return float(np.mean(x)), float(t * np.std(x, ddof=1) / np.sqrt(x.size))
 
 
 def build_testbed(master_seed: int, n_domains: int, latent_dim: int,
@@ -56,6 +75,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     per_mode: dict[str, list[float]] = {m: [] for m in MODES}
+    per_trial: dict[str, list[float]] = {m: [] for m in MODES}
     for i, master in enumerate(args.seeds):
         domains = build_testbed(master, args.n_domains, args.latent_dim,
                                 args.noise_sigma, args.warp_strength)
@@ -73,6 +93,7 @@ def main(argv=None) -> int:
             report = evaluate(model, held, args.way, args.shot,
                               trials=args.trials, seed=master)
             per_mode[mode].append(report.mean)
+            per_trial[mode].extend(report.accuracies)
             print(f"seed={master} held={held.name} mode={mode:8s} "
                   f"acc={report.mean:.4f} ci95={report.ci95:.4f} "
                   f"({time.time() - t0:.0f}s)", flush=True)
@@ -85,6 +106,20 @@ def main(argv=None) -> int:
     ordered = means["lft"] >= means["ft"] >= means["baseline"]
     print(f"ordering lft >= ft >= baseline: {'yes' if ordered else 'no'}")
     print(f"lft - baseline: {gap * 100:+.2f} accuracy points")
+    if len(args.seeds) < 2:
+        return 0
+
+    print()
+    print("paired differences in accuracy points, mean +- 95% t half-width")
+    for a, b in PAIRS:
+        diffs = np.subtract(per_mode[a], per_mode[b]) * 100
+        mean, half = t_interval(diffs)
+        per_seed = " ".join(f"{d:+.2f}" for d in diffs)
+        print(f"{a:>3s} - {b:8s}: seeds [{per_seed}] -> {mean:+.2f} +- {half:.2f} "
+              f"(n={diffs.size} seeds)")
+        mean, half = t_interval(np.subtract(per_trial[a], per_trial[b]) * 100)
+        print(f"{'':14s}trial-paired {mean:+.2f} +- {half:.2f} "
+              f"(n={len(per_trial[a])} trials)")
     return 0
 
 

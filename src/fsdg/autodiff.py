@@ -20,6 +20,14 @@ Conventions:
     flags that never reach NumPy,
   * results may share memory with their inputs; every array is write-locked,
     so updates always build new leaves.
+
+Four fused primitives stand for composites of the others, because on
+arrays this small each node's Python overhead, not its arithmetic, is the
+cost: ``standardize`` (batch normalization's column standardization),
+``softmax_rows``, ``softmax_cross_entropy`` and ``neg_sq_distances``
+(prototype logits).  Each forward runs the NumPy operations of its
+composite in the same order, so its values match the composite's bit for
+bit; each VJP is written in primitives, so it can be differentiated again.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ __all__ = [
     "softplus", "square", "sqrt", "tensor_sum", "tensor_mean",
     "tensor_max", "concat", "narrow", "take_rows", "broadcast_to", "reshape",
     "transpose", "scale", "neg", "detach", "leaf", "constant", "zeros", "ones",
+    "standardize", "softmax_rows", "softmax_cross_entropy", "neg_sq_distances",
 ]
 
 _grad_enabled = True
@@ -212,15 +221,24 @@ def _non_finite(op: str) -> NumericError:
     return NumericError(f"{op}: non-finite values in result")
 
 
+def _kept(data) -> np.ndarray:
+    """``data`` in the layout that a Tensor holds.
+
+    Contiguous views are kept.  Transposes, stride-0 broadcasts and the
+    NumPy scalars that 0-d ufunc results come back as are copied (a copy
+    keeps a view's order, so a transpose comes back F-ordered), so BLAS and
+    reductions downstream see the memory layouts they always saw.
+    """
+    if type(data) is not np.ndarray or not data.flags.c_contiguous:
+        data = np.array(data)
+    return data
+
+
 def _fresh(op: str, data: np.ndarray, scan: bool = False) -> Tensor:
     """Wrap an op's result, scanned for NaN and inf outside the trap or if ``scan``."""
     if (scan or not _trapping.get()) and not _all_finite(data):
         raise _non_finite(op)
-    # Contiguous views are kept.  Transposes, stride-0 broadcasts and the
-    # NumPy scalars that 0-d ufunc results come back as are copied, so BLAS
-    # and reductions downstream see the memory layouts they always saw.
-    if type(data) is not np.ndarray or not data.flags.c_contiguous:
-        data = np.array(data)
+    data = _kept(data)
     data.setflags(write=False)
     t = Tensor.__new__(Tensor)
     t.data = data
@@ -575,6 +593,125 @@ def _scatter_rows(g: Tensor, indices: tuple[int, ...], n_rows: int) -> Tensor:
         raise _non_finite("scatter_rows") from None
     out = _fresh("scatter_rows", data)
     return _link(out, ((g, lambda h: take_rows(h, indices)),))
+
+
+# ---------------------------------------------------------------------------
+# fused composites
+#
+# Outside the trap, their arithmetic raises on overflow, invalid operations
+# and division by zero all the same, so an intermediate value that the scans
+# of the composite would have caught raises here too, in both modes.
+
+
+def _raising(op: str, fn: Callable, *args):
+    """fn(*args) with the trap's IEEE flags raising; a flag raises a
+    NumericError that names ``op``."""
+    try:
+        if _trapping.get():
+            return fn(*args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return fn(*args)
+    except FloatingPointError:
+        raise _non_finite(op) from None
+
+
+def _standardize_data(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    n = x.shape[0]
+    centered = x - np.add.reduce(x, axis=0, keepdims=True) * (1.0 / n)
+    var = np.add.reduce(np.square(centered), axis=0, keepdims=True) * (1.0 / n)
+    # 1/sqrt(var + eps) as exp(-0.5 * log(var + eps)); var + eps > 0 always.
+    inv_std = np.exp(np.log(var + eps) * -0.5)
+    return centered * inv_std, inv_std
+
+
+def standardize(a, eps: float) -> Tensor:
+    """Each column centered on its mean over the rows and divided by
+    sqrt(biased variance + eps): batch normalization without its affine."""
+    a = _wrap(a)
+    if a.ndim != 2:
+        raise ShapeError(f"standardize: expected 2-d operand, got {a.shape}")
+    data, inv_std = _raising("standardize", _standardize_data, a.data, float(eps))
+    out = _fresh("standardize", data)
+    n = a.shape[0]
+    ref = weakref.ref(out)
+
+    def vjp(g: Tensor) -> Tensor:
+        xhat = ref()
+        # inv_std as a node of a, so that a second backward sees it move:
+        # d inv_std / d a = -inv_std^2 * xhat / n, column by column.
+        s = _link(_bare(inv_std), ((a, lambda h: mul(
+            xhat, mul(h, _bare(np.square(inv_std) * (-1.0 / n))))),))
+        centered_g = sub(sub(g, tensor_mean(g, axis=0, keepdims=True)),
+                         mul(xhat, tensor_mean(mul(g, xhat), axis=0, keepdims=True)))
+        return mul(s, centered_g)
+
+    return _link(out, ((a, vjp),))
+
+
+def _softmax_data(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - np.max(x, axis=1, keepdims=True))
+    return e / np.add.reduce(e, axis=1, keepdims=True)
+
+
+def softmax_rows(a) -> Tensor:
+    """Row-wise softmax, each row shifted by its maximum for stability."""
+    a = _wrap(a)
+    if a.ndim != 2:
+        raise ShapeError(f"softmax_rows: expected 2-d operand, got {a.shape}")
+    out = _fresh("softmax_rows", _raising("softmax_rows", _softmax_data, a.data))
+    ref = weakref.ref(out)
+
+    def vjp(g: Tensor) -> Tensor:
+        s = ref()
+        return mul(s, sub(g, tensor_sum(mul(g, s), axis=1, keepdims=True)))
+
+    return _link(out, ((a, vjp),))
+
+
+def _cross_entropy_data(x: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+    shift = np.max(x, axis=1, keepdims=True)
+    lse = np.log(np.add.reduce(np.exp(x - shift), axis=1, keepdims=True)) + shift
+    picked = np.add.reduce(x * onehot, axis=1, keepdims=True)
+    return np.add.reduce(lse - picked, axis=None) * (1.0 / x.shape[0])
+
+
+def softmax_cross_entropy(logits, onehot) -> Tensor:
+    """Mean over rows of -log softmax(logits) at the row's target; ``onehot``
+    holds the targets and is a constant."""
+    logits, onehot = _wrap(logits), _wrap(onehot)
+    if logits.ndim != 2 or onehot.shape != logits.shape:
+        raise ShapeError(
+            f"softmax_cross_entropy: logits {logits.shape} and targets {onehot.shape}")
+    n = logits.shape[0]
+    out = _fresh("softmax_cross_entropy",
+                 _raising("softmax_cross_entropy", _cross_entropy_data, logits.data, onehot.data))
+    return _link(out, ((logits, lambda g: scale(mul(sub(softmax_rows(logits), onehot), g),
+                                                1.0 / n)),))
+
+
+def _sq_distance_data(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    # ||q - p||^2 = ||q||^2 + ||p||^2 - 2 q.p, batched with one matmul.
+    q_sq = np.add.reduce(np.square(q), axis=1, keepdims=True)
+    p_sq = np.add.reduce(np.square(p), axis=1).reshape(1, p.shape[0])
+    return (q_sq + p_sq - (q @ _kept(p.T)) * 2.0) * -1.0
+
+
+def neg_sq_distances(q, p) -> Tensor:
+    """Negative squared euclidean distance from each row of q to each row of p."""
+    q, p = _wrap(q), _wrap(p)
+    if q.ndim != 2 or p.ndim != 2 or q.shape[1] != p.shape[1]:
+        raise ShapeError(f"neg_sq_distances: rows of {q.shape} and {p.shape} differ in width")
+    data = _raising("neg_sq_distances", _sq_distance_data, q.data, p.data)
+    out = _fresh("neg_sq_distances", data, scan=True)
+
+    def p_vjp(g: Tensor) -> Tensor:
+        gt = transpose(g)
+        return scale(sub(matmul(gt, q), mul(tensor_sum(gt, axis=1, keepdims=True), p)), 2.0)
+
+    return _link(out, (
+        (q, lambda g: scale(sub(matmul(g, p), mul(tensor_sum(g, axis=1, keepdims=True), q)), 2.0)),
+        (p, p_vjp),
+    ))
 
 
 def detach(a: Tensor) -> Tensor:

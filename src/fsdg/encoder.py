@@ -33,10 +33,19 @@ class EncoderConfig:
             raise ConfigError("encoder: input_dim must be positive")
         if not self.block_widths or any(w < 1 for w in self.block_widths):
             raise ConfigError("encoder: block widths must be positive and non-empty")
-        if not self.ft_blocks:
-            self.ft_blocks = tuple(True for _ in self.block_widths)
-        if len(self.ft_blocks) != len(self.block_widths):
-            raise ConfigError("encoder: ft_blocks length must match block_widths")
+        self.ft_blocks = resolve_ft_blocks(self.ft_blocks, len(self.block_widths),
+                                           "encoder: ft_blocks length must match block_widths")
+
+
+def resolve_ft_blocks(ft_blocks, n_blocks: int, length_error: str) -> tuple[bool, ...]:
+    """Per-block modulation flags, where empty means every block; flags of
+    another length raise ConfigError with ``length_error``."""
+    if not ft_blocks:
+        return (True,) * n_blocks
+    flags = tuple(bool(b) for b in ft_blocks)
+    if len(flags) != n_blocks:
+        raise ConfigError(length_error)
+    return flags
 
 
 @dataclass
@@ -98,12 +107,7 @@ def batch_norm(x: Tensor, bn_scale: Tensor, bn_shift: Tensor) -> Tensor:
         raise ContractError(f"batch_norm: expected 2-d activations, got {x.shape}")
     if x.shape[0] < 2:
         raise ContractError("batch_norm: batch size must be at least 2")
-    mu = ad.tensor_mean(x, axis=0, keepdims=True)
-    centered = ad.sub(x, mu)
-    var = ad.tensor_mean(ad.square(centered), axis=0, keepdims=True)
-    # 1/sqrt(v + eps) written as exp(-0.5 * log(v + eps)); v + eps > 0 always.
-    inv_std = ad.exp(ad.scale(ad.log(ad.add(var, BN_EPS)), -0.5))
-    return ad.add(ad.mul(ad.mul(centered, inv_std), bn_scale), bn_shift)
+    return ad.add(ad.mul(ad.standardize(x, BN_EPS), bn_scale), bn_shift)
 
 
 def encode(state: EncoderState, ft: FTParams | None, batch: Tensor, mode: str,

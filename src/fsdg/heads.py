@@ -76,11 +76,7 @@ def proto_logits(support_emb: Tensor, support_labels: Sequence[int],
         raise ContractError(
             f"proto_logits: query shape {query_emb.shape} vs embedding dim {protos.shape[1]}"
         )
-    # ||q - p||^2 = ||q||^2 + ||p||^2 - 2 q.p, batched with one matmul.
-    q_sq = ad.tensor_sum(ad.square(query_emb), axis=1, keepdims=True)
-    p_sq = ad.reshape(ad.tensor_sum(ad.square(protos), axis=1), (1, n_way))
-    cross = ad.matmul(query_emb, ad.transpose(protos))
-    return ad.neg(ad.sub(ad.add(q_sq, p_sq), ad.scale(cross, 2.0)))
+    return ad.neg_sq_distances(query_emb, protos)
 
 
 def _row_norms(x: Tensor) -> Tensor:
@@ -100,9 +96,7 @@ def matching_logits(support_emb: Tensor, support_labels: Sequence[int],
         ad.matmul(query_emb, ad.transpose(support_emb)),
         ad.matmul(_row_norms(query_emb), ad.transpose(_row_norms(support_emb))),
     )
-    shift = ad.detach(ad.tensor_max(cos, axis=1, keepdims=True))
-    weights = ad.exp(ad.sub(cos, shift))
-    attention = ad.div(weights, ad.tensor_sum(weights, axis=1, keepdims=True))
+    attention = ad.softmax_rows(cos)
     onehot = np.zeros((support_emb.shape[0], n_way))
     for k, rows in enumerate(groups):
         onehot[rows, k] = 1.0
@@ -190,13 +184,6 @@ def predict_episode(head_kind: str, support_emb: Tensor, support_labels: Sequenc
     return np.argmax(logits.data, axis=1)
 
 
-def softmax_rows(logits: Tensor) -> Tensor:
-    """Row-wise softmax with a detached max shift for stability."""
-    shift = ad.detach(ad.tensor_max(logits, axis=1, keepdims=True))
-    e = ad.exp(ad.sub(logits, shift))
-    return ad.div(e, ad.tensor_sum(e, axis=1, keepdims=True))
-
-
 def episode_loss(logits: Tensor, labels: Sequence[int]) -> Tensor:
     """Mean softmax cross-entropy over queries, max-shifted for stability."""
     if logits.ndim != 2:
@@ -207,10 +194,6 @@ def episode_loss(logits: Tensor, labels: Sequence[int]) -> Tensor:
         raise ContractError("episode_loss: one label per query row required")
     if any(not 0 <= y < n_way for y in ys):
         raise ContractError(f"episode_loss: labels must lie in 0..{n_way - 1}")
-    shift = ad.detach(ad.tensor_max(logits, axis=1, keepdims=True))
-    shifted = ad.sub(logits, shift)
-    lse = ad.add(ad.log(ad.tensor_sum(ad.exp(shifted), axis=1, keepdims=True)), shift)
     onehot = np.zeros((n_query, n_way))
     onehot[np.arange(n_query), ys] = 1.0
-    picked = ad.tensor_sum(ad.mul(logits, ad.constant(onehot)), axis=1, keepdims=True)
-    return ad.tensor_mean(ad.sub(lse, picked))
+    return ad.softmax_cross_entropy(logits, onehot)

@@ -30,7 +30,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor
-from .encoder import EncoderConfig, EncoderState, encode, build_encoder, BlockParams
+from .encoder import (
+    BlockParams,
+    EncoderConfig,
+    EncoderState,
+    build_encoder,
+    encode,
+    resolve_ft_blocks,
+)
 from .errors import ConfigError, ContractError, NumericError
 from .ft import FTParams, init_ft_params
 from .heads import (
@@ -83,11 +90,8 @@ class TrainConfig:
         self.encoder_widths = tuple(int(w) for w in self.encoder_widths)
         if not self.encoder_widths or any(w < 1 for w in self.encoder_widths):
             raise ConfigError("config: encoder_widths must be positive and non-empty")
-        if not self.ft_blocks:
-            self.ft_blocks = tuple(True for _ in self.encoder_widths)
-        self.ft_blocks = tuple(bool(b) for b in self.ft_blocks)
-        if len(self.ft_blocks) != len(self.encoder_widths):
-            raise ConfigError("config: ft_blocks length must match encoder_widths")
+        self.ft_blocks = resolve_ft_blocks(self.ft_blocks, len(self.encoder_widths),
+                                           "config: ft_blocks length must match encoder_widths")
 
 
 @dataclass
@@ -287,18 +291,23 @@ def lft_train_step(model: ModelState, pseudo_seen: Episode, pseudo_unseen: Episo
 
 
 class SGD:
-    """Plain gradient descent over named parameters."""
+    """Plain gradient descent over named parameters.
+
+    Like Adam's, a step runs inside ``trap_non_finite()``, so a non-finite
+    update raises NumericError naming the parameter wherever it is called.
+    """
 
     def __init__(self, alpha: float):
         self.alpha = alpha
 
     def step(self, named: dict[str, tuple[Tensor, Tensor]]) -> dict[str, Tensor]:
         out = {}
-        for name, (theta, grad) in named.items():
-            try:
-                out[name] = ad.leaf(theta.data - self.alpha * grad.data)
-            except FloatingPointError:
-                raise NumericError(f"sgd: non-finite update of {name}") from None
+        with ad.trap_non_finite():
+            for name, (theta, grad) in named.items():
+                try:
+                    out[name] = ad.leaf(theta.data - self.alpha * grad.data)
+                except FloatingPointError:
+                    raise NumericError(f"sgd: non-finite update of {name}") from None
         return out
 
 
@@ -317,25 +326,26 @@ class Adam:
 
     def step(self, named: dict[str, tuple[Tensor, Tensor]]) -> dict[str, Tensor]:
         out = {}
-        for name, (theta, grad) in named.items():
-            g = grad.data
-            m = self.m.get(name)
-            if m is None:
-                m = np.zeros_like(g)
-                self.v[name] = np.zeros_like(g)
-                self.t[name] = 0
-            v = self.v[name]
-            self.t[name] += 1
-            t = self.t[name]
-            try:
-                m = self.beta1 * m + (1.0 - self.beta1) * g
-                v = self.beta2 * v + (1.0 - self.beta2) * g * g
-                m_hat = m / (1.0 - self.beta1**t)
-                v_hat = v / (1.0 - self.beta2**t)
-                out[name] = ad.leaf(theta.data - self.alpha * m_hat / (np.sqrt(v_hat) + self.eps))
-            except FloatingPointError:
-                raise NumericError(f"adam: non-finite update of {name}") from None
-            self.m[name], self.v[name] = m, v
+        with ad.trap_non_finite():
+            for name, (theta, grad) in named.items():
+                g = grad.data
+                m = self.m.get(name)
+                if m is None:
+                    m = np.zeros_like(g)
+                    self.v[name] = np.zeros_like(g)
+                    self.t[name] = 0
+                v = self.v[name]
+                self.t[name] += 1
+                t = self.t[name]
+                try:
+                    m = self.beta1 * m + (1.0 - self.beta1) * g
+                    v = self.beta2 * v + (1.0 - self.beta2) * g * g
+                    m_hat = m / (1.0 - self.beta1**t)
+                    v_hat = v / (1.0 - self.beta2**t)
+                    out[name] = ad.leaf(theta.data - self.alpha * m_hat / (np.sqrt(v_hat) + self.eps))
+                except FloatingPointError:
+                    raise NumericError(f"adam: non-finite update of {name}") from None
+                self.m[name], self.v[name] = m, v
         return out
 
 

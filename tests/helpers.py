@@ -75,3 +75,37 @@ def overflow_nth_episode(monkeypatch, module, index: int) -> None:
                                    query_x=ad.constant(episode.query_x.data * 1e200))
 
     monkeypatch.setattr(module, "sample_episode", sampler)
+
+
+# ---------------------------------------------------------------------------
+# reference composites: the op-by-op forms that the fused primitives of
+# ``fsdg.autodiff`` replace, kept to check their values and gradients
+
+
+def ref_standardize(x: ad.Tensor, eps: float) -> ad.Tensor:
+    mu = ad.tensor_mean(x, axis=0, keepdims=True)
+    centered = ad.sub(x, mu)
+    var = ad.tensor_mean(ad.square(centered), axis=0, keepdims=True)
+    inv_std = ad.exp(ad.scale(ad.log(ad.add(var, eps)), -0.5))
+    return ad.mul(centered, inv_std)
+
+
+def ref_softmax_rows(a: ad.Tensor) -> ad.Tensor:
+    shift = ad.detach(ad.tensor_max(a, axis=1, keepdims=True))
+    e = ad.exp(ad.sub(a, shift))
+    return ad.div(e, ad.tensor_sum(e, axis=1, keepdims=True))
+
+
+def ref_softmax_cross_entropy(logits: ad.Tensor, onehot: np.ndarray) -> ad.Tensor:
+    shift = ad.detach(ad.tensor_max(logits, axis=1, keepdims=True))
+    shifted = ad.sub(logits, shift)
+    lse = ad.add(ad.log(ad.tensor_sum(ad.exp(shifted), axis=1, keepdims=True)), shift)
+    picked = ad.tensor_sum(ad.mul(logits, ad.constant(onehot)), axis=1, keepdims=True)
+    return ad.tensor_mean(ad.sub(lse, picked))
+
+
+def ref_neg_sq_distances(q: ad.Tensor, p: ad.Tensor) -> ad.Tensor:
+    q_sq = ad.tensor_sum(ad.square(q), axis=1, keepdims=True)
+    p_sq = ad.reshape(ad.tensor_sum(ad.square(p), axis=1), (1, p.shape[0]))
+    cross = ad.matmul(q, ad.transpose(p))
+    return ad.neg(ad.sub(ad.add(q_sq, p_sq), ad.scale(cross, 2.0)))

@@ -402,6 +402,12 @@ _NAMED = {"sum": ad.tensor_sum, "scatter_rows": lambda g, rows: ad._scatter_rows
     pytest.param("sum", HUGE, None, id="sum-all"),
     pytest.param("sum", HUGE, 0, id="sum-axis"),
     pytest.param("scatter_rows", HUGE, (0, 0), id="scatter_rows"),
+    # The fused ops raise on an intermediate overflow, as their composites did.
+    pytest.param("standardize", HUGE, 1e-5, id="standardize"),
+    pytest.param("softmax_rows", [[1e308, -1e308]], None, id="softmax_rows"),
+    pytest.param("softmax_cross_entropy", [[1e308, -1e308]], [[1.0, 0.0]],
+                 id="softmax_cross_entropy"),
+    pytest.param("neg_sq_distances", BIG, [[1e200, 1e200]], id="neg_sq_distances"),
 ])
 def test_non_finite_result_raises_numeric_error_naming_op(op, a, b):
     # The same error with every result scanned and inside the IEEE trap.

@@ -32,7 +32,7 @@ def test_config_rejects_bad_values():
         enc.EncoderConfig(4, ())
     with pytest.raises(ConfigError):
         enc.EncoderConfig(4, (4, 0))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^encoder: ft_blocks length must match block_widths$"):
         enc.EncoderConfig(4, (4, 4), (True,))
 
 

@@ -99,7 +99,7 @@ def test_proto_softmax_two_way_example():
     sup = ad.constant([[0.0], [4.0]])
     q = ad.constant([[0.82]])  # dists: 0.6724 vs 10.1124, gap 9.44... pick cleaner
     logits = heads.proto_logits(sup, [0, 1], q, 2)
-    probs = heads.softmax_rows(logits).data[0]
+    probs = ad.softmax_rows(logits).data[0]
     gap = logits.data[0, 0] - logits.data[0, 1]
     expected0 = 1.0 / (1.0 + np.exp(-gap))
     assert probs[0] == pytest.approx(expected0, rel=1e-12)
@@ -374,7 +374,7 @@ def test_loss_gradient_is_softmax_minus_onehot():
     labels = [2, 0]
     loss = heads.episode_loss(logits, labels)
     (g,) = ad.backward(loss, [logits])
-    probs = heads.softmax_rows(ad.constant(logits.data)).data
+    probs = ad.softmax_rows(ad.constant(logits.data)).data
     onehot = np.zeros_like(probs)
     onehot[np.arange(2), labels] = 1.0
     assert max_rel_err(g.data, (probs - onehot) / 2.0) < 1e-12

@@ -51,7 +51,7 @@ def test_config_validation():
         toy_config(way=0)
     with pytest.raises(ConfigError):
         toy_config(encoder_widths=())
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^config: ft_blocks length must match encoder_widths$"):
         toy_config(ft_blocks=(True,))
     with pytest.raises(ConfigError):
         toy_config(optimizer="rmsprop")
@@ -520,6 +520,17 @@ def test_adam_update_rule_single_step():
     # first step: m_hat = g, v_hat = g^2; update is alpha * sign-ish step
     expected = theta.data - 0.1 * grad.data / (np.abs(grad.data) + 1e-8)
     assert np.allclose(out, expected, atol=1e-9)
+
+
+def test_adam_overflow_outside_the_trap_is_a_numeric_error():
+    # Unchecked, g * g overflows to v = inf and w never moves again.
+    with pytest.raises(NumericError, match=r"^adam: non-finite update of w$"):
+        tr.Adam(0.1).step({"w": (ad.leaf([1.0]), ad.constant([1e200]))})
+
+
+def test_sgd_overflow_outside_the_trap_is_a_numeric_error():
+    with pytest.raises(NumericError, match=r"^sgd: non-finite update of w$"):
+        tr.SGD(1.0).step({"w": (ad.leaf([-1e308]), ad.constant([1e308]))})
 
 
 # ---------------------------------------------------------------------------
