@@ -71,6 +71,8 @@ def main(argv=None) -> int:
     ap.add_argument("--widths", type=int, nargs="+", default=[64, 32])
     ap.add_argument("--way", type=int, default=5)
     ap.add_argument("--shot", type=int, default=5)
+    ap.add_argument("--inner-steps", type=int, default=1,
+                    help="inner SGD steps of each lft meta-update")
     ap.add_argument("--trials", type=int, default=1000)
     args = ap.parse_args(argv)
 
@@ -87,7 +89,8 @@ def main(argv=None) -> int:
                               optimizer=args.optimizer,
                               iterations=args.iterations, way=args.way,
                               shot=args.shot, seed=master,
-                              encoder_widths=tuple(args.widths))
+                              encoder_widths=tuple(args.widths),
+                              inner_steps=args.inner_steps)
             t0 = time.time()
             model, _ = train_loop(cfg, seen)
             report = evaluate(model, held, args.way, args.shot,

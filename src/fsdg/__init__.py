@@ -15,7 +15,6 @@ from .autodiff import (
     backward,
     finite_difference_grad,
     no_grad,
-    primitive_forward,
 )
 from .errors import (
     CapacityError,

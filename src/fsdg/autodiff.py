@@ -54,11 +54,10 @@ __all__ = [
     "no_grad",
     "backward",
     "finite_difference_grad",
-    "primitive_forward",
     "add", "sub", "mul", "div", "matmul", "relu", "tanh", "exp", "log",
     "softplus", "square", "sqrt", "tensor_sum", "tensor_mean",
     "tensor_max", "concat", "narrow", "take_rows", "broadcast_to", "reshape",
-    "transpose", "scale", "neg", "detach", "leaf", "constant", "zeros", "ones",
+    "transpose", "scale", "neg", "detach", "leaf", "constant",
     "standardize", "softmax_rows", "softmax_cross_entropy", "neg_sq_distances",
 ]
 
@@ -139,41 +138,9 @@ class Tensor:
             raise ContractError(f"item: tensor has {self.data.size} values")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """Constant copy of this tensor, severed from the graph."""
-        return _bare(self.data)
-
     def __repr__(self) -> str:
         tag = ", attached" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{tag}, data={self.data!r})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def _bare(data: np.ndarray) -> Tensor:
@@ -198,12 +165,9 @@ def leaf(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def zeros(shape) -> Tensor:
-    return _bare(np.zeros(shape))
-
-
-def ones(shape) -> Tensor:
-    return _bare(np.ones(shape))
+def detach(a: Tensor) -> Tensor:
+    """A constant holding ``a``'s values, severed from the graph."""
+    return _bare(a.data)
 
 
 def _wrap(x) -> Tensor:
@@ -712,48 +676,6 @@ def neg_sq_distances(q, p) -> Tensor:
         (q, lambda g: scale(sub(matmul(g, p), mul(tensor_sum(g, axis=1, keepdims=True), q)), 2.0)),
         (p, p_vjp),
     ))
-
-
-def detach(a: Tensor) -> Tensor:
-    return a.detach()
-
-
-# ---------------------------------------------------------------------------
-# generic dispatch
-
-_PRIMITIVES: dict[str, Callable] = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "matmul": matmul,
-    "relu": relu,
-    "tanh": tanh,
-    "exp": exp,
-    "log": log,
-    "softplus": softplus,
-    "square": square,
-    "sqrt": sqrt,
-    "sum": tensor_sum,
-    "mean": tensor_mean,
-    "max": tensor_max,
-    "concat": lambda *parts, axis=0: concat(parts, axis=axis),
-    "slice": narrow,
-    "broadcast": broadcast_to,
-    "scale-by-constant": scale,
-    "scale": scale,
-    "transpose": transpose,
-    "reshape": reshape,
-    "take-rows": take_rows,
-}
-
-
-def primitive_forward(op: str, inputs: Sequence, **params) -> Tensor:
-    """Apply a primitive by name; extra arguments pass through as keywords."""
-    fn = _PRIMITIVES.get(op)
-    if fn is None:
-        raise ContractError(f"primitive_forward: unknown op {op!r}")
-    return fn(*inputs, **params)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamStore
 from .encoder import EncoderConfig
-from .errors import ConfigError, FormatError, LengthError, ParseError, VersionError
+from .errors import (
+    ConfigError,
+    FormatError,
+    LengthError,
+    NumericError,
+    ParseError,
+    VersionError,
+)
 from .training import ModelState, TrainConfig, assemble_model
 
 log = logging.getLogger(__name__)
@@ -56,6 +63,13 @@ def _read_exact(fh: io.BufferedReader, n: int, what: str) -> bytes:
     return data
 
 
+def _utf8(raw: bytes, path: str, what: str) -> str:
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"checkpoint {path}: {what} is not UTF-8") from None
+
+
 def read_checkpoint(path: str) -> tuple[ParamStore, str]:
     """Raw parameters and config text, without model reconstruction."""
     with open(path, "rb") as fh:
@@ -65,12 +79,14 @@ def read_checkpoint(path: str) -> tuple[ParamStore, str]:
         version, config_len = struct.unpack("<II", _read_exact(fh, 8, "header"))
         if version > CHECKPOINT_VERSION:
             raise VersionError(f"checkpoint version {version} not supported")
-        config_text = _read_exact(fh, config_len, "config text").decode("utf-8")
+        config_text = _utf8(_read_exact(fh, config_len, "config text"), path, "config text")
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         store = ParamStore()
-        for _ in range(count):
+        for index in range(count):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
-            name = _read_exact(fh, name_len, "name").decode("utf-8")
+            name = _utf8(_read_exact(fh, name_len, "name"), path, f"the name of tensor {index}")
+            if name in store:
+                raise FormatError(f"checkpoint {path}: tensor {name!r} appears twice")
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
             dims = [
                 struct.unpack("<I", _read_exact(fh, 4, "dimension"))[0]
@@ -79,10 +95,13 @@ def read_checkpoint(path: str) -> tuple[ParamStore, str]:
             n_values = int(np.prod(dims, dtype=np.int64)) if dims else 1
             payload = _read_exact(fh, 8 * n_values, f"tensor {name}")
             data = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
-            store.add(name, ad.leaf(data))
-        trailing = fh.read(1)
-        if trailing:
-            raise FormatError("checkpoint has trailing bytes after the last tensor")
+            try:
+                store.add(name, ad.leaf(data))
+            except NumericError:
+                raise FormatError(
+                    f"checkpoint {path}: tensor {name!r} has non-finite values") from None
+        if fh.read(1):
+            raise FormatError(f"checkpoint {path}: trailing bytes after the last tensor")
     return store, config_text
 
 

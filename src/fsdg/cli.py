@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import replace
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import format_config, load_config
@@ -114,6 +115,8 @@ def _build_parser() -> _Parser:
 
 
 def _config_from_args(args) -> TrainConfig:
+    """The config file, or the defaults, with the command-line flags that a
+    subcommand has (seed, mode, iterations) taking precedence."""
     config = load_config(args.config) if args.config else TrainConfig()
     updates = {}
     if args.seed is not None:
@@ -122,25 +125,11 @@ def _config_from_args(args) -> TrainConfig:
         updates["mode"] = args.mode
     if getattr(args, "iterations", None) is not None:
         updates["iterations"] = args.iterations
-    if updates:
-        from dataclasses import replace
-
-        config = replace(config, **updates)
-    return config
-
-
-def _shared_settings(args) -> tuple[TrainConfig, int]:
-    """Config file plus seed for the commands that take no training flags.
-
-    Explicit command-line flags take precedence over config-file values.
-    """
-    config = load_config(args.config) if args.config else TrainConfig()
-    seed = args.seed if args.seed is not None else config.seed
-    return config, seed
+    return replace(config, **updates) if updates else config
 
 
 def _cmd_gen_domain(args) -> int:
-    _, seed = _shared_settings(args)
+    seed = _config_from_args(args).seed
     spec = SyntheticDomainSpec(
         master_seed=seed, domain_seed=args.domain_seed, n_classes=args.classes,
         dim=args.dim, samples_per_class=args.per_class, latent_dim=args.latent,
@@ -164,7 +153,7 @@ def _cmd_split(args) -> int:
     if len(fractions) != 3:
         raise ConfigError("split: --fractions needs exactly three values")
     domain = load_domain(args.domain)
-    _, seed = _shared_settings(args)
+    seed = _config_from_args(args).seed
     tagged = split_classes(domain, fractions, RngStream(seed).substream("class-split"))
     for tag in ("train", "val", "test"):
         ids = tagged.class_ids(tag)
@@ -232,12 +221,12 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    config, seed = _shared_settings(args)
+    config = _config_from_args(args)
     way = args.way if args.way is not None else config.way
     shot = args.shot if args.shot is not None else config.shot
     model, _ = load_checkpoint(args.ckpt)
     domain = load_domain(args.domain)
-    report = evaluate(model, domain, way, shot, trials=args.trials, seed=seed)
+    report = evaluate(model, domain, way, shot, trials=args.trials, seed=config.seed)
     write_eval_csv(report, args.out)
     print(f"{domain.name}: mean={report.mean:.6f} ci95={report.ci95:.6f} "
           f"({way}-way {shot}-shot, {args.trials} trials)")
@@ -245,13 +234,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_cross_eval(args) -> int:
-    config, seed = _shared_settings(args)
+    config = _config_from_args(args)
     way = args.way if args.way is not None else config.way
     shot = args.shot if args.shot is not None else config.shot
     model, _ = load_checkpoint(args.ckpt)
     domains = [load_domain(p) for p in args.domains]
     reports = cross_domain_matrix(model, domains, way, shot,
-                                  trials=args.trials, seed=seed)
+                                  trials=args.trials, seed=config.seed)
     write_matrix_csv(reports, args.out)
     for r in reports:
         print(f"{r.domain}: mean={r.mean:.6f} ci95={r.ci95:.6f}")
@@ -268,7 +257,7 @@ def _cmd_stats_ft(args) -> int:
 
 
 def _cmd_stats_projection(args) -> int:
-    _, seed = _shared_settings(args)
+    seed = _config_from_args(args).seed
     model, _ = load_checkpoint(args.ckpt)
     domains = [load_domain(p) for p in args.domains]
     rows = emit_feature_projection(model, domains, args.samples, seed=seed)

@@ -200,8 +200,13 @@ def load_domain_binary(path: str, name: str | None = None) -> Domain:
         classes: dict[int, np.ndarray] = {}
         for _ in range(n_classes):
             cid, count = struct.unpack("<II", _read_exact(fh, 8, "class header"))
+            if cid in classes:
+                raise FormatError(f"dataset file {path}: class {cid} appears twice")
             payload = _read_exact(fh, count * dim * 8, f"class {cid} samples")
             classes[cid] = np.frombuffer(payload, dtype="<f8").reshape(count, dim).copy()
+        if fh.read(1):
+            raise FormatError(
+                f"dataset file {path}: trailing bytes after the {n_classes} classes of its header")
     return Domain(name or path, dim, classes)
 
 

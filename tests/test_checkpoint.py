@@ -153,6 +153,45 @@ def test_trailing_bytes_rejected(tmp_path):
         ck.read_checkpoint(bad)
 
 
+def _raw_checkpoint(path, config, tensors):
+    """A checkpoint written byte by byte: config is bytes, tensors are
+    (name bytes, array) pairs in file order."""
+    parts = [ck.CHECKPOINT_MAGIC, struct.pack("<II", ck.CHECKPOINT_VERSION, len(config)),
+             config, struct.pack("<I", len(tensors))]
+    for name, arr in tensors:
+        parts += [struct.pack("<I", len(name)), name, struct.pack("<I", arr.ndim),
+                  struct.pack(f"<{arr.ndim}I", *arr.shape), arr.astype("<f8").tobytes()]
+    open(path, "wb").write(b"".join(parts))
+
+
+def test_non_finite_payload_rejected_naming_path_and_tensor(tmp_path):
+    path = str(tmp_path / "nan.ckpt")
+    _raw_checkpoint(path, b"", [(b"a", np.ones(2)), (b"b", np.array([1.0, np.nan]))])
+    with pytest.raises(FormatError, match=r"nan\.ckpt: tensor 'b' has non-finite values"):
+        ck.read_checkpoint(path)
+
+
+@pytest.mark.parametrize("config,name,what", [
+    (b"\xff", b"a", "config text"),
+    (b"", b"\xffa", "the name of tensor 0"),
+], ids=["config", "name"])
+def test_non_utf8_text_rejected_naming_path(tmp_path, config, name, what):
+    path = str(tmp_path / "bytes.ckpt")
+    _raw_checkpoint(path, config, [(name, np.ones(2))])
+    with pytest.raises(FormatError, match=rf"bytes\.ckpt: {what} is not UTF-8"):
+        ck.read_checkpoint(path)
+
+
+def test_repeated_tensor_name_rejected_naming_path_and_tensor(tmp_path):
+    path = str(tmp_path / "dup.ckpt")
+    _raw_checkpoint(path, b"", [(b"a", np.ones(2)), (b"b", np.ones(1))])
+    store, _ = ck.read_checkpoint(path)
+    assert store.names() == ["a", "b"]
+    _raw_checkpoint(path, b"", [(b"a", np.ones(2)), (b"a", np.ones(1))])
+    with pytest.raises(FormatError, match=r"dup\.ckpt: tensor 'a' appears twice"):
+        ck.read_checkpoint(path)
+
+
 def test_missing_encoder_tensor_rejected(tmp_path):
     cfg, model = toy_model()
     store = model.param_store()

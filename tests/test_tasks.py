@@ -292,6 +292,33 @@ def test_non_finite_values_rejected_at_load(tmp_path, bad):
         tasks.load_domain(bin_path)
 
 
+def _binary_domain(path, n_classes, blocks, trailing=b""):
+    """A binary domain file written byte by byte: blocks are (class id, rows)."""
+    import struct
+
+    with open(path, "wb") as fh:
+        fh.write(tasks.DATASET_MAGIC + struct.pack("<III", tasks.DATASET_VERSION, n_classes, 2))
+        for cid, rows in blocks:
+            fh.write(struct.pack("<II", cid, len(rows)) + np.asarray(rows, dtype="<f8").tobytes())
+        fh.write(trailing)
+
+
+def test_binary_repeated_class_id_rejected(tmp_path):
+    path = str(tmp_path / "dup.bin")
+    _binary_domain(path, 2, [(3, [[1.0, 2.0]]), (4, [[3.0, 4.0]])])
+    assert tasks.load_domain(path).class_ids() == [3, 4]
+    _binary_domain(path, 2, [(3, [[1.0, 2.0]]), (3, [[3.0, 4.0]])])
+    with pytest.raises(FormatError, match="dup.bin: class 3 appears twice"):
+        tasks.load_domain(path)
+
+
+def test_binary_trailing_bytes_rejected(tmp_path):
+    path = str(tmp_path / "extra.bin")
+    _binary_domain(path, 1, [(0, [[1.0, 2.0]])], trailing=b"\x00")
+    with pytest.raises(FormatError, match="extra.bin: trailing bytes after the 1 classes"):
+        tasks.load_domain(path)
+
+
 # ---------------------------------------------------------------------------
 # episode sampling
 
