@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import logging
+import math
 import struct
 
 import numpy as np
@@ -59,7 +60,7 @@ def save_checkpoint(model: ModelState, config_text: str, path: str) -> None:
 def _read_exact(fh: io.BufferedReader, n: int, what: str) -> bytes:
     data = fh.read(n)
     if len(data) != n:
-        raise LengthError(f"checkpoint truncated while reading {what}")
+        raise LengthError(f"checkpoint {fh.name}: truncated while reading {what}")
     return data
 
 
@@ -75,10 +76,10 @@ def read_checkpoint(path: str) -> tuple[ParamStore, str]:
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
         if magic != CHECKPOINT_MAGIC:
-            raise FormatError(f"checkpoint has bad magic {magic!r}")
+            raise FormatError(f"checkpoint {path}: bad magic {magic!r}")
         version, config_len = struct.unpack("<II", _read_exact(fh, 8, "header"))
         if version > CHECKPOINT_VERSION:
-            raise VersionError(f"checkpoint version {version} not supported")
+            raise VersionError(f"checkpoint {path}: version {version} not supported")
         config_text = _utf8(_read_exact(fh, config_len, "config text"), path, "config text")
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
         store = ParamStore()
@@ -92,8 +93,7 @@ def read_checkpoint(path: str) -> tuple[ParamStore, str]:
                 struct.unpack("<I", _read_exact(fh, 4, "dimension"))[0]
                 for _ in range(ndim)
             ]
-            n_values = int(np.prod(dims, dtype=np.int64)) if dims else 1
-            payload = _read_exact(fh, 8 * n_values, f"tensor {name}")
+            payload = _read_exact(fh, 8 * math.prod(dims), f"tensor {name}")
             data = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
             try:
                 store.add(name, ad.leaf(data))

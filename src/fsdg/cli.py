@@ -49,10 +49,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="fsdg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, out_required: bool = True):
+    def common(p: argparse.ArgumentParser):
         p.add_argument("--config", help="run configuration file (key = value lines)")
         p.add_argument("--seed", type=int, help="override the configured seed")
-        p.add_argument("--out", required=out_required, help="output path")
+        p.add_argument("--out", required=True, help="output path")
 
     p = sub.add_parser("gen-domain", help="generate one synthetic domain")
     common(p)
@@ -63,7 +63,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--latent", type=int, default=4)
     p.add_argument("--noise", type=float, default=0.3)
     p.add_argument("--warp", type=float, default=1.0)
-    p.add_argument("--name", default="")
 
     p = sub.add_parser("split", help="partition a domain's classes into train/val/test files")
     common(p)
@@ -133,7 +132,7 @@ def _cmd_gen_domain(args) -> int:
     spec = SyntheticDomainSpec(
         master_seed=seed, domain_seed=args.domain_seed, n_classes=args.classes,
         dim=args.dim, samples_per_class=args.per_class, latent_dim=args.latent,
-        noise_sigma=args.noise, warp_strength=args.warp, name=args.name,
+        noise_sigma=args.noise, warp_strength=args.warp,
     )
     domain = generate_synthetic_domain(spec)
     save_domain(domain, args.out)
@@ -154,16 +153,11 @@ def _cmd_split(args) -> int:
         raise ConfigError("split: --fractions needs exactly three values")
     domain = load_domain(args.domain)
     seed = _config_from_args(args).seed
-    tagged = split_classes(domain, fractions, RngStream(seed).substream("class-split"))
-    for tag in ("train", "val", "test"):
-        ids = tagged.class_ids(tag)
-        part = type(domain)(
-            name=f"{domain.name}:{tag}", dim=domain.dim,
-            classes={cid: domain.classes[cid] for cid in ids},
-        )
+    parts = split_classes(domain, fractions, RngStream(seed).substream("class-split"))
+    for tag, part in parts.items():
         path = _split_path(args.out, tag)
         save_domain(part, path)
-        print(f"{tag}: {len(ids)} classes -> {path}")
+        print(f"{tag}: {part.n_classes} classes -> {path}")
     return 0
 
 

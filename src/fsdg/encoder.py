@@ -112,7 +112,7 @@ def batch_norm(x: Tensor, bn_scale: Tensor, bn_shift: Tensor) -> Tensor:
 
 def encode(state: EncoderState, ft: FTParams | None, batch: Tensor, mode: str,
            rng: RngStream | None = None,
-           modulations: list[Modulation | None] | None = None) -> Tensor:
+           modulations: list[Modulation] | None = None) -> Tensor:
     """Run the block stack over one batch.
 
     mode "train" applies feature modulation on the flagged blocks (fresh
@@ -148,8 +148,7 @@ def encode(state: EncoderState, ft: FTParams | None, batch: Tensor, mode: str,
                 m = modulations[ft_index]
             else:
                 m = sample_modulation(ft.gammas[ft_index], ft.betas[ft_index], rng)
-            if m is not None:
-                h = modulate(h, m)
+            h = modulate(h, m)
             ft_index += 1
         h = ad.relu(h)
     return h

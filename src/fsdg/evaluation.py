@@ -45,13 +45,13 @@ def summarize(accuracies: Sequence[float]) -> tuple[float, float]:
 
 
 def trial_accuracy(model: ModelState, domain: Domain, n_way: int, n_shot: int,
-                   n_query: int, seed: int, trial: int, split: str | None = None) -> float:
+                   n_query: int, seed: int, trial: int) -> float:
     """Accuracy of one evaluation episode, identified by its trial index.
 
     A NumericError of the trial is re-raised with the trial index.
     """
     rng = RngStream(derive_seed(seed, "eval-trial", trial))
-    episode = sample_episode(domain, n_way, n_shot, n_query, rng, split)
+    episode = sample_episode(domain, n_way, n_shot, n_query, rng)
     from .encoder import encode
 
     with ad.no_grad(), ad.trap_non_finite():
@@ -69,13 +69,12 @@ def trial_accuracy(model: ModelState, domain: Domain, n_way: int, n_shot: int,
 
 
 def evaluate(model: ModelState, domain: Domain, n_way: int, n_shot: int,
-             trials: int = 1000, seed: int = 0, n_query: int = 16,
-             split: str | None = None) -> EvalReport:
+             trials: int = 1000, seed: int = 0, n_query: int = 16) -> EvalReport:
     """Mean episode accuracy over independent trials with a 95% interval."""
     if trials < 1:
         raise ContractError("evaluate: trials must be positive")
     accs = [
-        trial_accuracy(model, domain, n_way, n_shot, n_query, seed, t, split)
+        trial_accuracy(model, domain, n_way, n_shot, n_query, seed, t)
         for t in range(trials)
     ]
     mean, ci95 = summarize(accs)
@@ -84,7 +83,7 @@ def evaluate(model: ModelState, domain: Domain, n_way: int, n_shot: int,
 
 def cross_domain_matrix(model: ModelState, domains: Sequence[Domain], n_way: int,
                         n_shot: int, trials: int = 1000, seed: int = 0,
-                        n_query: int = 16, split: str | None = None) -> list[EvalReport]:
+                        n_query: int = 16) -> list[EvalReport]:
     """Evaluate one model on several domains.
 
     Each domain gets a seed derived from its name, not its list position,
@@ -93,7 +92,7 @@ def cross_domain_matrix(model: ModelState, domains: Sequence[Domain], n_way: int
     return [
         evaluate(model, d, n_way, n_shot, trials,
                  seed=derive_seed(seed, "cross-domain", label_hash(d.name)),
-                 n_query=n_query, split=split)
+                 n_query=n_query)
         for d in domains
     ]
 

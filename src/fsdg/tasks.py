@@ -10,7 +10,8 @@ rendered through different feature distortions, which is exactly the
 shift the training algorithms are meant to survive.
 
 Episodes are n_way/n_shot/n_query tasks with labels remapped to
-0..n_way-1 and disjoint support and query rows.
+0..n_way-1 and disjoint support and query rows.  A class split is three
+domains (train, val, test).  A ``.csv`` path is a CSV file, any other binary.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .rng import RngStream, derive_seed
 
 DATASET_MAGIC = b"FSDS"
 DATASET_VERSION = 1
-SPLIT_NAMES = ("train", "val", "test")
 
 
 @dataclass
@@ -46,7 +46,6 @@ class Domain:
     name: str
     dim: int
     classes: dict[int, np.ndarray]
-    splits: dict[int, str] = field(default_factory=dict)  # default tag: train
 
     def __post_init__(self):
         for cid, arr in self.classes.items():
@@ -60,19 +59,9 @@ class Domain:
                     f"domain {self.name!r}: class {cid} row {bad[0]} has non-finite values"
                 )
             arr.setflags(write=False)
-        for cid, tag in self.splits.items():
-            if tag not in SPLIT_NAMES:
-                raise ContractError(f"domain {self.name!r}: unknown split tag {tag!r}")
-            if cid not in self.classes:
-                raise ContractError(f"domain {self.name!r}: split tag for unknown class {cid}")
 
-    def class_ids(self, split: str | None = None) -> list[int]:
-        """Sorted class ids, optionally restricted to one split tag."""
-        if split is None:
-            return sorted(self.classes)
-        if split not in SPLIT_NAMES:
-            raise ContractError(f"unknown split {split!r}")
-        return sorted(c for c in self.classes if self.splits.get(c, "train") == split)
+    def class_ids(self) -> list[int]:
+        return sorted(self.classes)
 
     @property
     def n_classes(self) -> int:
@@ -172,31 +161,28 @@ def save_domain_csv(domain: Domain, path: str) -> None:
                 writer.writerow([cid] + [repr(float(v)) for v in row])
 
 
-def save_domain(domain: Domain, path: str, fmt: str | None = None) -> None:
-    fmt = fmt or ("csv" if path.endswith(".csv") else "binary")
-    if fmt == "csv":
+def save_domain(domain: Domain, path: str) -> None:
+    if path.endswith(".csv"):
         save_domain_csv(domain, path)
-    elif fmt == "binary":
-        save_domain_binary(domain, path)
     else:
-        raise ContractError(f"save_domain: unknown format {fmt!r}")
+        save_domain_binary(domain, path)
 
 
 def _read_exact(fh: io.BufferedReader, n: int, what: str) -> bytes:
     data = fh.read(n)
     if len(data) != n:
-        raise LengthError(f"dataset file truncated while reading {what}")
+        raise LengthError(f"dataset file {fh.name}: truncated while reading {what}")
     return data
 
 
-def load_domain_binary(path: str, name: str | None = None) -> Domain:
+def load_domain_binary(path: str) -> Domain:
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
         if magic != DATASET_MAGIC:
-            raise FormatError(f"dataset file has bad magic {magic!r}")
+            raise FormatError(f"dataset file {path}: bad magic {magic!r}")
         version, n_classes, dim = struct.unpack("<III", _read_exact(fh, 12, "header"))
         if version > DATASET_VERSION:
-            raise VersionError(f"dataset version {version} not supported")
+            raise VersionError(f"dataset file {path}: version {version} not supported")
         classes: dict[int, np.ndarray] = {}
         for _ in range(n_classes):
             cid, count = struct.unpack("<II", _read_exact(fh, 8, "class header"))
@@ -207,64 +193,60 @@ def load_domain_binary(path: str, name: str | None = None) -> Domain:
         if fh.read(1):
             raise FormatError(
                 f"dataset file {path}: trailing bytes after the {n_classes} classes of its header")
-    return Domain(name or path, dim, classes)
+    return Domain(path, dim, classes)
 
 
-def load_domain_csv(path: str, name: str | None = None) -> Domain:
+def load_domain_csv(path: str) -> Domain:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise ParseError("dataset csv is empty") from None
+            raise ParseError(f"dataset csv {path}: empty file") from None
         if not header or header[0] != "class_id":
-            raise ParseError("dataset csv must start with a class_id header")
+            raise ParseError(f"dataset csv {path}: must start with a class_id header")
         dim = len(header) - 1
         if dim < 1 or header[1:] != [f"f{i}" for i in range(dim)]:
-            raise ParseError("dataset csv feature columns must be f0..f{D-1}")
+            raise ParseError(f"dataset csv {path}: feature columns must be f0..f{{D-1}}")
         rows: dict[int, list[list[float]]] = {}
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != dim + 1:
-                raise ParseError(f"dataset csv line {lineno}: expected {dim + 1} fields, got {len(row)}")
+                raise ParseError(f"dataset csv {path}, line {lineno}: expected {dim + 1} fields, got {len(row)}")
             try:
                 cid = int(row[0])
                 values = [float(v) for v in row[1:]]
             except ValueError as err:
-                raise ParseError(f"dataset csv line {lineno}: {err}") from None
+                raise ParseError(f"dataset csv {path}, line {lineno}: {err}") from None
             if not np.isfinite(values).all():
-                raise ParseError(f"dataset csv line {lineno}: non-finite feature value")
+                raise ParseError(f"dataset csv {path}, line {lineno}: non-finite feature value")
             rows.setdefault(cid, []).append(values)
     if not rows:
-        raise ParseError("dataset csv has no sample rows")
+        raise ParseError(f"dataset csv {path}: no sample rows")
     classes = {cid: np.array(vals) for cid, vals in rows.items()}
-    return Domain(name or path, dim, classes)
+    return Domain(path, dim, classes)
 
 
-def load_domain(path: str, fmt: str | None = None, name: str | None = None) -> Domain:
-    fmt = fmt or ("csv" if path.endswith(".csv") else "binary")
-    if fmt == "csv":
-        return load_domain_csv(path, name)
-    if fmt == "binary":
-        return load_domain_binary(path, name)
-    raise ContractError(f"load_domain: unknown format {fmt!r}")
+def load_domain(path: str) -> Domain:
+    if path.endswith(".csv"):
+        return load_domain_csv(path)
+    return load_domain_binary(path)
 
 
 # ---------------------------------------------------------------------------
-# episodes and splits
+# episodes and class splits
 
 
 def sample_episode(domain: Domain, n_way: int, n_shot: int, n_query: int,
-                   rng: RngStream, split: str | None = None) -> Episode:
+                   rng: RngStream) -> Episode:
     """Draw one task: n_way classes, then n_shot + n_query rows per class.
 
-    Support and query rows are disjoint by construction.  Classes come
-    from the requested split, or from the whole domain when split is None.
+    Support and query rows are disjoint by construction.
     """
     if min(n_way, n_shot, n_query) < 1:
         raise ContractError("sample_episode: way, shot, and query must be positive")
-    ids = domain.class_ids(split)
+    ids = domain.class_ids()
     if len(ids) < n_way:
         raise CapacityError(
             f"domain {domain.name!r}: {len(ids)} classes available, episode needs {n_way}"
@@ -298,12 +280,13 @@ def sample_episode(domain: Domain, n_way: int, n_shot: int, n_query: int,
 
 
 def split_classes(domain: Domain, fractions: tuple[float, float, float],
-                  rng: RngStream) -> Domain:
-    """Partition classes into train/val/test by rounded fractions.
+                  rng: RngStream) -> dict[str, Domain]:
+    """Partition classes into train/val/test domains by rounded fractions.
 
-    val and test sizes round to the nearest integer; train takes the
-    remainder.  A split that rounds to zero while its fraction is positive
-    (with at least 3 classes present) is treated as a capacity problem.
+    Each part is named ``"<name>:<tag>"``.  val and test sizes round to
+    the nearest integer; train takes the remainder.  A split that rounds
+    to zero while its fraction is positive (with at least 3 classes
+    present) is treated as a capacity problem.
     """
     f_train, f_val, f_test = fractions
     if any(f < 0.0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-9:
@@ -320,11 +303,10 @@ def split_classes(domain: Domain, fractions: tuple[float, float, float],
     if n_train < 0:
         raise CapacityError("split_classes: rounded val and test exceed the class count")
     order = [ids[i] for i in rng.permutation(k)]
-    tags: dict[int, str] = {}
-    for cid in order[:n_train]:
-        tags[cid] = "train"
-    for cid in order[n_train:n_train + n_val]:
-        tags[cid] = "val"
-    for cid in order[n_train + n_val:]:
-        tags[cid] = "test"
-    return replace(domain, splits=tags)
+    bounds = {"train": (0, n_train), "val": (n_train, n_train + n_val),
+              "test": (n_train + n_val, k)}
+    return {
+        tag: Domain(f"{domain.name}:{tag}", domain.dim,
+                    {cid: domain.classes[cid] for cid in sorted(order[lo:hi])})
+        for tag, (lo, hi) in bounds.items()
+    }

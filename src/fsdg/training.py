@@ -265,18 +265,15 @@ def lft_outer_loss(model: ModelState, pseudo_seen: Episode, pseudo_unseen: Episo
 
 def lft_train_step(model: ModelState, pseudo_seen: Episode, pseudo_unseen: Episode,
                    config: TrainConfig, rng: RngStream,
-                   optimizer: "SGD | Adam | None" = None) -> tuple[ModelState, float, float]:
+                   optimizer: "SGD | Adam") -> tuple[ModelState, float, float]:
     """One full learning-to-learn iteration.
 
-    The optimizer (SGD at ``config.alpha`` when None) applies the
-    meta-gradient to the modulation hyper-parameters.  Encoder and head
-    parameters depend on the optimizer: SGD keeps the inner-stepped
-    values, while Adam instead takes one adaptive step from the first
-    inner step's gradients.  The differentiation graph dies with this
+    The optimizer applies the meta-gradient to the modulation
+    hyper-parameters.  Encoder and head parameters depend on the
+    optimizer: SGD keeps the inner-stepped values, while Adam instead
+    takes one adaptive step from the first inner step's gradients.  The differentiation graph dies with this
     call's locals.
     """
-    if optimizer is None:
-        optimizer = SGD(config.alpha)
     total, loss_ps, loss_pu, stepped, inner_grads = lft_outer_loss(
         model, pseudo_seen, pseudo_unseen, config, rng)
     ft_items = model.ft_named()
@@ -314,12 +311,10 @@ class SGD:
 class Adam:
     """Adaptive moment estimation over named parameters (numpy state)."""
 
-    def __init__(self, alpha: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, alpha: float):
         self.alpha = alpha
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t: dict[str, int] = {}
@@ -338,11 +333,11 @@ class Adam:
                 self.t[name] += 1
                 t = self.t[name]
                 try:
-                    m = self.beta1 * m + (1.0 - self.beta1) * g
-                    v = self.beta2 * v + (1.0 - self.beta2) * g * g
-                    m_hat = m / (1.0 - self.beta1**t)
-                    v_hat = v / (1.0 - self.beta2**t)
-                    out[name] = ad.leaf(theta.data - self.alpha * m_hat / (np.sqrt(v_hat) + self.eps))
+                    m = self.BETA1 * m + (1.0 - self.BETA1) * g
+                    v = self.BETA2 * v + (1.0 - self.BETA2) * g * g
+                    m_hat = m / (1.0 - self.BETA1**t)
+                    v_hat = v / (1.0 - self.BETA2**t)
+                    out[name] = ad.leaf(theta.data - self.alpha * m_hat / (np.sqrt(v_hat) + self.EPS))
                 except FloatingPointError:
                     raise NumericError(f"adam: non-finite update of {name}") from None
                 self.m[name], self.v[name] = m, v
@@ -438,8 +433,8 @@ def train_loop(config: TrainConfig, domains: Sequence[Domain],
 
 
 def pretrain_encoder(encoder: EncoderState, domain: Domain, epochs: int,
-                     batch_size: int, alpha: float, rng: RngStream,
-                     split: str | None = None) -> tuple[EncoderState, list[float]]:
+                     batch_size: int, alpha: float,
+                     rng: RngStream) -> tuple[EncoderState, list[float]]:
     """Supervised warm start: classify all base classes with a throwaway
     linear layer, mini-batch SGD, modulation inactive throughout.
 
@@ -450,7 +445,7 @@ def pretrain_encoder(encoder: EncoderState, domain: Domain, epochs: int,
         raise ContractError("pretrain_encoder: epochs must be positive")
     if batch_size < 2:
         raise ContractError("pretrain_encoder: batch size must be at least 2 for batch norm")
-    ids = domain.class_ids(split)
+    ids = domain.class_ids()
     if len(ids) < 2:
         raise ContractError("pretrain_encoder: need at least two base classes")
     xs = np.concatenate([domain.classes[cid] for cid in ids])

@@ -18,7 +18,7 @@ from fsdg.ft import ft_param_count, init_ft_params, modulation_from_noise, sampl
 from fsdg.heads import episode_loss
 from fsdg.rng import RngStream
 from fsdg.tasks import SyntheticDomainSpec, generate_synthetic_domain, sample_episode
-from fsdg.training import TrainConfig, build_model, episode_forward, lft_outer_loss, lft_train_step, train_loop
+from fsdg.training import SGD, TrainConfig, build_model, episode_forward, lft_outer_loss, lft_train_step, train_loop
 from helpers import max_rel_err, noise_domain
 
 # Constants for the directional cross-domain claim (criteria 6 and 9).
@@ -137,7 +137,7 @@ def test_criterion_3_meta_gradient_matches_finite_differences():
         pu = sample_episode(d1, cfg.way, cfg.shot, cfg.query, RngStream(800 + seed))
         assert model.ft.n_layers == 2
 
-        stepped, _, _ = lft_train_step(model, ps, pu, cfg, RngStream(900 + seed))
+        stepped, _, _ = lft_train_step(model, ps, pu, cfg, RngStream(900 + seed), SGD(cfg.alpha))
         got = {
             name: (old.data - new.data) / cfg.alpha
             for (name, old), (_, new) in zip(model.ft_named(), stepped.ft_named())

@@ -115,7 +115,7 @@ def test_bad_magic(tmp_path):
     raw = open(path, "rb").read()
     bad = str(tmp_path / "bad.ckpt")
     open(bad, "wb").write(b"ZZZZ" + raw[4:])
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="bad.ckpt: bad magic b'ZZZZ'"):
         ck.read_checkpoint(bad)
 
 
@@ -126,7 +126,7 @@ def test_future_version_rejected(tmp_path):
     raw = open(path, "rb").read()
     bad = str(tmp_path / "future.ckpt")
     open(bad, "wb").write(raw[:4] + struct.pack("<I", 2) + raw[8:])
-    with pytest.raises(VersionError):
+    with pytest.raises(VersionError, match="future.ckpt: version 2 not supported"):
         ck.read_checkpoint(bad)
 
 
@@ -138,7 +138,7 @@ def test_truncation_raises_length_error(tmp_path):
     for cut in (2, 10, len(raw) // 2, len(raw) - 3):
         bad = str(tmp_path / f"cut{cut}.ckpt")
         open(bad, "wb").write(raw[:cut])
-        with pytest.raises(LengthError):
+        with pytest.raises(LengthError, match=f"cut{cut}.ckpt: truncated while reading"):
             ck.read_checkpoint(bad)
 
 

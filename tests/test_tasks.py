@@ -40,26 +40,6 @@ def test_domain_locks_class_arrays():
         d.classes[0][0, 0] = 9.0
 
 
-def test_domain_split_tags_validated():
-    classes = {0: np.ones((2, 2)), 1: np.ones((2, 2))}
-    with pytest.raises(ContractError):
-        tasks.Domain("d", 2, dict(classes), splits={0: "holdout"})
-    with pytest.raises(ContractError):
-        tasks.Domain("d", 2, dict(classes), splits={5: "train"})
-
-
-def test_class_ids_by_split():
-    classes = {i: np.ones((2, 2)) for i in range(4)}
-    d = tasks.Domain("d", 2, classes, splits={1: "val", 2: "test", 3: "train"})
-    assert d.class_ids() == [0, 1, 2, 3]
-    # untagged classes default to train
-    assert d.class_ids("train") == [0, 3]
-    assert d.class_ids("val") == [1]
-    assert d.class_ids("test") == [2]
-    with pytest.raises(ContractError):
-        d.class_ids("holdout")
-
-
 # ---------------------------------------------------------------------------
 # synthetic generation
 
@@ -182,8 +162,8 @@ def test_binary_round_trip_is_bit_exact(tmp_path):
     d = tasks.generate_synthetic_domain(small_spec())
     path = str(tmp_path / "dom.bin")
     tasks.save_domain(d, path)
-    back = tasks.load_domain(path, name=d.name)
-    assert back.name == d.name
+    back = tasks.load_domain(path)
+    assert back.name == path
     assert back.dim == d.dim
     assert back.class_ids() == d.class_ids()
     for cid in d.class_ids():
@@ -232,24 +212,24 @@ def test_load_binary_error_taxonomy(tmp_path):
 
     bad_magic = str(tmp_path / "bad_magic.bin")
     open(bad_magic, "wb").write(b"XXXX" + raw[4:])
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match="bad_magic.bin: bad magic b'XXXX'"):
         tasks.load_domain(bad_magic)
 
     bad_version = str(tmp_path / "bad_version.bin")
     import struct
 
     open(bad_version, "wb").write(raw[:4] + struct.pack("<I", 99) + raw[8:])
-    with pytest.raises(VersionError):
+    with pytest.raises(VersionError, match="bad_version.bin: version 99 not supported"):
         tasks.load_domain(bad_version)
 
     truncated = str(tmp_path / "trunc.bin")
     open(truncated, "wb").write(raw[:-8])
-    with pytest.raises(LengthError):
+    with pytest.raises(LengthError, match="trunc.bin: truncated while reading class 0 samples"):
         tasks.load_domain(truncated)
 
     empty = str(tmp_path / "empty.bin")
     open(empty, "wb").write(b"")
-    with pytest.raises(LengthError):
+    with pytest.raises(LengthError, match="empty.bin: truncated while reading magic"):
         tasks.load_domain(empty)
 
 
@@ -259,17 +239,17 @@ def test_load_csv_error_taxonomy(tmp_path):
         open(p, "w").write(text)
         return p
 
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="empty.csv: empty file"):
         tasks.load_domain(write("empty.csv", ""))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="header.csv: must start with a class_id header"):
         tasks.load_domain(write("header.csv", "label,f0\n0,1.0\n"))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="cols.csv: feature columns must be f0"):
         tasks.load_domain(write("cols.csv", "class_id,f0,fX\n0,1.0,2.0\n"))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="short.csv, line 2: expected 3 fields, got 2"):
         tasks.load_domain(write("short.csv", "class_id,f0,f1\n0,1.0\n"))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="badnum.csv, line 2: could not convert"):
         tasks.load_domain(write("badnum.csv", "class_id,f0\n0,banana\n"))
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="norows.csv: no sample rows"):
         tasks.load_domain(write("norows.csv", "class_id,f0\n"))
 
 
@@ -277,7 +257,7 @@ def test_load_csv_error_taxonomy(tmp_path):
 def test_non_finite_values_rejected_at_load(tmp_path, bad):
     csv_path = str(tmp_path / "dom.csv")
     open(csv_path, "w").write(f"class_id,f0,f1\n0,1.0,2.0\n1,3.0,{bad}\n")
-    with pytest.raises(ParseError, match="line 3"):
+    with pytest.raises(ParseError, match="dom.csv, line 3: non-finite"):
         tasks.load_domain(csv_path)
 
     # binary files carry raw floats; the domain names the class and row
@@ -356,15 +336,6 @@ def test_episode_support_and_query_rows_are_disjoint():
         assert len(sup) == 6 and len(qry) == 9
 
 
-def test_episode_respects_split_tags():
-    d = noise_domain(seed=6, n_classes=6, dim=3, per_class=8)
-    d = tasks.split_classes(d, (0.5, 0.0, 0.5), RngStream(7))
-    test_ids = set(d.class_ids("test"))
-    for t in range(20):
-        ep = tasks.sample_episode(d, 3, 2, 2, RngStream(t), split="test")
-        assert set(ep.class_ids) <= test_ids
-
-
 def test_episode_capacity_errors_name_the_shortfall():
     d = noise_domain(seed=8, n_classes=3, dim=3, per_class=4)
     with pytest.raises(CapacityError, match="3 classes"):
@@ -399,14 +370,20 @@ def derive(t):
 # class splitting
 
 
+def _partition(parts):
+    return {tag: part.class_ids() for tag, part in parts.items()}
+
+
 def test_split_arithmetic_20_classes():
     d = noise_domain(seed=10, n_classes=20, dim=2, per_class=3)
-    d = tasks.split_classes(d, (0.5, 0.25, 0.25), RngStream(11))
-    assert len(d.class_ids("train")) == 10
-    assert len(d.class_ids("val")) == 5
-    assert len(d.class_ids("test")) == 5
-    covered = d.class_ids("train") + d.class_ids("val") + d.class_ids("test")
+    parts = tasks.split_classes(d, (0.5, 0.25, 0.25), RngStream(11))
+    assert list(parts) == ["train", "val", "test"]
+    assert [parts[tag].n_classes for tag in parts] == [10, 5, 5]
+    covered = parts["train"].class_ids() + parts["val"].class_ids() + parts["test"].class_ids()
     assert sorted(covered) == d.class_ids()
+    for tag, part in parts.items():
+        assert part.name == f"{d.name}:{tag}"
+        assert part.dim == d.dim
 
 
 def test_split_is_deterministic_and_seed_sensitive():
@@ -414,17 +391,33 @@ def test_split_is_deterministic_and_seed_sensitive():
     a = tasks.split_classes(d, (0.5, 0.25, 0.25), RngStream(1))
     b = tasks.split_classes(d, (0.5, 0.25, 0.25), RngStream(1))
     c = tasks.split_classes(d, (0.5, 0.25, 0.25), RngStream(2))
-    assert a.splits == b.splits
-    assert a.splits != c.splits
+    assert _partition(a) == _partition(b)
+    assert _partition(a) != _partition(c)
 
 
 def test_split_leaves_original_domain_untouched():
     d = noise_domain(seed=13, n_classes=6, dim=2, per_class=3)
-    tagged = tasks.split_classes(d, (0.5, 0.0, 0.5), RngStream(3))
-    assert d.splits == {}
-    assert tagged.splits != {}
-    assert tagged.classes is d.classes or all(
-        np.array_equal(tagged.classes[c], d.classes[c]) for c in d.class_ids())
+    before = {c: d.classes[c].copy() for c in d.class_ids()}
+    parts = tasks.split_classes(d, (0.5, 0.0, 0.5), RngStream(3))
+    assert d.class_ids() == list(range(6))
+    assert parts["val"].n_classes == 0
+    for part in parts.values():
+        for c in part.class_ids():
+            assert np.array_equal(part.classes[c], before[c])
+    assert all(np.array_equal(d.classes[c], before[c]) for c in d.class_ids())
+
+
+def test_split_partition_is_pinned():
+    # the class files of `fsdg gen-domain --seed 7` split by
+    # `fsdg split --seed 7 --fractions 0.6,0.2,0.2`
+    spec = tasks.SyntheticDomainSpec(master_seed=7, domain_seed=0)
+    parts = tasks.split_classes(tasks.generate_synthetic_domain(spec), (0.6, 0.2, 0.2),
+                                RngStream(7).substream("class-split"))
+    assert _partition(parts) == {
+        "train": [0, 1, 2, 3, 4, 6, 10, 12, 14, 15, 16, 18],
+        "val": [7, 8, 9, 11],
+        "test": [5, 13, 17, 19],
+    }
 
 
 def test_split_fraction_validation():

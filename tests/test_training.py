@@ -268,7 +268,7 @@ def test_unflagged_blocks_carry_no_modulation_gradient():
     model = tr.build_model(cfg, d0.dim, RngStream(16))
     assert [n for n, _ in model.ft_named()] == ["ft.block0.gamma", "ft.block0.beta"]
     ps, pu = toy_episode(d0, cfg, 8), toy_episode(d1, cfg, 9)
-    new_model, _, _ = tr.lft_train_step(model, ps, pu, cfg, RngStream(10))
+    new_model, _, _ = tr.lft_train_step(model, ps, pu, cfg, RngStream(10), tr.SGD(cfg.alpha))
     # only block-0 hyper-parameters exist and they moved
     assert not np.array_equal(new_model.ft.gammas[0].data, model.ft.gammas[0].data)
 
@@ -282,7 +282,8 @@ def test_lft_train_step_keeps_inner_parameters_and_steps_ft():
     total, loss_ps, loss_pu, stepped, _ = tr.lft_outer_loss(model, ps, pu, cfg, RngStream(13))
     meta = ad.backward(total, [t for _, t in model.ft_named()])
 
-    new_model, got_ps, got_pu = tr.lft_train_step(model, ps, pu, cfg, RngStream(13))
+    new_model, got_ps, got_pu = tr.lft_train_step(model, ps, pu, cfg, RngStream(13),
+                                                  tr.SGD(cfg.alpha))
     assert got_ps == loss_ps
     assert got_pu == loss_pu
     # encoder/head parameters persist exactly as the inner step left them
