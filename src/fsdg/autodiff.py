@@ -402,10 +402,15 @@ def tensor_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     except FloatingPointError:
         raise _non_finite("sum") from None
     out = _fresh("sum", data)
-    if axis is None:
-        return _link(out, ((a, lambda g: broadcast_to(reshape(g, (1,) * a.ndim), a.shape)),))
-    mid = _axis_restore_shape(a.shape, axis)
-    return _link(out, ((a, lambda g: broadcast_to(reshape(g, mid), a.shape)),))
+    mid = (1,) * a.ndim if axis is None else _axis_restore_shape(a.shape, axis)
+
+    def vjp(g: Tensor) -> Tensor:
+        # A g that lines up with mid from the right broadcasts as it is.
+        if (1,) * (a.ndim - g.ndim) + g.shape != mid:
+            g = reshape(g, mid)
+        return broadcast_to(g, a.shape)
+
+    return _link(out, ((a, vjp),))
 
 
 def tensor_mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -481,7 +486,11 @@ def broadcast_to(a, shape) -> Tensor:
     a = _wrap(a)
     shape = tuple(int(d) for d in shape)
     try:
-        data = np.broadcast_to(a.data, shape)
+        if a.ndim > len(shape):
+            raise ValueError  # assignment would drop leading 1s; broadcasting may not
+        # Filled in place: one copy, and no Python-level np.broadcast_to.
+        data = np.empty(shape)
+        data[...] = a.data
     except ValueError:
         raise ShapeError(f"broadcast: cannot expand {a.shape} to {shape}") from None
     out = _fresh("broadcast", data)

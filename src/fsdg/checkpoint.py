@@ -115,12 +115,14 @@ def model_from_store(store: ParamStore, head_kind: str,
     block flags, and the model modulates iff its mode is ft or lft and it
     flags no block (an encoder saved without its modulation, as
     ``fsdg pretrain`` writes it, flags blocks but holds no ``ft.*`` tensor).
+    A store that lacks a tensor or whose encoder blocks are not numbered
+    0, 1, ... raises FormatError; ``load_checkpoint`` adds the file path.
     """
     block_ids = sorted(
         {int(n.split(".")[1][len("block"):]) for n in store.names() if n.startswith("enc.block")}
     )
     if block_ids != list(range(len(block_ids))) or not block_ids:
-        raise FormatError("checkpoint encoder blocks are not a contiguous range")
+        raise FormatError("encoder blocks are not a contiguous range")
     try:
         weights = [store[f"enc.block{i}.weight"] for i in block_ids]
         ft_flags = tuple(f"ft.block{i}.gamma" in store for i in block_ids)
@@ -134,7 +136,7 @@ def model_from_store(store: ParamStore, head_kind: str,
                                    ft_flags)
         return assemble_model(enc_config, head_kind, store, with_ft=has_ft)
     except KeyError as err:
-        raise FormatError(f"checkpoint is missing tensor {err}") from None
+        raise FormatError(f"missing tensor {err}") from None
 
 
 def load_checkpoint(path: str) -> tuple[ModelState, str]:
@@ -151,4 +153,7 @@ def load_checkpoint(path: str) -> tuple[ModelState, str]:
                     "guessed from the tensor names", path, err, head_kind)
     else:
         head_kind = config.head
-    return model_from_store(store, head_kind, config), config_text
+    try:
+        return model_from_store(store, head_kind, config), config_text
+    except FormatError as err:
+        raise FormatError(f"checkpoint {path}: {err}") from None

@@ -98,16 +98,26 @@ class RngStream:
 
     def permutation(self, n: int) -> list[int]:
         """Fisher-Yates shuffle of range(n)."""
-        items = list(range(n))
-        if n < 2:
-            return items
+        return self.permutations((n,))[0]
+
+    def permutations(self, ns) -> list[list[int]]:
+        """One shuffle of range(n) per n in ``ns``, from one bulk draw.
+
+        Equal to successive ``permutation(n)`` calls, and leaves the stream
+        where they would: a shuffle of n items consumes n - 1 draws.
+        """
         # Python ints: indexing a uint64 array and mixing in np.uint64
         # scalars would cost more than the shuffle itself.
-        draws = self._raw(n - 1).tolist()
-        for i in range(n - 1, 0, -1):
-            j = draws[n - 1 - i] % (i + 1)
-            items[i], items[j] = items[j], items[i]
-        return items
+        draws = iter(self._raw(sum(n - 1 for n in ns if n > 1)).tolist())
+        out = []
+        for n in ns:
+            items = list(range(n))
+            # zip pulls from the range first, so it takes exactly n - 1 draws.
+            for i, d in zip(range(n - 1, 0, -1), draws):
+                j = d % (i + 1)
+                items[i], items[j] = items[j], items[i]
+            out.append(items)
+        return out
 
     def sample_without_replacement(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), order given by the shuffle."""

@@ -252,20 +252,19 @@ def sample_episode(domain: Domain, n_way: int, n_shot: int, n_query: int,
             f"domain {domain.name!r}: {len(ids)} classes available, episode needs {n_way}"
         )
     picked = [ids[i] for i in rng.sample_without_replacement(len(ids), n_way)]
-    support_rows, query_rows = [], []
-    support_y, query_y = [], []
-    for label, cid in enumerate(picked):
-        arr = domain.classes[cid]
-        need = n_shot + n_query
+    arrays = [domain.classes[cid] for cid in picked]
+    need = n_shot + n_query
+    for cid, arr in zip(picked, arrays):
         if arr.shape[0] < need:
             raise CapacityError(
                 f"domain {domain.name!r}: class {cid} has {arr.shape[0]} samples, episode needs {need}"
             )
-        rows = rng.sample_without_replacement(arr.shape[0], need)
-        support_rows.append(arr[rows[:n_shot]])
-        query_rows.append(arr[rows[n_shot:]])
-        support_y.extend([label] * n_shot)
-        query_y.extend([label] * n_query)
+    # The rows of every picked class from one draw, in label order.
+    perms = rng.permutations([arr.shape[0] for arr in arrays])
+    support_rows = [arr[rows[:n_shot]] for arr, rows in zip(arrays, perms)]
+    query_rows = [arr[rows[n_shot:need]] for arr, rows in zip(arrays, perms)]
+    support_y = [label for label in range(n_way) for _ in range(n_shot)]
+    query_y = [label for label in range(n_way) for _ in range(n_query)]
     return Episode(
         n_way=n_way,
         n_shot=n_shot,

@@ -357,6 +357,18 @@ def test_elementwise_shape_error_names_op_and_both_shapes(op):
         op(a, b)
 
 
+@pytest.mark.parametrize("shape,target", [
+    ((2,), (3,)),
+    ((2, 3), (3, 3)),
+    ((1, 3), (3,)),  # a leading 1 may be added, never dropped
+    ((3,), (3, 2)),
+    ((3,), (-1, 3)),
+])
+def test_broadcast_to_rejects_shapes_that_do_not_broadcast(shape, target):
+    with pytest.raises(ShapeError, match=r"^broadcast: cannot expand "):
+        ad.broadcast_to(ad.constant(np.ones(shape)), target)
+
+
 def test_log_rejects_non_positive():
     with pytest.raises(DomainError):
         ad.log(ad.constant([-1.0]))

@@ -217,6 +217,25 @@ def test_non_contiguous_blocks_rejected():
         ck.model_from_store(store, "proto")
 
 
+def test_load_names_the_file_of_a_checkpoint_missing_a_tensor(tmp_path):
+    cfg, model = toy_model(head="relation")
+    path = str(tmp_path / "nohead.ckpt")
+    _raw_checkpoint(path, format_config(cfg).encode(),
+                    [(n.encode(), t.data) for n, t in model.param_store().items()
+                     if n != "head.rel.w2"])
+    with pytest.raises(FormatError, match=r"nohead\.ckpt: missing tensor 'head\.rel\.w2'$"):
+        ck.load_checkpoint(path)
+
+
+def test_load_names_the_file_of_non_contiguous_blocks(tmp_path):
+    path = str(tmp_path / "gap.ckpt")
+    _raw_checkpoint(path, b"", [(f"enc.block{i}.{p}".encode(), np.ones(3))
+                                for i in (0, 2) for p in ("weight", "bias")])
+    with pytest.raises(FormatError,
+                       match=r"gap\.ckpt: encoder blocks are not a contiguous range$"):
+        ck.load_checkpoint(path)
+
+
 # ---------------------------------------------------------------------------
 # reconstruction details
 

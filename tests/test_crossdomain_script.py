@@ -1,6 +1,9 @@
 """The paired statistic of scripts/run_crossdomain.py."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +47,17 @@ def test_t_interval_large_n_is_near_normal():
 def test_t_interval_needs_two_values():
     with pytest.raises(ValueError):
         crossdomain.t_interval([1.0])
+
+
+def test_script_pins_one_blas_thread_unless_the_environment_sets_it():
+    names = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in names}
+    env["MKL_NUM_THREADS"] = "3"
+    probe = ("import importlib.util, os, sys\n"
+             "spec = importlib.util.spec_from_file_location('m', sys.argv[1])\n"
+             "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+             f"print(','.join(os.environ[v] for v in {names!r}))\n")
+    out = subprocess.run([sys.executable, "-c", probe, str(SCRIPT)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "1,1,3,1,1,1"

@@ -140,6 +140,19 @@ def test_permutation_golden_values_advance_the_stream():
     assert stream.permutation(6) == [1, 0, 3, 5, 4, 2]
 
 
+def test_permutations_equal_successive_permutation_calls():
+    bulk, single = RngStream(41), RngStream(41)
+    assert bulk.permutations([20, 50, 50]) == [single.permutation(n) for n in (20, 50, 50)]
+    # Both streams stand at the same position: their next draws agree.
+    assert bulk.uniforms(3).tolist() == single.uniforms(3).tolist()
+
+
+def test_permutations_of_fewer_than_two_items_take_no_draws():
+    bulk, single = RngStream(8), RngStream(8)
+    assert bulk.permutations([0, 1, 3, 1]) == [[], [0], single.permutation(3), [0]]
+    assert bulk.uniforms(2).tolist() == single.uniforms(2).tolist()
+
+
 @settings(max_examples=50)
 @given(st.integers(0, MASK), st.integers(1, 30), st.data())
 def test_sample_without_replacement_distinct(seed, n, data):

@@ -336,6 +336,20 @@ def test_episode_support_and_query_rows_are_disjoint():
         assert len(sup) == 6 and len(qry) == 9
 
 
+# Class ids and row indices that one seed draws, for classes of 6 to 11
+# rows; the stream is integer arithmetic, so they hold on every platform.
+def test_episode_golden_class_ids_and_rows():
+    classes = {cid: np.stack([np.full(6 + cid, float(cid)), np.arange(6.0 + cid)], axis=1)
+               for cid in range(6)}
+    d = tasks.Domain("indexed", 2, classes)
+    ep = tasks.sample_episode(d, 3, 2, 3, RngStream(2026))
+    assert ep.class_ids == [4, 2, 0]
+    assert ep.support_x.data[:, 0].tolist() == [4, 4, 2, 2, 0, 0]
+    assert ep.support_x.data[:, 1].tolist() == [1, 6, 7, 3, 0, 1]
+    assert ep.query_x.data[:, 0].tolist() == [4, 4, 4, 2, 2, 2, 0, 0, 0]
+    assert ep.query_x.data[:, 1].tolist() == [2, 9, 0, 0, 2, 5, 4, 3, 5]
+
+
 def test_episode_capacity_errors_name_the_shortfall():
     d = noise_domain(seed=8, n_classes=3, dim=3, per_class=4)
     with pytest.raises(CapacityError, match="3 classes"):

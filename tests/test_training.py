@@ -224,6 +224,18 @@ def test_ft_regularizer_values():
     assert tr.ft_regularizer(base, 2.0).item() == 0.0
 
 
+def test_ft_regularizer_gradient_is_weight_times_twice_theta_bit_for_bit():
+    cfg = toy_config(mode="lft")
+    model = tr.build_model(cfg, 6, RngStream(14))
+    stream = RngStream(15)
+    model = model.with_values({n: ad.leaf(stream.normals(t.size).reshape(t.shape))
+                               for n, t in model.ft_named()})
+    thetas = model.ft.tensors()
+    grads = ad.backward(tr.ft_regularizer(model, 0.37), thetas)
+    for theta, g in zip(thetas, grads):
+        assert np.array_equal(g.data, 0.37 * (theta.data * 2.0))
+
+
 def test_meta_gradient_matches_fd_on_toy_model():
     # the whole second-order path: inner step with modulation, kept
     # parameters, outer loss with modulation off, gradient wrt the
@@ -521,6 +533,38 @@ def test_adam_update_rule_single_step():
     # first step: m_hat = g, v_hat = g^2; update is alpha * sign-ish step
     expected = theta.data - 0.1 * grad.data / (np.abs(grad.data) + 1e-8)
     assert np.allclose(out, expected, atol=1e-9)
+
+
+def test_flat_adam_equals_the_per_parameter_rule():
+    b1, b2, eps, alpha = tr.Adam.BETA1, tr.Adam.BETA2, tr.Adam.EPS, 0.05
+    shapes = {"a": (3, 4), "b": (5,), "c": (), "d": (2, 1)}
+    stream = RngStream(17)
+    want = {n: stream.normals(int(np.prod(s))).reshape(s) for n, s in shapes.items()}
+    m = {n: np.zeros(s) for n, s in shapes.items()}
+    v = {n: np.zeros(s) for n, s in shapes.items()}
+    params = {n: ad.leaf(x) for n, x in want.items()}
+    opt = tr.Adam(alpha)
+    for t in (1, 2, 3):
+        grads = {n: stream.normals(int(np.prod(s))).reshape(s) for n, s in shapes.items()}
+        params = opt.step({n: (params[n], ad.constant(grads[n])) for n in shapes})
+        for n, g in grads.items():
+            m[n] = b1 * m[n] + (1.0 - b1) * g
+            v[n] = b2 * v[n] + (1.0 - b2) * g * g
+            m_hat = m[n] / (1.0 - b1**t)
+            v_hat = v[n] / (1.0 - b2**t)
+            want[n] = want[n] - alpha * m_hat / (np.sqrt(v_hat) + eps)
+            assert params[n].shape == shapes[n]
+            assert np.array_equal(params[n].data, want[n]), (n, t)
+
+
+def test_adam_names_the_first_parameter_whose_update_overflows():
+    with pytest.raises(NumericError, match=r"^adam: non-finite update of w2$"):
+        tr.Adam(0.1).step({"w1": (ad.leaf([1.0, 2.0]), ad.constant([0.5, 0.25])),
+                           "w2": (ad.leaf([1.0]), ad.constant([1e200]))})
+
+
+def test_adam_step_of_no_parameters_is_empty():
+    assert tr.Adam(0.1).step({}) == {}
 
 
 def test_adam_overflow_outside_the_trap_is_a_numeric_error():
