@@ -8,25 +8,3 @@ a command line interface.
 """
 
 __version__ = "0.1.0"
-
-from .autodiff import (
-    ParamStore,
-    Tensor,
-    backward,
-    finite_difference_grad,
-    no_grad,
-)
-from .errors import (
-    CapacityError,
-    ConfigError,
-    ContractError,
-    DetachedTensorError,
-    DomainError,
-    FormatError,
-    LengthError,
-    NumericError,
-    ParseError,
-    ShapeError,
-    VersionError,
-)
-from .rng import RngStream, derive_seed

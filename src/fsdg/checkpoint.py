@@ -105,6 +105,42 @@ def read_checkpoint(path: str) -> tuple[ParamStore, str]:
     return store, config_text
 
 
+def _block_id(name: str) -> int:
+    try:
+        return int(name.split(".")[1][len("block"):])
+    except ValueError:
+        raise FormatError(f"tensor {name!r} names no encoder block number") from None
+
+
+def _check_shape(store: ParamStore, name: str,
+                 want: tuple[int | None, ...]) -> tuple[int, ...]:
+    """``name``'s shape, which must be ``want``, where None matches any size."""
+    shape = store[name].shape
+    if len(shape) != len(want) or any(w is not None and s != w for s, w in zip(shape, want)):
+        expected = str(want).replace("None", "*")
+        raise FormatError(f"tensor {name!r} has shape {shape}, expected {expected}")
+    return shape
+
+
+def _check_shapes(store: ParamStore, n_blocks: int) -> None:
+    """Every tensor's shape against the layout the block weights imply:
+    block i's weight maps block i-1's width to its own, and its per-channel
+    tensors, the modulation ones included, have that width."""
+    width = None
+    for i in range(n_blocks):
+        width = _check_shape(store, f"enc.block{i}.weight", (width, None))[1]
+        for field in ("bias", "bn_scale", "bn_shift"):
+            _check_shape(store, f"enc.block{i}.{field}", (width,))
+        for field in ("gamma", "beta"):
+            if f"ft.block{i}.{field}" in store:
+                _check_shape(store, f"ft.block{i}.{field}", (width,))
+    if "head.rel.w1" in store:
+        hidden = _check_shape(store, "head.rel.w1", (2 * width, None))[1]
+        _check_shape(store, "head.rel.b1", (hidden,))
+        _check_shape(store, "head.rel.w2", (hidden, 1))
+        _check_shape(store, "head.rel.b2", (1,))
+
+
 def model_from_store(store: ParamStore, head_kind: str,
                      config: TrainConfig | None = None) -> ModelState:
     """Rebuild a model from named tensors; layout is implied by the names.
@@ -115,15 +151,15 @@ def model_from_store(store: ParamStore, head_kind: str,
     block flags, and the model modulates iff its mode is ft or lft and it
     flags no block (an encoder saved without its modulation, as
     ``fsdg pretrain`` writes it, flags blocks but holds no ``ft.*`` tensor).
-    A store that lacks a tensor or whose encoder blocks are not numbered
-    0, 1, ... raises FormatError; ``load_checkpoint`` adds the file path.
+    A store that lacks a tensor, whose encoder blocks are not numbered
+    0, 1, ... or whose tensor shapes do not fit together raises
+    FormatError; ``load_checkpoint`` adds the file path.
     """
-    block_ids = sorted(
-        {int(n.split(".")[1][len("block"):]) for n in store.names() if n.startswith("enc.block")}
-    )
+    block_ids = sorted({_block_id(n) for n in store.names() if n.startswith("enc.block")})
     if block_ids != list(range(len(block_ids))) or not block_ids:
         raise FormatError("encoder blocks are not a contiguous range")
     try:
+        _check_shapes(store, len(block_ids))
         weights = [store[f"enc.block{i}.weight"] for i in block_ids]
         ft_flags = tuple(f"ft.block{i}.gamma" in store for i in block_ids)
         has_ft = any(ft_flags)

@@ -20,7 +20,7 @@ from .ft import FTParams, quartile_stats
 from .heads import predict_episode
 from .rng import RngStream, derive_seed, label_hash
 from .tasks import Domain, sample_episode
-from .training import ModelState
+from .training import ModelState, episode_forward
 
 
 @dataclass
@@ -52,17 +52,9 @@ def trial_accuracy(model: ModelState, domain: Domain, n_way: int, n_shot: int,
     """
     rng = RngStream(derive_seed(seed, "eval-trial", trial))
     episode = sample_episode(domain, n_way, n_shot, n_query, rng)
-    from .encoder import encode
-
     with ad.no_grad(), ad.trap_non_finite():
         try:
-            batch = ad.constant(np.concatenate([episode.support_x.data, episode.query_x.data]))
-            emb = encode(model.encoder, None, batch, "eval")
-            n_support = n_way * n_shot
-            support = ad.narrow(emb, 0, 0, n_support)
-            query = ad.narrow(emb, 0, n_support, emb.shape[0])
-            preds = predict_episode(model.head_kind, support, episode.support_y,
-                                    query, n_way, model.head)
+            preds = predict_episode(episode_forward(model, episode, "eval", use_ft=False))
         except NumericError as err:
             raise NumericError(f"evaluation trial {trial}: {err}") from err
     return float(np.mean(preds == np.asarray(episode.query_y)))

@@ -176,11 +176,8 @@ def episode_logits(head_kind: str, support_emb: Tensor, support_labels: Sequence
     raise ConfigError(f"episode_logits: unknown head {head_kind!r}")
 
 
-def predict_episode(head_kind: str, support_emb: Tensor, support_labels: Sequence[int],
-                    query_emb: Tensor, n_way: int,
-                    head: RelationHeadState | None = None) -> np.ndarray:
+def predict_episode(logits: Tensor) -> np.ndarray:
     """Hard class decisions per query; ties resolve to the lowest index."""
-    logits = episode_logits(head_kind, support_emb, support_labels, query_emb, n_way, head)
     return np.argmax(logits.data, axis=1)
 
 

@@ -70,14 +70,14 @@ class Domain:
 
 @dataclass
 class Episode:
-    """One few-shot task; rows are grouped class-major in label order."""
+    """One few-shot task.  ``x`` is the encoder's batch: the support rows,
+    then the query rows, each class-major in label order."""
 
     n_way: int
     n_shot: int
     n_query: int
-    support_x: Tensor
+    x: Tensor
     support_y: list[int]
-    query_x: Tensor
     query_y: list[int]
     domain_name: str
     class_ids: list[int]  # original domain class id for each episode label
@@ -269,9 +269,8 @@ def sample_episode(domain: Domain, n_way: int, n_shot: int, n_query: int,
         n_way=n_way,
         n_shot=n_shot,
         n_query=n_query,
-        support_x=ad.constant(np.concatenate(support_rows)),
+        x=ad.constant(np.concatenate(support_rows + query_rows)),
         support_y=support_y,
-        query_x=ad.constant(np.concatenate(query_rows)),
         query_y=query_y,
         domain_name=domain.name,
         class_ids=picked,

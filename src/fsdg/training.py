@@ -179,10 +179,9 @@ def build_model(config: TrainConfig, input_dim: int, rng: RngStream,
 
 def episode_forward(model: ModelState, episode: Episode, mode: str, use_ft: bool,
                     rng: RngStream | None = None, modulations=None) -> Tensor:
-    """Encode support and query together, then score with the head."""
-    batch = ad.constant(np.concatenate([episode.support_x.data, episode.query_x.data]))
+    """Encode the episode's batch, then score its queries with the head."""
     ft = model.ft if use_ft else None
-    emb = encode(model.encoder, ft, batch, mode, rng, modulations)
+    emb = encode(model.encoder, ft, episode.x, mode, rng, modulations)
     n_support = episode.n_way * episode.n_shot
     support = ad.narrow(emb, 0, 0, n_support)
     query = ad.narrow(emb, 0, n_support, emb.shape[0])

@@ -70,9 +70,7 @@ def overflow_nth_episode(monkeypatch, module, index: int) -> None:
         count[0] += 1
         if count[0] - 1 != index:
             return episode
-        return dataclasses.replace(episode,
-                                   support_x=ad.constant(episode.support_x.data * 1e200),
-                                   query_x=ad.constant(episode.query_x.data * 1e200))
+        return dataclasses.replace(episode, x=ad.constant(episode.x.data * 1e200))
 
     monkeypatch.setattr(module, "sample_episode", sampler)
 

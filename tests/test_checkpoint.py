@@ -1,4 +1,5 @@
 import logging
+import re
 import struct
 
 import numpy as np
@@ -233,6 +234,38 @@ def test_load_names_the_file_of_non_contiguous_blocks(tmp_path):
                                 for i in (0, 2) for p in ("weight", "bias")])
     with pytest.raises(FormatError,
                        match=r"gap\.ckpt: encoder blocks are not a contiguous range$"):
+        ck.load_checkpoint(path)
+
+
+# Each case changes one tensor of a relation-head lft model with input width
+# 6 and encoder widths (4, 3), then loads it.  The expected shape is None
+# for a block name without a number.
+@pytest.mark.parametrize("name,data,expected", [
+    ("enc.blockA.weight", np.ones((6, 4)), None),
+    ("enc.block", np.ones(4), None),
+    ("enc.block0.weight", np.ones(24), "(*, *)"),
+    ("enc.block1.bias", np.zeros(7), "(3,)"),
+    ("enc.block1.weight", np.ones((5, 3)), "(4, *)"),
+    ("enc.block0.bn_scale", np.ones(3), "(4,)"),
+    ("ft.block1.gamma", np.ones(4), "(3,)"),
+    ("head.rel.w1", np.ones((5, 3)), "(6, *)"),
+    ("head.rel.b1", np.ones(4), "(3,)"),
+    ("head.rel.w2", np.ones((3, 2)), "(3, 1)"),
+    ("head.rel.b2", np.ones((1, 1)), "(1,)"),
+], ids=["block-letter", "block-no-number", "weight-1d", "bias-width", "weight-rows",
+        "bn-width", "ft-width", "rel-w1-rows", "rel-b1", "rel-w2", "rel-b2"])
+def test_load_rejects_a_malformed_layout_naming_file_and_tensor(tmp_path, name, data, expected):
+    cfg = tr.TrainConfig(mode="lft", head="relation", encoder_widths=(4, 3), iterations=0)
+    model = tr.build_model(cfg, 6, RngStream(4))
+    tensors = {n: t.data for n, t in model.param_store().items()}
+    assert name not in tensors or tensors[name].shape != data.shape
+    tensors[name] = data
+    path = str(tmp_path / "bad.ckpt")
+    _raw_checkpoint(path, format_config(cfg).encode(),
+                    [(n.encode(), tensors[n]) for n in sorted(tensors)])
+    problem = ("names no encoder block number" if expected is None
+               else f"has shape {data.shape}, expected {expected}")
+    with pytest.raises(FormatError, match=re.escape(f"bad.ckpt: tensor {name!r} {problem}") + "$"):
         ck.load_checkpoint(path)
 
 

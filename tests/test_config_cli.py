@@ -1,6 +1,8 @@
 import logging
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,3 +381,33 @@ def test_module_entry_point_exit_codes(tmp_path):
         capture_output=True, text=True)
     assert gen.returncode == 0
     assert (tmp_path / "d.bin").exists()
+
+
+# ---------------------------------------------------------------------------
+# imports and BLAS threads, each in a fresh interpreter
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _fresh_python(code: str, **env_vars: str) -> str:
+    """stdout of ``code`` in a new interpreter that imports this fsdg and
+    starts with only ``env_vars`` of the BLAS thread variables set."""
+    src = str(Path(cfgmod.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_vars)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout.strip()
+
+
+def test_package_root_does_not_load_numpy():
+    assert _fresh_python("import sys, fsdg; print('numpy' in sys.modules)") == "False"
+
+
+def test_cli_pins_blas_threads_unless_set():
+    code = f"import os, fsdg.cli; print(*(os.environ[v] for v in {THREAD_VARS!r}))"
+    assert _fresh_python(code).split() == ["1"] * 6
+    got = dict(zip(THREAD_VARS, _fresh_python(code, OPENBLAS_NUM_THREADS="3").split()))
+    assert got == {v: "3" if v == "OPENBLAS_NUM_THREADS" else "1" for v in THREAD_VARS}

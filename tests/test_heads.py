@@ -304,14 +304,14 @@ def test_episode_logits_dispatch():
 def test_predict_episode_picks_argmax():
     sup = ad.constant([[0.0, 0.0], [4.0, 4.0]])
     q = ad.constant([[0.1, 0.0], [3.9, 4.0]])
-    pred = heads.predict_episode("proto", sup, [0, 1], q, 2)
+    pred = heads.predict_episode(heads.episode_logits("proto", sup, [0, 1], q, 2))
     assert np.array_equal(pred, [0, 1])
 
 
 def test_predict_episode_tie_resolves_to_lowest_index():
     sup = ad.constant([[-1.0, 0.0], [1.0, 0.0]])
     q = ad.constant([[0.0, 0.0]])  # equidistant
-    pred = heads.predict_episode("proto", sup, [0, 1], q, 2)
+    pred = heads.predict_episode(heads.episode_logits("proto", sup, [0, 1], q, 2))
     assert pred[0] == 0
 
 

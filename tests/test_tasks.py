@@ -306,8 +306,7 @@ def test_binary_trailing_bytes_rejected(tmp_path):
 def test_episode_shapes_and_labels():
     d = noise_domain(seed=1, n_classes=8, dim=4, per_class=10)
     ep = tasks.sample_episode(d, 5, 3, 2, RngStream(2))
-    assert ep.support_x.shape == (15, 4)
-    assert ep.query_x.shape == (10, 4)
+    assert ep.x.shape == (15 + 10, 4)
     assert ep.support_y == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
     assert ep.query_y == [0, 0, 1, 1, 2, 2, 3, 3, 4, 4]
     assert len(ep.class_ids) == 5
@@ -320,8 +319,7 @@ def test_episode_is_deterministic_in_the_stream():
     a = tasks.sample_episode(d, 4, 2, 2, RngStream(5))
     b = tasks.sample_episode(d, 4, 2, 2, RngStream(5))
     assert a.class_ids == b.class_ids
-    assert np.array_equal(a.support_x.data, b.support_x.data)
-    assert np.array_equal(a.query_x.data, b.query_x.data)
+    assert np.array_equal(a.x.data, b.x.data)
 
 
 def test_episode_support_and_query_rows_are_disjoint():
@@ -330,8 +328,9 @@ def test_episode_support_and_query_rows_are_disjoint():
     d = noise_domain(seed=4, n_classes=5, dim=6, per_class=8)
     for t in range(50):
         ep = tasks.sample_episode(d, 3, 2, 3, RngStream(100 + t))
-        sup = {tuple(r) for r in ep.support_x.data}
-        qry = {tuple(r) for r in ep.query_x.data}
+        n_support = ep.n_way * ep.n_shot
+        sup = {tuple(r) for r in ep.x.data[:n_support]}
+        qry = {tuple(r) for r in ep.x.data[n_support:]}
         assert not sup & qry
         assert len(sup) == 6 and len(qry) == 9
 
@@ -344,10 +343,12 @@ def test_episode_golden_class_ids_and_rows():
     d = tasks.Domain("indexed", 2, classes)
     ep = tasks.sample_episode(d, 3, 2, 3, RngStream(2026))
     assert ep.class_ids == [4, 2, 0]
-    assert ep.support_x.data[:, 0].tolist() == [4, 4, 2, 2, 0, 0]
-    assert ep.support_x.data[:, 1].tolist() == [1, 6, 7, 3, 0, 1]
-    assert ep.query_x.data[:, 0].tolist() == [4, 4, 4, 2, 2, 2, 0, 0, 0]
-    assert ep.query_x.data[:, 1].tolist() == [2, 9, 0, 0, 2, 5, 4, 3, 5]
+    n_support = ep.n_way * ep.n_shot
+    support, query = ep.x.data[:n_support], ep.x.data[n_support:]
+    assert support[:, 0].tolist() == [4, 4, 2, 2, 0, 0]
+    assert support[:, 1].tolist() == [1, 6, 7, 3, 0, 1]
+    assert query[:, 0].tolist() == [4, 4, 4, 2, 2, 2, 0, 0, 0]
+    assert query[:, 1].tolist() == [2, 9, 0, 0, 2, 5, 4, 3, 5]
 
 
 def test_episode_capacity_errors_name_the_shortfall():
@@ -457,8 +458,7 @@ def test_split_zero_rounding_is_a_capacity_problem():
 def test_episode_row_counts_and_label_ranges(seed, way, shot, query):
     d = noise_domain(seed=17, n_classes=6, dim=3, per_class=8)
     ep = tasks.sample_episode(d, way, shot, query, RngStream(seed))
-    assert ep.support_x.shape == (way * shot, 3)
-    assert ep.query_x.shape == (way * query, 3)
+    assert ep.x.shape == (way * shot + way * query, 3)
     assert sorted(set(ep.support_y)) == list(range(way))
     assert sorted(set(ep.query_y)) == list(range(way))
     assert all(ep.support_y.count(k) == shot for k in range(way))

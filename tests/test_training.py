@@ -356,6 +356,22 @@ def test_pseudo_unseen_loss_composition():
     assert direct == episode_loss(logits, ep.query_y).item()
 
 
+def test_episode_forward_encodes_the_episode_batch_itself(monkeypatch):
+    cfg = toy_config()
+    domain = toy_domains(n=1)[0]
+    model = tr.build_model(cfg, domain.dim, RngStream(21))
+    ep = toy_episode(domain, cfg)
+    batches = []
+
+    def recorder(encoder, ft, batch, *args):
+        batches.append(batch)
+        return encode(encoder, ft, batch, *args)
+
+    monkeypatch.setattr(tr, "encode", recorder)
+    tr.episode_forward(model, ep, "train", use_ft=False)
+    assert len(batches) == 1 and batches[0] is ep.x
+
+
 # ---------------------------------------------------------------------------
 # the loop
 
