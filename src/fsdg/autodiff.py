@@ -57,7 +57,7 @@ __all__ = [
     "add", "sub", "mul", "div", "matmul", "relu", "tanh", "exp", "log",
     "softplus", "square", "sqrt", "tensor_sum", "tensor_mean",
     "tensor_max", "concat", "narrow", "take_rows", "broadcast_to", "reshape",
-    "transpose", "scale", "neg", "detach", "leaf", "constant",
+    "transpose", "scale", "neg", "detach", "leaf", "adopt_leaf", "constant",
     "standardize", "softmax_rows", "softmax_cross_entropy", "neg_sq_distances",
 ]
 
@@ -165,6 +165,16 @@ def leaf(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
+def adopt_leaf(data: np.ndarray) -> Tensor:
+    """A graph leaf over ``data`` itself, write-locked in place and not
+    scanned (copied only where ``_kept`` copies).  Only for float64 values
+    that the caller owns and knows are finite, such as an update computed
+    inside ``trap_non_finite()``; ``leaf`` is the entry point for other data."""
+    t = _bare(_kept(data))
+    t.requires_grad = True
+    return t
+
+
 def detach(a: Tensor) -> Tensor:
     """A constant holding ``a``'s values, severed from the graph."""
     return _bare(a.data)
@@ -211,13 +221,20 @@ def _fresh(op: str, data: np.ndarray, scan: bool = False) -> Tensor:
     return t
 
 
-def _link(out: Tensor, parents: Sequence[tuple[Tensor, Callable]]) -> Tensor:
-    """Attach vjp links for the inputs that participate in the graph."""
+def _records(*inputs: Tensor) -> bool:
+    """Whether an op on ``inputs`` joins the graph (grad mode is on and one is
+    attached); only then does it build its links and VJPs and what they keep."""
     if _grad_enabled:
-        live = tuple((p, fn) for p, fn in parents if p.requires_grad)
-        if live:
-            out.parents = live
-            out.requires_grad = True
+        for t in inputs:
+            if t.requires_grad:
+                return True
+    return False
+
+
+def _link(out: Tensor, parents: Sequence[tuple[Tensor, Callable]]) -> Tensor:
+    """Attach vjp links for the attached inputs; ``_records`` holds for them."""
+    out.parents = tuple([link for link in parents if link[0].requires_grad])
+    out.requires_grad = True
     return out
 
 
@@ -253,6 +270,8 @@ def _unbroadcast(g: Tensor, shape: tuple[int, ...]) -> Tensor:
 def add(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out = _elementwise("add", np.add, a, b)
+    if not _records(a, b):
+        return out
     return _link(out, (
         (a, lambda g: _unbroadcast(g, a.shape)),
         (b, lambda g: _unbroadcast(g, b.shape)),
@@ -262,6 +281,8 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out = _elementwise("sub", np.subtract, a, b)
+    if not _records(a, b):
+        return out
     return _link(out, (
         (a, lambda g: _unbroadcast(g, a.shape)),
         (b, lambda g: _unbroadcast(neg(g), b.shape)),
@@ -271,6 +292,8 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     out = _elementwise("mul", np.multiply, a, b)
+    if not _records(a, b):
+        return out
     return _link(out, (
         (a, lambda g: _unbroadcast(mul(g, b), a.shape)),
         (b, lambda g: _unbroadcast(mul(g, a), b.shape)),
@@ -284,6 +307,8 @@ def div(a, b) -> Tensor:
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
             out = _elementwise("div", np.divide, a, b)
+    if not _records(a, b):
+        return out
     return _link(out, (
         (a, lambda g: _unbroadcast(div(g, b), a.shape)),
         (b, lambda g: _unbroadcast(neg(div(mul(g, a), mul(b, b))), b.shape)),
@@ -299,6 +324,8 @@ def scale(a, c: float) -> Tensor:
     except FloatingPointError:
         raise _non_finite("scale") from None
     out = _fresh("scale", data)
+    if not _records(a):
+        return out
     return _link(out, ((a, lambda g: scale(g, c)),))
 
 
@@ -317,8 +344,10 @@ def neg(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _wrap(a)
-    mask = _bare((a.data > 0.0).astype(np.float64))
     out = _fresh("relu", np.maximum(a.data, 0.0))
+    if not _records(a):
+        return out
+    mask = _bare((a.data > 0.0).astype(np.float64))
     # Subgradient at 0 is taken as 0; the mask is piecewise constant in a.
     return _link(out, ((a, lambda g: mul(g, mask)),))
 
@@ -326,6 +355,8 @@ def relu(a) -> Tensor:
 def tanh(a) -> Tensor:
     a = _wrap(a)
     out = _fresh("tanh", np.tanh(a.data))
+    if not _records(a):
+        return out
     ref = weakref.ref(out)
     return _link(out, ((a, lambda g: mul(g, sub(1.0, square(ref())))),))
 
@@ -341,6 +372,8 @@ def exp(a) -> Tensor:
     except FloatingPointError:
         raise NumericError("exp: overflow") from None
     out = _fresh("exp", data)
+    if not _records(a):
+        return out
     ref = weakref.ref(out)
     return _link(out, ((a, lambda g: mul(g, ref())),))
 
@@ -350,6 +383,8 @@ def log(a) -> Tensor:
     if np.any(a.data <= 0.0):
         raise DomainError("log: argument must be strictly positive")
     out = _fresh("log", np.log(a.data))
+    if not _records(a):
+        return out
     return _link(out, ((a, lambda g: div(g, a)),))
 
 
@@ -357,6 +392,8 @@ def softplus(a) -> Tensor:
     """ln(1 + e^x), computed as logaddexp(0, x) so large x never overflows."""
     a = _wrap(a)
     out = _fresh("softplus", np.logaddexp(0.0, a.data))
+    if not _records(a):
+        return out
     # d softplus / dx = sigmoid(x) = exp(x - softplus(x)), stable at both tails.
     ref = weakref.ref(out)
     return _link(out, ((a, lambda g: mul(g, exp(sub(a, ref())))),))
@@ -369,6 +406,8 @@ def square(a) -> Tensor:
     except FloatingPointError:
         raise _non_finite("square") from None
     out = _fresh("square", data)
+    if not _records(a):
+        return out
     return _link(out, ((a, lambda g: mul(g, scale(a, 2.0))),))
 
 
@@ -377,6 +416,8 @@ def sqrt(a) -> Tensor:
     if np.any(a.data < 0.0):
         raise DomainError("sqrt: argument must be non-negative")
     out = _fresh("sqrt", np.sqrt(a.data))
+    if not _records(a):
+        return out
     ref = weakref.ref(out)
     return _link(out, ((a, lambda g: div(g, scale(ref(), 2.0))),))
 
@@ -402,6 +443,8 @@ def tensor_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     except FloatingPointError:
         raise _non_finite("sum") from None
     out = _fresh("sum", data)
+    if not _records(a):
+        return out
     mid = (1,) * a.ndim if axis is None else _axis_restore_shape(a.shape, axis)
 
     def vjp(g: Tensor) -> Tensor:
@@ -424,23 +467,21 @@ def tensor_mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
 def tensor_max(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     """Max reduction; gradient flows to the first maximal element only."""
     a = _wrap(a)
-    if axis is None:
-        data = np.max(a.data, keepdims=keepdims)
-        mask = np.zeros(a.shape)
-        mask.reshape(-1)[int(np.argmax(a.data))] = 1.0
-        out = _fresh("max", data)
-        mask_t = _bare(mask)
-        return _link(out, ((a, lambda g: mul(broadcast_to(reshape(g, (1,) * a.ndim), a.shape), mask_t)),))
-    if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"max: axis {axis} out of range for shape {a.shape}")
-    axis = axis % a.ndim
-    data = np.max(a.data, axis=axis, keepdims=keepdims)
-    idx = np.argmax(a.data, axis=axis)
+    if axis is not None:
+        if not -a.ndim <= axis < a.ndim:
+            raise ShapeError(f"max: axis {axis} out of range for shape {a.shape}")
+        axis = axis % a.ndim
+    out = _fresh("max", np.max(a.data, axis=axis, keepdims=keepdims))
+    if not _records(a):
+        return out
     mask = np.zeros(a.shape)
-    np.put_along_axis(mask, np.expand_dims(idx, axis), 1.0, axis=axis)
-    out = _fresh("max", data)
+    if axis is None:
+        mask.reshape(-1)[int(np.argmax(a.data))] = 1.0
+        mid = (1,) * a.ndim
+    else:
+        np.put_along_axis(mask, np.expand_dims(np.argmax(a.data, axis=axis), axis), 1.0, axis=axis)
+        mid = _axis_restore_shape(a.shape, axis)
     mask_t = _bare(mask)
-    mid = _axis_restore_shape(a.shape, axis)
     return _link(out, ((a, lambda g: mul(broadcast_to(reshape(g, mid), a.shape), mask_t)),))
 
 
@@ -459,6 +500,8 @@ def matmul(a, b) -> Tensor:
     except FloatingPointError:
         raise _non_finite("matmul") from None
     out = _fresh("matmul", data, scan=True)
+    if not _records(a, b):
+        return out
     return _link(out, (
         (a, lambda g: matmul(g, transpose(b))),
         (b, lambda g: matmul(transpose(a), g)),
@@ -470,6 +513,8 @@ def transpose(a) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"transpose: expected 2-d operand, got {a.shape}")
     out = _fresh("transpose", a.data.T)
+    if not _records(a):
+        return out
     return _link(out, ((a, lambda g: transpose(g)),))
 
 
@@ -479,6 +524,8 @@ def reshape(a, shape) -> Tensor:
     if math.prod(shape) != a.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
     out = _fresh("reshape", a.data.reshape(shape))
+    if not _records(a):
+        return out
     return _link(out, ((a, lambda g: reshape(g, a.shape)),))
 
 
@@ -494,6 +541,8 @@ def broadcast_to(a, shape) -> Tensor:
     except ValueError:
         raise ShapeError(f"broadcast: cannot expand {a.shape} to {shape}") from None
     out = _fresh("broadcast", data)
+    if not _records(a):
+        return out
     return _link(out, ((a, lambda g: _unbroadcast(g, a.shape)),))
 
 
@@ -512,6 +561,8 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     except ValueError:
         raise ShapeError(f"concat: incompatible shapes {[p.shape for p in parts]}") from None
     out = _fresh("concat", data)
+    if not _records(*parts):
+        return out
     links = []
     offset = 0
     for p in parts:
@@ -531,6 +582,8 @@ def narrow(a, axis: int, start: int, stop: int) -> Tensor:
         raise ShapeError(f"slice: range [{start}, {stop}) invalid for extent {a.shape[axis]}")
     index = tuple(slice(None) if d != axis else slice(start, stop) for d in range(a.ndim))
     out = _fresh("slice", a.data[index])
+    if not _records(a):
+        return out
     return _link(out, ((a, lambda g: _embed(g, axis, start, a.shape)),))
 
 
@@ -542,6 +595,8 @@ def _embed(g: Tensor, axis: int, start: int, full_shape: tuple[int, ...]) -> Ten
     index = tuple(slice(None) if d != axis else slice(start, stop) for d in range(len(full_shape)))
     data[index] = g.data
     out = _fresh("embed", data)
+    if not _records(g):
+        return out
     return _link(out, ((g, lambda h: narrow(h, axis, start, stop)),))
 
 
@@ -554,6 +609,8 @@ def take_rows(a, indices: Sequence[int]) -> Tensor:
     if any(i < 0 or i >= a.shape[0] for i in idx):
         raise ShapeError(f"take_rows: index out of range for {a.shape[0]} rows")
     out = _fresh("take_rows", np.take(a.data, idx, axis=0))
+    if not _records(a):
+        return out
     return _link(out, ((a, lambda g: _scatter_rows(g, idx, a.shape[0])),))
 
 
@@ -565,6 +622,8 @@ def _scatter_rows(g: Tensor, indices: tuple[int, ...], n_rows: int) -> Tensor:
     except FloatingPointError:
         raise _non_finite("scatter_rows") from None
     out = _fresh("scatter_rows", data)
+    if not _records(g):
+        return out
     return _link(out, ((g, lambda h: take_rows(h, indices)),))
 
 
@@ -605,6 +664,8 @@ def standardize(a, eps: float) -> Tensor:
         raise ShapeError(f"standardize: expected 2-d operand, got {a.shape}")
     data, inv_std = _raising("standardize", _standardize_data, a.data, float(eps))
     out = _fresh("standardize", data)
+    if not _records(a):
+        return out
     n = a.shape[0]
     ref = weakref.ref(out)
 
@@ -612,8 +673,10 @@ def standardize(a, eps: float) -> Tensor:
         xhat = ref()
         # inv_std as a node of a, so that a second backward sees it move:
         # d inv_std / d a = -inv_std^2 * xhat / n, column by column.
-        s = _link(_bare(inv_std), ((a, lambda h: mul(
-            xhat, mul(h, _bare(np.square(inv_std) * (-1.0 / n))))),))
+        s = _bare(inv_std)
+        if _records(a):
+            s = _link(s, ((a, lambda h: mul(
+                xhat, mul(h, _bare(np.square(inv_std) * (-1.0 / n))))),))
         centered_g = sub(sub(g, tensor_mean(g, axis=0, keepdims=True)),
                          mul(xhat, tensor_mean(mul(g, xhat), axis=0, keepdims=True)))
         return mul(s, centered_g)
@@ -632,6 +695,8 @@ def softmax_rows(a) -> Tensor:
     if a.ndim != 2:
         raise ShapeError(f"softmax_rows: expected 2-d operand, got {a.shape}")
     out = _fresh("softmax_rows", _raising("softmax_rows", _softmax_data, a.data))
+    if not _records(a):
+        return out
     ref = weakref.ref(out)
 
     def vjp(g: Tensor) -> Tensor:
@@ -658,6 +723,8 @@ def softmax_cross_entropy(logits, onehot) -> Tensor:
     n = logits.shape[0]
     out = _fresh("softmax_cross_entropy",
                  _raising("softmax_cross_entropy", _cross_entropy_data, logits.data, onehot.data))
+    if not _records(logits):
+        return out
     return _link(out, ((logits, lambda g: scale(mul(sub(softmax_rows(logits), onehot), g),
                                                 1.0 / n)),))
 
@@ -676,6 +743,8 @@ def neg_sq_distances(q, p) -> Tensor:
         raise ShapeError(f"neg_sq_distances: rows of {q.shape} and {p.shape} differ in width")
     data = _raising("neg_sq_distances", _sq_distance_data, q.data, p.data)
     out = _fresh("neg_sq_distances", data, scan=True)
+    if not _records(q, p):
+        return out
 
     def p_vjp(g: Tensor) -> Tensor:
         gt = transpose(g)

@@ -151,14 +151,17 @@ def model_from_store(store: ParamStore, head_kind: str,
     block flags, and the model modulates iff its mode is ft or lft and it
     flags no block (an encoder saved without its modulation, as
     ``fsdg pretrain`` writes it, flags blocks but holds no ``ft.*`` tensor).
-    A store that lacks a tensor, whose encoder blocks are not numbered
-    0, 1, ... or whose tensor shapes do not fit together raises
+    A store that lacks a tensor (a relation head needs ``head.rel.*``),
+    holds one that no part of the model owns, whose encoder blocks are not
+    numbered 0, 1, ... or whose tensor shapes do not fit together raises
     FormatError; ``load_checkpoint`` adds the file path.
     """
     block_ids = sorted({_block_id(n) for n in store.names() if n.startswith("enc.block")})
     if block_ids != list(range(len(block_ids))) or not block_ids:
         raise FormatError("encoder blocks are not a contiguous range")
     try:
+        if head_kind == "relation" and "head.rel.w1" not in store:
+            raise KeyError("head.rel.w1")
         _check_shapes(store, len(block_ids))
         weights = [store[f"enc.block{i}.weight"] for i in block_ids]
         ft_flags = tuple(f"ft.block{i}.gamma" in store for i in block_ids)
@@ -170,9 +173,13 @@ def model_from_store(store: ParamStore, head_kind: str,
                 has_ft = config.mode in ("ft", "lft") and not any(ft_flags)
         enc_config = EncoderConfig(weights[0].shape[0], tuple(w.shape[1] for w in weights),
                                    ft_flags)
-        return assemble_model(enc_config, head_kind, store, with_ft=has_ft)
+        model = assemble_model(enc_config, head_kind, store, with_ft=has_ft)
     except KeyError as err:
         raise FormatError(f"missing tensor {err}") from None
+    unowned = sorted(set(store.names()) - set(model.param_store().names()))
+    if unowned:
+        raise FormatError(f"tensor {unowned[0]!r} belongs to no part of the model")
+    return model
 
 
 def load_checkpoint(path: str) -> tuple[ModelState, str]:

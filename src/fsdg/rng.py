@@ -15,6 +15,8 @@ how earlier outputs were used.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -31,6 +33,7 @@ def mix64(value: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+@functools.lru_cache(maxsize=1024)
 def label_hash(text: str) -> int:
     """FNV-1a hash of a stream label, pinned to 64 bits."""
     h = _FNV_OFFSET
@@ -48,11 +51,12 @@ def derive_seed(*parts: int | str) -> int:
     return acc
 
 
-# Vectorized copy of mix64 for bulk draws; uint64 arithmetic wraps mod 2^64.
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4B5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+# mix64's constants for bulk draws; uint64 array arithmetic wraps mod 2^64.
+_U_GOLDEN = np.uint64(_GOLDEN)
+_U_MUL1 = np.uint64(0xBF58476D1CE4B5B9)
+_U_MUL2 = np.uint64(0x94D049BB133111EB)
+_U_30, _U_27, _U_31, _U_11 = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(11)
+_U_NONE = np.zeros(0, dtype=np.uint64)
 
 
 class RngStream:
@@ -67,15 +71,21 @@ class RngStream:
         return RngStream(derive_seed(self.seed, label, index))
 
     def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self._pos + 1, self._pos + n + 1, dtype=np.uint64)
+        # mix64 of seed + i * GOLDEN for the next n positions i, in place.
+        z = np.arange(self._pos + 1, self._pos + n + 1, dtype=np.uint64)
         self._pos += n
-        with np.errstate(over="ignore"):
-            state = np.uint64(self.seed) + idx * np.uint64(_GOLDEN)
-            return _mix64_array(state)
+        z *= _U_GOLDEN
+        z += np.uint64(self.seed)
+        z ^= z >> _U_30
+        z *= _U_MUL1
+        z ^= z >> _U_27
+        z *= _U_MUL2
+        z ^= z >> _U_31
+        return z
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform on (0, 1]; 53-bit mantissas, never exactly 0."""
-        return ((self._raw(n) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+        return ((self._raw(n) >> _U_11).astype(np.float64) + 1.0) * 2.0**-53
 
     def normals(self, n: int) -> np.ndarray:
         """n standard Gaussians via Box-Muller on consecutive uniform pairs."""
@@ -106,15 +116,15 @@ class RngStream:
         Equal to successive ``permutation(n)`` calls, and leaves the stream
         where they would: a shuffle of n items consumes n - 1 draws.
         """
-        # Python ints: indexing a uint64 array and mixing in np.uint64
-        # scalars would cost more than the shuffle itself.
-        draws = iter(self._raw(sum(n - 1 for n in ns if n > 1)).tolist())
+        # Every swap index draw % (i + 1) from one uint64 array op, then
+        # Python ints: indexing a uint64 array would cost more than the swaps.
+        moduli = np.concatenate([np.arange(n, 1, -1, dtype=np.uint64) for n in ns] or [_U_NONE])
+        picks = iter((self._raw(moduli.size) % moduli).tolist())
         out = []
         for n in ns:
             items = list(range(n))
-            # zip pulls from the range first, so it takes exactly n - 1 draws.
-            for i, d in zip(range(n - 1, 0, -1), draws):
-                j = d % (i + 1)
+            # zip pulls from the range first, so it takes exactly n - 1 picks.
+            for i, j in zip(range(n - 1, 0, -1), picks):
                 items[i], items[j] = items[j], items[i]
             out.append(items)
         return out

@@ -261,8 +261,9 @@ def sample_episode(domain: Domain, n_way: int, n_shot: int, n_query: int,
             )
     # The rows of every picked class from one draw, in label order.
     perms = rng.permutations([arr.shape[0] for arr in arrays])
-    support_rows = [arr[rows[:n_shot]] for arr, rows in zip(arrays, perms)]
-    query_rows = [arr[rows[n_shot:need]] for arr, rows in zip(arrays, perms)]
+    drawn = [arr[rows[:need]] for arr, rows in zip(arrays, perms)]
+    support_rows = [rows[:n_shot] for rows in drawn]
+    query_rows = [rows[n_shot:] for rows in drawn]
     support_y = [label for label in range(n_way) for _ in range(n_shot)]
     query_y = [label for label in range(n_way) for _ in range(n_query)]
     return Episode(

@@ -277,7 +277,7 @@ def lft_train_step(model: ModelState, pseudo_seen: Episode, pseudo_unseen: Episo
     meta_grads = ad.backward(total, [t for _, t in ft_items]) if ft_items else []
 
     if isinstance(optimizer, SGD):
-        new_values = {n: ad.leaf(t.data) for n, t in stepped.trainable()}
+        new_values = {n: ad.adopt_leaf(t.data) for n, t in stepped.trainable()}
     else:
         new_values = optimizer.step(inner_grads)
     new_values.update(optimizer.step({n: (t, g) for (n, t), g in zip(ft_items, meta_grads)}))
@@ -299,7 +299,7 @@ class SGD:
         with ad.trap_non_finite():
             for name, (theta, grad) in named.items():
                 try:
-                    out[name] = ad.leaf(theta.data - self.alpha * grad.data)
+                    out[name] = ad.adopt_leaf(theta.data - self.alpha * grad.data)
                 except FloatingPointError:
                     raise NumericError(f"sgd: non-finite update of {name}") from None
         return out
@@ -353,7 +353,8 @@ class Adam:
                         raise NumericError(f"adam: non-finite update of {name}") from None
                 raise
         self.state[names] = (m, v, t)
-        return {name: ad.leaf(flat[s].reshape(p.shape))
+        flat.setflags(write=False)  # so that every parameter's view is read-only
+        return {name: ad.adopt_leaf(flat[s].reshape(p.shape))
                 for name, p, s in zip(names, thetas, spans)}
 
 

@@ -545,6 +545,69 @@ def test_no_grad_suppresses_graph_building():
     assert not y.requires_grad and y.parents == ()
 
 
+# One call of each primitive on attached inputs; ``x`` and ``y`` are 3x4,
+# ``pos`` is positive, ``w`` is 4x2.  The names of __all__ that are no
+# primitive are listed apart, so a new export must join one or the other.
+_NOT_PRIMITIVES = {"Tensor", "ParamStore", "no_grad", "backward", "finite_difference_grad"}
+_CALLS = {
+    "add": lambda v: ad.add(v["x"], v["y"]),
+    "sub": lambda v: ad.sub(v["x"], v["y"]),
+    "mul": lambda v: ad.mul(v["x"], v["y"]),
+    "div": lambda v: ad.div(v["x"], v["pos"]),
+    "matmul": lambda v: ad.matmul(v["x"], v["w"]),
+    "relu": lambda v: ad.relu(v["x"]),
+    "tanh": lambda v: ad.tanh(v["x"]),
+    "exp": lambda v: ad.exp(v["x"]),
+    "log": lambda v: ad.log(v["pos"]),
+    "softplus": lambda v: ad.softplus(v["x"]),
+    "square": lambda v: ad.square(v["x"]),
+    "sqrt": lambda v: ad.sqrt(v["pos"]),
+    "tensor_sum": lambda v: ad.tensor_sum(v["x"], axis=0),
+    "tensor_mean": lambda v: ad.tensor_mean(v["x"], axis=1, keepdims=True),
+    "tensor_max": lambda v: ad.tensor_max(ad.tensor_max(v["x"], axis=1)),
+    "concat": lambda v: ad.concat([v["x"], ad.constant(np.ones((3, 2))), v["y"]], axis=1),
+    "narrow": lambda v: ad.narrow(v["x"], 1, 1, 3),
+    "take_rows": lambda v: ad.take_rows(v["x"], [2, 0, 2]),
+    "broadcast_to": lambda v: ad.broadcast_to(ad.narrow(v["x"], 0, 0, 1), (2, 3, 4)),
+    "reshape": lambda v: ad.reshape(v["x"], (4, 3)),
+    "transpose": lambda v: ad.transpose(v["x"]),
+    "scale": lambda v: ad.scale(v["x"], 1.5),
+    "neg": lambda v: ad.neg(v["x"]),
+    "detach": lambda v: ad.detach(v["x"]),
+    "leaf": lambda v: ad.leaf(v["x"].data),
+    "adopt_leaf": lambda v: ad.adopt_leaf(v["x"].data.copy()),
+    "constant": lambda v: ad.constant(v["x"].data),
+    "standardize": lambda v: ad.standardize(v["x"], 1e-5),
+    "softmax_rows": lambda v: ad.softmax_rows(v["x"]),
+    "softmax_cross_entropy": lambda v: ad.softmax_cross_entropy(v["x"], ad.constant(np.eye(3, 4))),
+    "neg_sq_distances": lambda v: ad.neg_sq_distances(v["x"], v["y"]),
+}
+# Those whose result is a graph node when an input is attached.
+_RECORDING = set(_CALLS) - {"detach", "leaf", "adopt_leaf", "constant"}
+
+
+def test_every_export_is_a_primitive_call_or_listed_apart():
+    assert set(_CALLS) | _NOT_PRIMITIVES == set(ad.__all__)
+    assert not set(_CALLS) & _NOT_PRIMITIVES
+
+
+@p("name", sorted(_CALLS))
+def test_no_grad_result_is_the_recorded_value_without_links(name):
+    rng = RngStream(31)
+    inputs = {"x": rng.normals(12).reshape(3, 4), "y": rng.normals(12).reshape(3, 4),
+              "pos": rng.uniforms(12).reshape(3, 4) + 0.5, "w": rng.normals(8).reshape(4, 2)}
+    v = {key: ad.leaf(arr) for key, arr in inputs.items()}
+    recorded = _CALLS[name](v)
+    with ad.no_grad():
+        bare = _CALLS[name](v)
+    assert bare.shape == recorded.shape
+    assert np.array_equal(bare.data, recorded.data)
+    assert bare.parents == ()
+    assert (recorded.parents != ()) == (name in _RECORDING)
+    if name in _RECORDING:
+        assert not bare.requires_grad
+
+
 def test_tensor_data_is_write_locked():
     t = ad.leaf(np.ones(3))
     with pytest.raises(ValueError):

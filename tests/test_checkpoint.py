@@ -228,6 +228,29 @@ def test_load_names_the_file_of_a_checkpoint_missing_a_tensor(tmp_path):
         ck.load_checkpoint(path)
 
 
+def test_relation_config_without_head_tensors_rejected_naming_file(tmp_path):
+    # A proto model saved under a relation-head config holds no head.rel.*.
+    _, model = toy_model(head="proto")
+    cfg, _ = toy_model(head="relation")
+    path = str(tmp_path / "nohead.ckpt")
+    ck.save_checkpoint(model, format_config(cfg), path)
+    with pytest.raises(FormatError, match=r"nohead\.ckpt: missing tensor 'head\.rel\.w1'$"):
+        ck.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("extra", ["foo.bar", "ft.block5.gamma", "enc.block0.extra"])
+def test_tensor_of_no_part_rejected_naming_file_and_tensor(tmp_path, extra):
+    cfg, model = toy_model()
+    tensors = {n: t.data for n, t in model.param_store().items()}
+    tensors[extra] = np.ones(3)
+    path = str(tmp_path / "extra.ckpt")
+    _raw_checkpoint(path, format_config(cfg).encode(),
+                    [(n.encode(), tensors[n]) for n in sorted(tensors)])
+    message = f"extra.ckpt: tensor {extra!r} belongs to no part of the model"
+    with pytest.raises(FormatError, match=re.escape(message) + "$"):
+        ck.load_checkpoint(path)
+
+
 def test_load_names_the_file_of_non_contiguous_blocks(tmp_path):
     path = str(tmp_path / "gap.ckpt")
     _raw_checkpoint(path, b"", [(f"enc.block{i}.{p}".encode(), np.ones(3))

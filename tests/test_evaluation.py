@@ -1,3 +1,6 @@
+import types
+import weakref
+
 import numpy as np
 import pytest
 
@@ -94,6 +97,26 @@ def test_numeric_error_names_the_trial(monkeypatch):
         ev.evaluate(toy_model(), toy_domain(), 3, 2, trials=3, seed=3, n_query=4)
     assert isinstance(info.value.__cause__, NumericError)
     assert str(info.value) == f"evaluation trial 1: {info.value.__cause__}"
+
+
+@pytest.mark.parametrize("head", ["proto", "matching", "relation"])
+def test_trial_builds_no_tape(monkeypatch, head):
+    # A pass that records nothing makes no relu mask (a _bare constant)
+    # and no weak reference to an output.
+    calls = {"bare": 0, "ref": 0}
+
+    def count(key, fn):
+        def counted(*args):
+            calls[key] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(ad, "_bare", count("bare", ad._bare))
+    monkeypatch.setattr(ad, "weakref", types.SimpleNamespace(ref=count("ref", weakref.ref)))
+    model, domain = toy_model(head=head, mode="ft"), toy_domain()
+    accs = [ev.trial_accuracy(model, domain, 3, 2, 4, seed=5, trial=t) for t in range(2)]
+    assert all(0.0 <= acc <= 1.0 for acc in accs)
+    assert calls == {"bare": 0, "ref": 0}
 
 
 def test_evaluation_ignores_modulation_state():

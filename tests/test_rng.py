@@ -153,6 +153,26 @@ def test_permutations_of_fewer_than_two_items_take_no_draws():
     assert bulk.uniforms(2).tolist() == single.uniforms(2).tolist()
 
 
+def reference_permutations(seed: int, ns: list[int]) -> list[list[int]]:
+    """The shuffle rule on scalar draws: for i = n-1 .. 1, swap i with
+    draw % (i + 1); a shuffle of n items takes n - 1 draws."""
+    draws = iter(reference_splitmix64(seed, sum(max(n - 1, 0) for n in ns)))
+    out = []
+    for n in ns:
+        items = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = next(draws) % (i + 1)
+            items[i], items[j] = items[j], items[i]
+        out.append(items)
+    return out
+
+
+@pytest.mark.parametrize("ns", [[], [0], [1], [2, 1, 0, 7], [20], [50] * 5])
+def test_permutations_match_the_scalar_reference(ns):
+    for seed in (0, 41, MASK - 4):
+        assert RngStream(seed).permutations(ns) == reference_permutations(seed, ns)
+
+
 @settings(max_examples=50)
 @given(st.integers(0, MASK), st.integers(1, 30), st.data())
 def test_sample_without_replacement_distinct(seed, n, data):

@@ -304,9 +304,10 @@ def test_lft_train_step_keeps_inner_parameters_and_steps_ft():
     # modulation hyper-parameters took one step at the shared step size
     for (_, old), g, (_, new) in zip(model.ft_named(), meta, new_model.ft_named()):
         assert np.allclose(new.data, old.data - cfg.alpha * g.data, atol=1e-15)
-    # and the new state is made of detached leaves
+    # and the new state is made of write-locked leaves
     for _, t in new_model.trainable() + new_model.ft_named():
-        assert t.parents == ()
+        assert t.parents == () and t.requires_grad
+        assert not t.data.flags.writeable
 
 
 def test_lft_adam_step_uses_first_inner_gradients():
@@ -571,6 +572,24 @@ def test_flat_adam_equals_the_per_parameter_rule():
             want[n] = want[n] - alpha * m_hat / (np.sqrt(v_hat) + eps)
             assert params[n].shape == shapes[n]
             assert np.array_equal(params[n].data, want[n]), (n, t)
+
+
+@pytest.mark.parametrize("optimizer", [tr.SGD(0.1), tr.Adam(0.1)], ids=["sgd", "adam"])
+def test_optimizer_results_are_write_locked_leaves(optimizer):
+    named = {"a": (ad.leaf(np.ones((2, 3))), ad.constant(np.full((2, 3), 0.5))),
+             "b": (ad.leaf([1.0, -1.0]), ad.constant([0.25, 0.5]))}
+    for _ in range(2):
+        out = optimizer.step(named)
+        for name, t in out.items():
+            assert t.requires_grad and t.parents == ()
+            assert t.shape == named[name][0].shape
+            arr = t.data
+            while arr is not None:  # Adam's are views of one flat vector
+                assert not arr.flags.writeable, name
+                arr = arr.base
+            with pytest.raises(ValueError):
+                t.data[0] = 0.0
+        named = {n: (out[n], g) for n, (_, g) in named.items()}
 
 
 def test_adam_names_the_first_parameter_whose_update_overflows():
