@@ -21,20 +21,26 @@ Conventions:
   * results may share memory with their inputs; every array is write-locked,
     so updates always build new leaves.
 
-Four fused primitives stand for composites of the others, because on
+Six fused primitives stand for composites of the others, because on
 arrays this small each node's Python overhead, not its arithmetic, is the
-cost: ``standardize`` (batch normalization's column standardization),
+cost: ``linear`` (``x @ w + b``), ``affine`` (``x * s + b``),
+``standardize`` (batch normalization's column standardization),
 ``softmax_rows``, ``softmax_cross_entropy`` and ``neg_sq_distances``
 (prototype logits).  Each forward runs the NumPy operations of its
 composite in the same order, so its values match the composite's bit for
 bit; each VJP is written in primitives, so it can be differentiated again.
+``linear`` and ``affine`` make the VJP calls of their composites and link
+their inputs in the composite's depth-first order, so their gradients,
+first and second order, equal the composite's bit for bit as well.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
+import ctypes
 import math
+import sys
 import weakref
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -57,9 +63,39 @@ __all__ = [
     "add", "sub", "mul", "div", "matmul", "relu", "tanh", "exp", "log",
     "softplus", "square", "sqrt", "tensor_sum", "tensor_mean",
     "tensor_max", "concat", "narrow", "take_rows", "broadcast_to", "reshape",
-    "transpose", "scale", "neg", "detach", "leaf", "adopt_leaf", "constant",
-    "standardize", "softmax_rows", "softmax_cross_entropy", "neg_sq_distances",
+    "transpose", "scale", "neg", "detach", "leaf", "adopt", "adopt_leaf", "constant",
+    "linear", "affine", "standardize", "softmax_rows", "softmax_cross_entropy", "neg_sq_distances",
 ]
+
+# glibc mallopt parameters.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_memory_mapped() -> None:
+    """Start glibc malloc's mmap and trim thresholds at the ceilings that
+    its own dynamic adjustment can reach on 64-bit Linux (32 and 64 MiB).
+
+    Every primitive allocates a fresh result, tens to hundreds of KB here,
+    and a step frees most of them again.  At the default thresholds glibc
+    may give the top of the heap back to the kernel at the end of a step
+    and fault the same pages in again during the next one.  Whether it
+    does depends on the heap's layout, which even the length of the
+    command line shifts: on a 2-core Intel Xeon (glibc 2.36) a perfbench
+    train-ft step took 6 or 96 minor page faults, and its speed moved by
+    about 10%, from that alone.  Nothing is done elsewhere than on Linux.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_keep_freed_memory_mapped()
 
 _grad_enabled = True
 
@@ -165,12 +201,18 @@ def leaf(data) -> Tensor:
     return Tensor(data, requires_grad=True)
 
 
-def adopt_leaf(data: np.ndarray) -> Tensor:
-    """A graph leaf over ``data`` itself, write-locked in place and not
+def adopt(data: np.ndarray) -> Tensor:
+    """A constant over ``data`` itself, write-locked in place and not
     scanned (copied only where ``_kept`` copies).  Only for float64 values
-    that the caller owns and knows are finite, such as an update computed
+    that the caller owns and knows are finite, such as rows of a validated
+    domain; ``constant`` is the entry point for other data."""
+    return _bare(_kept(data))
+
+
+def adopt_leaf(data: np.ndarray) -> Tensor:
+    """``adopt`` as a graph leaf, for values such as an update computed
     inside ``trap_non_finite()``; ``leaf`` is the entry point for other data."""
-    t = _bare(_kept(data))
+    t = adopt(data)
     t.requires_grad = True
     return t
 
@@ -645,6 +687,61 @@ def _raising(op: str, fn: Callable, *args):
             return fn(*args)
     except FloatingPointError:
         raise _non_finite(op) from None
+
+
+def _add_into(op: str, data: np.ndarray, b: Tensor) -> np.ndarray:
+    """``data + b`` written into ``data``, a fresh result of ``op``; a ``b``
+    that would grow ``data``'s shape raises ShapeError."""
+    try:
+        np.add(data, b.data, out=data)
+    except ValueError:
+        raise ShapeError(f"{op}: bias {b.shape} does not fit result {data.shape}") from None
+    except FloatingPointError:
+        raise _non_finite(op) from None
+    return data
+
+
+def linear(x, w, b) -> Tensor:
+    """``add(matmul(x, w), b)`` as one node: b is added into the product."""
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.ndim != 2 or w.ndim != 2:
+        raise ShapeError(f"linear: expected 2-d operands, got {x.shape} and {w.shape}")
+    if x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear: inner dimensions differ, {x.shape} vs {w.shape}")
+    try:
+        data = x.data @ w.data
+    except FloatingPointError:
+        raise _non_finite("linear") from None
+    # Scanned in both modes, as matmul is; a non-finite product stays
+    # non-finite once a finite b is added, so one scan of the sum covers both.
+    out = _fresh("linear", _add_into("linear", data, b), scan=True)
+    if not _records(x, w, b):
+        return out
+    return _link(out, (
+        (x, lambda g: matmul(g, transpose(w))),
+        (w, lambda g: matmul(transpose(x), g)),
+        (b, lambda g: _unbroadcast(g, b.shape)),
+    ))
+
+
+def affine(x, s, b) -> Tensor:
+    """``add(mul(x, s), b)`` as one node: b is added into the product."""
+    x, s, b = _wrap(x), _wrap(s), _wrap(b)
+    try:
+        data = np.multiply(x.data, s.data)
+    except ValueError:
+        raise ShapeError(f"affine: shapes {x.shape} and {s.shape} do not broadcast") from None
+    except FloatingPointError:
+        raise _non_finite("affine") from None
+    # _kept turns the NumPy scalar of a 0-d product into an array to add into.
+    out = _fresh("affine", _add_into("affine", _kept(data), b))
+    if not _records(x, s, b):
+        return out
+    return _link(out, (
+        (x, lambda g: _unbroadcast(mul(g, s), x.shape)),
+        (s, lambda g: _unbroadcast(mul(g, x), s.shape)),
+        (b, lambda g: _unbroadcast(g, b.shape)),
+    ))
 
 
 def _standardize_data(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, ContractError
-from .ft import FTParams, Modulation, modulate, sample_modulation
+# sample_modulation is not called here, but perfbench's traced run wraps it
+# under this module's name.
+from .ft import FTParams, Modulation, modulate, sample_modulation, sample_modulations  # noqa: F401
 from .rng import RngStream
 
 BN_EPS = 1e-5
@@ -107,7 +109,7 @@ def batch_norm(x: Tensor, bn_scale: Tensor, bn_shift: Tensor) -> Tensor:
         raise ContractError(f"batch_norm: expected 2-d activations, got {x.shape}")
     if x.shape[0] < 2:
         raise ContractError("batch_norm: batch size must be at least 2")
-    return ad.add(ad.mul(ad.standardize(x, BN_EPS), bn_scale), bn_shift)
+    return ad.affine(ad.standardize(x, BN_EPS), bn_scale, bn_shift)
 
 
 def encode(state: EncoderState, ft: FTParams | None, batch: Tensor, mode: str,
@@ -135,20 +137,18 @@ def encode(state: EncoderState, ft: FTParams | None, batch: Tensor, mode: str,
             )
         if modulations is not None and len(modulations) != ft.n_layers:
             raise ContractError("encode: pinned modulation list has wrong length")
-        if modulations is None and rng is None:
-            raise ContractError("encode: training with modulation needs an rng stream")
+        if modulations is None:
+            if rng is None:
+                raise ContractError("encode: training with modulation needs an rng stream")
+            modulations = sample_modulations(ft, rng)
 
     h = batch
     ft_index = 0
     for i, blk in enumerate(state.blocks):
-        h = ad.add(ad.matmul(h, blk.weight), blk.bias)
+        h = ad.linear(h, blk.weight, blk.bias)
         h = batch_norm(h, blk.bn_scale, blk.bn_shift)
         if use_ft and state.config.ft_blocks[i]:
-            if modulations is not None:
-                m = modulations[ft_index]
-            else:
-                m = sample_modulation(ft.gammas[ft_index], ft.betas[ft_index], rng)
-            h = modulate(h, m)
+            h = modulate(h, modulations[ft_index])
             ft_index += 1
         h = ad.relu(h)
     return h

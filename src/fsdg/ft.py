@@ -79,17 +79,23 @@ def modulation_from_noise(theta_gamma: Tensor, theta_beta: Tensor,
     """Build the modulation for fixed noise; gradients flow into theta."""
     if eps_gamma.shape != theta_gamma.shape or eps_beta.shape != theta_beta.shape:
         raise ContractError("modulation_from_noise: noise shape must match theta shape")
-    gamma = ad.add(1.0, ad.mul(ad.softplus(theta_gamma), ad.constant(eps_gamma)))
+    gamma = ad.affine(ad.softplus(theta_gamma), ad.constant(eps_gamma), 1.0)
     beta = ad.mul(ad.softplus(theta_beta), ad.constant(eps_beta))
     return Modulation(gamma, beta, eps_gamma, eps_beta)
 
 
+def sample_modulations(params: FTParams, rng: RngStream) -> list[Modulation]:
+    """Fresh per-channel noise for every layer from one draw: layer by
+    layer, gamma noise first, then beta noise, as successive
+    ``sample_modulation`` calls would draw it."""
+    noise = rng.normals_each([t.shape[0] for t in params.tensors()])
+    return [modulation_from_noise(g, b, eg, eb)
+            for g, b, eg, eb in zip(params.gammas, params.betas, noise[0::2], noise[1::2])]
+
+
 def sample_modulation(theta_gamma: Tensor, theta_beta: Tensor, rng: RngStream) -> Modulation:
     """Draw fresh per-channel noise (gamma noise first, then beta noise)."""
-    c = theta_gamma.shape[0]
-    eps_gamma = rng.normals(c)
-    eps_beta = rng.normals(c)
-    return modulation_from_noise(theta_gamma, theta_beta, eps_gamma, eps_beta)
+    return sample_modulations(FTParams([theta_gamma], [theta_beta]), rng)[0]
 
 
 def modulate(z: Tensor, modulation: Modulation) -> Tensor:
@@ -100,7 +106,7 @@ def modulate(z: Tensor, modulation: Modulation) -> Tensor:
         raise ContractError(
             f"modulate: {z.shape[1]} channels vs modulation width {modulation.gamma.shape[0]}"
         )
-    return ad.add(ad.mul(z, modulation.gamma), modulation.beta)
+    return ad.affine(z, modulation.gamma, modulation.beta)
 
 
 @dataclass

@@ -157,8 +157,8 @@ def relation_logits(support_emb: Tensor, support_labels: Sequence[int],
         (n_query * n_way, emb_dim),
     )
     pairs = ad.concat([q_rep, p_rep], axis=1)
-    h = ad.relu(ad.add(ad.matmul(pairs, head.w1), head.b1))
-    scores = ad.add(ad.matmul(h, head.w2), head.b2)
+    h = ad.relu(ad.linear(pairs, head.w1, head.b1))
+    scores = ad.linear(h, head.w2, head.b2)
     return ad.reshape(scores, (n_query, n_way))
 
 

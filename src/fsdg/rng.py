@@ -59,6 +59,27 @@ _U_30, _U_27, _U_31, _U_11 = np.uint64(30), np.uint64(27), np.uint64(31), np.uin
 _U_NONE = np.zeros(0, dtype=np.uint64)
 
 
+@functools.lru_cache(maxsize=256)
+def _box_muller_plan(ns: tuple[int, ...]) -> tuple[int, np.ndarray | slice, tuple[int, ...]]:
+    """For ``normals_each(ns)``: how many uniforms the calls consume, the
+    order that puts every call's radius uniforms before every call's angle
+    uniforms (for one call, the draw's own order), and where each call's
+    Gaussians start in the interleaved output."""
+    radii, angles, starts = [], [], []
+    pos = 0
+    for n in ns:
+        m = (n + 1) // 2
+        radii.extend(range(pos, pos + m))
+        angles.extend(range(pos + m, pos + 2 * m))
+        starts.append(pos)
+        pos += 2 * m
+    if len(ns) <= 1:
+        return pos, slice(None), tuple(starts)
+    gather = np.array(radii + angles, dtype=np.intp)
+    gather.setflags(write=False)
+    return pos, gather, tuple(starts)
+
+
 class RngStream:
     """A counter-based random stream with named substreams."""
 
@@ -89,16 +110,25 @@ class RngStream:
 
     def normals(self, n: int) -> np.ndarray:
         """n standard Gaussians via Box-Muller on consecutive uniform pairs."""
-        if n == 0:
-            return np.zeros(0)
-        m = (n + 1) // 2
-        u = self.uniforms(2 * m)
-        r = np.sqrt(-2.0 * np.log(u[:m]))
-        theta = 2.0 * np.pi * u[m:]
+        return self.normals_each((n,))[0]
+
+    def normals_each(self, ns) -> list[np.ndarray]:
+        """One array of n standard Gaussians per n in ``ns``, from one draw.
+
+        Equal to successive ``normals(n)`` calls, and leaves the stream
+        where they would: a call of n consumes ``2 * ceil(n / 2)`` uniforms,
+        the first half radii and the second half angles of its pairs.
+        """
+        ns = tuple(ns)
+        total, gather, starts = _box_muller_plan(ns)
+        v = self.uniforms(total)[gather]
+        m = total // 2
+        r = np.sqrt(-2.0 * np.log(v[:m]))
+        theta = 2.0 * np.pi * v[m:]
         out = np.empty(2 * m)
         out[0::2] = r * np.cos(theta)
         out[1::2] = r * np.sin(theta)
-        return out[:n]
+        return [out[s:s + n] for s, n in zip(starts, ns)]
 
     def integers(self, n: int, bound: int) -> np.ndarray:
         """n ints uniform on [0, bound); bias is O(bound / 2^64), negligible."""

@@ -270,7 +270,8 @@ def sample_episode(domain: Domain, n_way: int, n_shot: int, n_query: int,
         n_way=n_way,
         n_shot=n_shot,
         n_query=n_query,
-        x=ad.constant(np.concatenate(support_rows + query_rows)),
+        # A private float64 copy of rows that Domain proved finite.
+        x=ad.adopt(np.concatenate(support_rows + query_rows, dtype=np.float64)),
         support_y=support_y,
         query_y=query_y,
         domain_name=domain.name,

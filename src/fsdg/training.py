@@ -485,7 +485,7 @@ def pretrain_encoder(encoder: EncoderState, domain: Domain, epochs: int,
                 batch = ad.constant(xs[chunk])
                 labels = [int(ys[i]) for i in chunk]
                 emb = encode(encoder, None, batch, "train")
-                logits = ad.add(ad.matmul(emb, weight), bias)
+                logits = ad.linear(emb, weight, bias)
                 loss = episode_loss(logits, labels)
                 named = encoder.parameters() + [("pretrain.weight", weight),
                                                 ("pretrain.bias", bias)]

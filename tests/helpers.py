@@ -107,3 +107,11 @@ def ref_neg_sq_distances(q: ad.Tensor, p: ad.Tensor) -> ad.Tensor:
     p_sq = ad.reshape(ad.tensor_sum(ad.square(p), axis=1), (1, p.shape[0]))
     cross = ad.matmul(q, ad.transpose(p))
     return ad.neg(ad.sub(ad.add(q_sq, p_sq), ad.scale(cross, 2.0)))
+
+
+def ref_linear(x: ad.Tensor, w: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    return ad.add(ad.matmul(x, w), b)
+
+
+def ref_affine(x: ad.Tensor, s: ad.Tensor, b) -> ad.Tensor:
+    return ad.add(ad.mul(x, s), b)

@@ -1,8 +1,13 @@
 import contextlib
 import gc
+import os
+import platform
+import subprocess
+import sys
 import threading
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -400,7 +405,9 @@ def test_tensor_rejects_non_finite_input():
 BIG = [[1e200, 1e200]]
 HUGE = [[1e308], [1e308]]
 # Ops whose name is not their function's name, called as fn(constant(a), b).
-_NAMED = {"sum": ad.tensor_sum, "scatter_rows": lambda g, rows: ad._scatter_rows(g, rows, 1)}
+_NAMED = {"sum": ad.tensor_sum, "scatter_rows": lambda g, rows: ad._scatter_rows(g, rows, 1),
+          "linear": lambda x, wb: ad.linear(x, *map(ad.constant, wb)),
+          "affine": lambda x, sb: ad.affine(x, *map(ad.constant, sb))}
 
 
 @pytest.mark.parametrize("op,a,b", [
@@ -424,6 +431,10 @@ _NAMED = {"sum": ad.tensor_sum, "scatter_rows": lambda g, rows: ad._scatter_rows
     pytest.param("softmax_cross_entropy", [[1e308, -1e308]], [[1.0, 0.0]],
                  id="softmax_cross_entropy"),
     pytest.param("neg_sq_distances", BIG, [[1e200, 1e200]], id="neg_sq_distances"),
+    pytest.param("linear", BIG, ([[1e200], [1e200]], [0.0]), id="linear-product"),
+    pytest.param("linear", HUGE, ([[1.0]], [1e308]), id="linear-bias"),
+    pytest.param("affine", BIG, (BIG, [0.0, 0.0]), id="affine-product"),
+    pytest.param("affine", HUGE, ([1.0], [1e308]), id="affine-bias"),
 ])
 def test_non_finite_result_raises_numeric_error_naming_op(op, a, b):
     # The same error with every result scanned and inside the IEEE trap.
@@ -575,15 +586,18 @@ _CALLS = {
     "neg": lambda v: ad.neg(v["x"]),
     "detach": lambda v: ad.detach(v["x"]),
     "leaf": lambda v: ad.leaf(v["x"].data),
+    "adopt": lambda v: ad.adopt(v["x"].data.copy()),
     "adopt_leaf": lambda v: ad.adopt_leaf(v["x"].data.copy()),
     "constant": lambda v: ad.constant(v["x"].data),
+    "linear": lambda v: ad.linear(v["y"], v["w"], ad.narrow(v["w"], 0, 0, 1)),
+    "affine": lambda v: ad.affine(v["x"], v["y"], v["pos"]),
     "standardize": lambda v: ad.standardize(v["x"], 1e-5),
     "softmax_rows": lambda v: ad.softmax_rows(v["x"]),
     "softmax_cross_entropy": lambda v: ad.softmax_cross_entropy(v["x"], ad.constant(np.eye(3, 4))),
     "neg_sq_distances": lambda v: ad.neg_sq_distances(v["x"], v["y"]),
 }
 # Those whose result is a graph node when an input is attached.
-_RECORDING = set(_CALLS) - {"detach", "leaf", "adopt_leaf", "constant"}
+_RECORDING = set(_CALLS) - {"detach", "leaf", "adopt", "adopt_leaf", "constant"}
 
 
 def test_every_export_is_a_primitive_call_or_listed_apart():
@@ -703,3 +717,36 @@ def test_sum_forward_agrees_with_numpy(seed):
     x = random_tensor(stream, (3, 4), requires_grad=False)
     assert ad.tensor_sum(x).item() == pytest.approx(float(np.sum(x.data)), rel=1e-12)
     assert np.allclose(ad.tensor_mean(x, axis=0).data, np.mean(x.data, axis=0))
+
+
+_HEAP_PROBE = """
+import resource, sys
+import numpy as np
+if sys.argv[1] == "fsdg":
+    import fsdg.autodiff
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+held = [np.ones(12_500) for _ in range(50)]
+del held
+before = faults()
+for _ in range(20):  # 50 results of 100 KB each, freed and made again
+    held = [np.ones(12_500) for _ in range(50)]
+    del held
+print(faults() - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc thresholds")
+def test_import_keeps_freed_heap_memory_mapped():
+    # At glibc's default thresholds every round hands the 5 MB heap top back
+    # to the kernel and faults it in again, about 1200 pages a round.
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    faults = {}
+    for mode in ("numpy", "fsdg"):
+        out = subprocess.run([sys.executable, "-c", _HEAP_PROBE, mode], env=env,
+                             capture_output=True, text=True, check=True, timeout=60).stdout
+        faults[mode] = int(out)
+    assert faults["numpy"] > 10_000
+    assert faults["fsdg"] < 1_000

@@ -182,6 +182,14 @@ def test_ft_applies_only_on_flagged_blocks():
     assert np.array_equal(with_ft, without)
 
 
+def test_layout_that_flags_no_block_draws_no_noise():
+    cfg = enc.EncoderConfig(5, (6, 4), (False, False))
+    state = enc.build_encoder(cfg, RngStream(1))
+    rng = RngStream(5)
+    enc.encode(state, init_ft_params([]), ad.constant(np.ones((4, 5))), "train", rng=rng)
+    assert rng._pos == 0
+
+
 def test_ft_layer_count_must_match_flagged_blocks():
     cfg = enc.EncoderConfig(5, (6, 4), (True, False))
     state = enc.build_encoder(cfg, RngStream(1))

@@ -102,7 +102,8 @@ def test_numeric_error_names_the_trial(monkeypatch):
 @pytest.mark.parametrize("head", ["proto", "matching", "relation"])
 def test_trial_builds_no_tape(monkeypatch, head):
     # A pass that records nothing makes no relu mask (a _bare constant)
-    # and no weak reference to an output.
+    # and no weak reference to an output.  The one _bare constant of a
+    # trial is its episode batch, which sample_episode adopts.
     calls = {"bare": 0, "ref": 0}
 
     def count(key, fn):
@@ -116,7 +117,7 @@ def test_trial_builds_no_tape(monkeypatch, head):
     model, domain = toy_model(head=head, mode="ft"), toy_domain()
     accs = [ev.trial_accuracy(model, domain, 3, 2, 4, seed=5, trial=t) for t in range(2)]
     assert all(0.0 <= acc <= 1.0 for acc in accs)
-    assert calls == {"bare": 0, "ref": 0}
+    assert calls == {"bare": 2, "ref": 0}
 
 
 def test_evaluation_ignores_modulation_state():

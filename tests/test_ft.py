@@ -88,6 +88,24 @@ def test_sample_draws_gamma_noise_before_beta_noise():
     assert np.array_equal(mod.eps_beta, fresh.normals(5))
 
 
+@pytest.mark.parametrize("widths", [[5], [4, 3], [8, 1, 6], []])
+def test_sample_modulations_equal_per_layer_sample_modulation_calls(widths):
+    params = ft.init_ft_params(widths)
+    bulk, single = RngStream(19), RngStream(19)
+    mods = ft.sample_modulations(params, bulk)
+    want = [ft.sample_modulation(g, b, single) for g, b in zip(params.gammas, params.betas)]
+    assert len(mods) == len(want) == len(widths)
+    for got, ref in zip(mods, want):
+        for a, b in ((got.eps_gamma, ref.eps_gamma), (got.eps_beta, ref.eps_beta),
+                     (got.gamma.data, ref.gamma.data), (got.beta.data, ref.beta.data)):
+            assert a.tobytes() == b.tobytes()
+        assert got.gamma.requires_grad and got.beta.requires_grad
+    # Equal stream positions; no layer at all draws nothing.
+    assert bulk.uniforms(2).tolist() == single.uniforms(2).tolist()
+    if not widths:
+        assert bulk._pos == 2
+
+
 def test_degenerate_theta_gives_near_identity_modulation():
     theta = ad.leaf(np.full(6, -50.0))
     mod = ft.sample_modulation(theta, theta, RngStream(1))

@@ -4,7 +4,9 @@ Each fused op must give its composite's forward values bit for bit, and
 first- and second-order gradients equal to the composite's up to rounding.
 The gradient tolerances are about ten times the largest error measured
 over 200 random unit-scale cases of each op (2.3e-15 first order, 1.0e-14
-second order, both for ``standardize``).
+second order, both for ``standardize``).  ``linear`` and ``affine`` make
+their composite's VJP calls in its order, so their gradients must equal
+the composite's bit for bit.
 """
 
 import numpy as np
@@ -17,6 +19,8 @@ from fsdg.rng import RngStream
 from helpers import (
     assert_grads_match,
     max_rel_err,
+    ref_affine,
+    ref_linear,
     ref_neg_sq_distances,
     ref_softmax_cross_entropy,
     ref_softmax_rows,
@@ -25,7 +29,10 @@ from helpers import (
 
 FIRST_ORDER_RTOL = 1e-14
 SECOND_ORDER_RTOL = 1e-13
-FUSED = ("standardize", "softmax_rows", "softmax_cross_entropy", "neg_sq_distances")
+ROUNDED = ("standardize", "softmax_rows", "softmax_cross_entropy", "neg_sq_distances")
+# Cases of linear and affine, in the forms the encoder and FT layers use.
+EXACT = ("linear", "affine", "affine_scalar_bias")
+FUSED = ROUNDED + EXACT
 
 
 def _case(name: str, seed: int):
@@ -35,6 +42,14 @@ def _case(name: str, seed: int):
     def normal(*shape):
         return ad.leaf(stream.normals(int(np.prod(shape))).reshape(shape))
 
+    if name == "linear":
+        return ad.linear, ref_linear, [normal(5, 3), normal(3, 4), normal(4)]
+    if name == "affine":  # batch norm's rescale and the FT layer's modulation
+        return ad.affine, ref_affine, [normal(6, 4), normal(4), normal(4)]
+    if name == "affine_scalar_bias":  # an FT gamma, once written 1 + softplus(theta) * eps
+        eps = ad.constant(stream.normals(4))
+        return ((lambda a: ad.affine(ad.softplus(a), eps, 1.0)),
+                (lambda a: ad.add(1.0, ad.mul(ad.softplus(a), eps))), [normal(4)])
     if name == "standardize":
         return (lambda x: ad.standardize(x, BN_EPS)), (lambda x: ref_standardize(x, BN_EPS)), [normal(6, 4)]
     if name == "softmax_rows":
@@ -69,7 +84,7 @@ def _first_and_second(fn, xs, w, vs):
 
 def test_fused_ops_are_exported():
     # perfbench counts nodes only from the primitives in __all__.
-    assert set(FUSED) <= set(ad.__all__)
+    assert set(FUSED) - {"affine_scalar_bias"} <= set(ad.__all__)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -80,7 +95,7 @@ def test_forward_is_bit_identical_to_composite(name, seed):
 
 
 @pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("name", FUSED)
+@pytest.mark.parametrize("name", ROUNDED)
 def test_gradients_match_composite_to_first_and_second_order(name, seed):
     fused, ref, xs = _case(name, seed)
     (w,) = _weights(seed, [ref(*xs).shape])
@@ -91,6 +106,18 @@ def test_gradients_match_composite_to_first_and_second_order(name, seed):
         assert max_rel_err(got.data, want.data, atol=0.0) < FIRST_ORDER_RTOL
     for got, want in zip(got_second, want_second):
         assert max_rel_err(got.data, want.data, atol=0.0) < SECOND_ORDER_RTOL
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name", EXACT)
+def test_gradients_equal_composite_bit_for_bit(name, seed):
+    fused, ref, xs = _case(name, seed)
+    (w,) = _weights(seed, [ref(*xs).shape])
+    vs = _weights(seed + 1, [x.shape for x in xs])
+    got_first, got_second = _first_and_second(fused, xs, w, vs)
+    want_first, want_second = _first_and_second(ref, xs, w, vs)
+    for got, want in zip(got_first + got_second, want_first + want_second):
+        assert np.array_equal(got.data, want.data)
 
 
 @pytest.mark.parametrize("name", FUSED)
@@ -126,3 +153,25 @@ def test_cross_entropy_rejects_targets_of_another_shape():
 def test_sq_distances_reject_widths_that_differ():
     with pytest.raises(ShapeError):
         ad.neg_sq_distances(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((2, 2))))
+
+
+@pytest.mark.parametrize("op", [ad.linear, ad.affine])
+@pytest.mark.parametrize("bias", [np.zeros((2, 2, 4)), np.zeros((3, 4)), np.zeros(5)])
+def test_bias_that_does_not_fit_the_product_is_rejected(op, bias):
+    # (2, 2, 4) would grow the (2, 4) product; the others do not broadcast.
+    x = ad.constant(np.ones((2, 3)) if op is ad.linear else np.ones((2, 4)))
+    s = ad.constant(np.ones((3, 4)) if op is ad.linear else np.ones(4))
+    with pytest.raises(ShapeError, match=rf"^{op.__name__}: "):
+        op(x, s, ad.constant(bias))
+
+
+def test_linear_rejects_inner_dimensions_that_differ():
+    with pytest.raises(ShapeError, match=r"^linear: inner dimensions differ"):
+        ad.linear(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros((2, 4))), ad.constant(np.zeros(4)))
+    with pytest.raises(ShapeError, match=r"^linear: expected 2-d"):
+        ad.linear(ad.constant(np.zeros(3)), ad.constant(np.zeros((3, 4))), ad.constant(np.zeros(4)))
+
+
+def test_affine_rejects_a_scale_that_does_not_broadcast():
+    with pytest.raises(ShapeError, match=r"^affine: shapes"):
+        ad.affine(ad.constant(np.zeros((2, 3))), ad.constant(np.zeros(4)), ad.constant(np.zeros(3)))

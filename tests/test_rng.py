@@ -64,6 +64,34 @@ def test_normals_consume_pairs_so_odd_draws_skip_one():
     assert after != four[3]
 
 
+def reference_normals(stream: RngStream, n: int) -> np.ndarray:
+    """One Box-Muller call on its own uniforms: radii from the first half,
+    angles from the second half of its 2 * ceil(n / 2) draws."""
+    m = (n + 1) // 2
+    u = stream.uniforms(2 * m)
+    r = np.sqrt(-2.0 * np.log(u[:m]))
+    theta = 2.0 * np.pi * u[m:]
+    out = np.empty(2 * m)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return out[:n]
+
+
+@pytest.mark.parametrize("ns", [[], [0], [1], [7], [3, 0, 5], [0, 0], [1, 2, 3, 4, 5],
+                                [64, 64, 32, 32], [101, 1, 33]])
+def test_normals_each_equals_successive_normals_calls(ns):
+    for seed in (0, 13, MASK - 4):
+        bulk, single, ref = RngStream(seed), RngStream(seed), RngStream(seed)
+        got = bulk.normals_each(ns)
+        assert len(got) == len(ns)
+        for g, n in zip(got, ns):
+            want = single.normals(n)
+            assert g.shape == want.shape == (n,)
+            assert g.tobytes() == want.tobytes() == reference_normals(ref, n).tobytes()
+        # All three streams stand at the same position.
+        assert bulk.uniforms(3).tolist() == single.uniforms(3).tolist() == ref.uniforms(3).tolist()
+
+
 def test_normal_moments():
     z = RngStream(2024).normals(200_000)
     assert abs(z.mean()) < 0.01

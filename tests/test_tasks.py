@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsdg import autodiff as ad
 from fsdg import tasks
 from fsdg.errors import (
     CapacityError,
@@ -312,6 +313,27 @@ def test_episode_shapes_and_labels():
     assert len(ep.class_ids) == 5
     assert len(set(ep.class_ids)) == 5
     assert ep.domain_name == d.name
+
+
+def test_episode_batch_is_its_rows_adopted_without_a_scan(monkeypatch):
+    d = noise_domain(seed=6, n_classes=6, dim=4, per_class=9)
+    scans = []
+    monkeypatch.setattr(ad, "_all_finite", lambda data: scans.append(data) or True)
+    ep = tasks.sample_episode(d, 3, 2, 4, RngStream(11))
+    monkeypatch.undo()
+    # Domain proved every row finite, so the batch is not scanned again.
+    assert scans == []
+    # The same draws by hand: classes, then one shuffle per picked class.
+    rng = RngStream(11)
+    ids = d.class_ids()
+    picked = [ids[i] for i in rng.sample_without_replacement(len(ids), 3)]
+    perms = rng.permutations([d.classes[cid].shape[0] for cid in picked])
+    drawn = [d.classes[cid][rows[:6]] for cid, rows in zip(picked, perms)]
+    want = np.concatenate([rows[:2] for rows in drawn] + [rows[2:] for rows in drawn])
+    assert ep.x.data.dtype == np.float64
+    assert ep.x.data.tobytes() == want.tobytes()
+    assert not ep.x.data.flags.writeable
+    assert not ep.x.requires_grad and ep.x.parents == ()
 
 
 def test_episode_is_deterministic_in_the_stream():
