@@ -32,6 +32,15 @@ bit; each VJP is written in primitives, so it can be differentiated again.
 ``linear`` and ``affine`` make the VJP calls of their composites and link
 their inputs in the composite's depth-first order, so their gradients,
 first and second order, equal the composite's bit for bit as well.
+
+Leading batch axes: the matrix primitives (``linear``, ``matmul``,
+``transpose``, ``standardize``, ``softmax_rows``, ``neg_sq_distances``)
+also take a stack of operands, shape ``(..., rows, cols)``, and act on each
+slice as on a 2-d operand; every slice of the result equals the 2-d
+result bit for bit.  Their VJPs are written for 2-d operands, so recording
+one of them on a stack raises ContractError: stacks are for no-grad passes
+such as scoring a block of evaluation episodes at once.  The other
+primitives take any rank, and their VJPs do too.
 """
 
 from __future__ import annotations
@@ -271,6 +280,13 @@ def _records(*inputs: Tensor) -> bool:
             if t.requires_grad:
                 return True
     return False
+
+
+def _stacked(op: str, *inputs: Tensor) -> ContractError:
+    """The error of recording a VJP written for 2-d operands on a stack."""
+    shapes = " and ".join(str(t.shape) for t in inputs)
+    return ContractError(f"{op}: cannot record on a stacked operand ({shapes}); "
+                         "stacks are for no-grad passes")
 
 
 def _link(out: Tensor, parents: Sequence[tuple[Tensor, Callable]]) -> Tensor:
@@ -532,18 +548,24 @@ def tensor_max(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product of the last two axes; leading axes broadcast."""
     a, b = _wrap(a), _wrap(b)
-    if a.ndim != 2 or b.ndim != 2:
+    if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: expected 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} vs {b.shape}")
     try:
         data = a.data @ b.data
+    except ValueError:
+        raise ShapeError(
+            f"matmul: leading axes of {a.shape} and {b.shape} do not broadcast") from None
     except FloatingPointError:
         raise _non_finite("matmul") from None
     out = _fresh("matmul", data, scan=True)
     if not _records(a, b):
         return out
+    if a.data.ndim > 2 or b.data.ndim > 2:
+        raise _stacked("matmul", a, b)
     return _link(out, (
         (a, lambda g: matmul(g, transpose(b))),
         (b, lambda g: matmul(transpose(a), g)),
@@ -551,12 +573,15 @@ def matmul(a, b) -> Tensor:
 
 
 def transpose(a) -> Tensor:
+    """Swap the last two axes."""
     a = _wrap(a)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise ShapeError(f"transpose: expected 2-d operand, got {a.shape}")
-    out = _fresh("transpose", a.data.T)
+    out = _fresh("transpose", a.data.swapaxes(-1, -2))
     if not _records(a):
         return out
+    if a.data.ndim > 2:
+        raise _stacked("transpose", a)
     return _link(out, ((a, lambda g: transpose(g)),))
 
 
@@ -704,9 +729,9 @@ def _add_into(op: str, data: np.ndarray, b: Tensor) -> np.ndarray:
 def linear(x, w, b) -> Tensor:
     """``add(matmul(x, w), b)`` as one node: b is added into the product."""
     x, w, b = _wrap(x), _wrap(w), _wrap(b)
-    if x.ndim != 2 or w.ndim != 2:
+    if x.ndim < 2 or w.ndim != 2:
         raise ShapeError(f"linear: expected 2-d operands, got {x.shape} and {w.shape}")
-    if x.shape[1] != w.shape[0]:
+    if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: inner dimensions differ, {x.shape} vs {w.shape}")
     try:
         data = x.data @ w.data
@@ -717,6 +742,8 @@ def linear(x, w, b) -> Tensor:
     out = _fresh("linear", _add_into("linear", data, b), scan=True)
     if not _records(x, w, b):
         return out
+    if x.data.ndim > 2:
+        raise _stacked("linear", x)
     return _link(out, (
         (x, lambda g: matmul(g, transpose(w))),
         (w, lambda g: matmul(transpose(x), g)),
@@ -745,9 +772,9 @@ def affine(x, s, b) -> Tensor:
 
 
 def _standardize_data(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    n = x.shape[0]
-    centered = x - np.add.reduce(x, axis=0, keepdims=True) * (1.0 / n)
-    var = np.add.reduce(np.square(centered), axis=0, keepdims=True) * (1.0 / n)
+    n = x.shape[-2]
+    centered = x - np.add.reduce(x, axis=-2, keepdims=True) * (1.0 / n)
+    var = np.add.reduce(np.square(centered), axis=-2, keepdims=True) * (1.0 / n)
     # 1/sqrt(var + eps) as exp(-0.5 * log(var + eps)); var + eps > 0 always.
     inv_std = np.exp(np.log(var + eps) * -0.5)
     return centered * inv_std, inv_std
@@ -757,12 +784,14 @@ def standardize(a, eps: float) -> Tensor:
     """Each column centered on its mean over the rows and divided by
     sqrt(biased variance + eps): batch normalization without its affine."""
     a = _wrap(a)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise ShapeError(f"standardize: expected 2-d operand, got {a.shape}")
     data, inv_std = _raising("standardize", _standardize_data, a.data, float(eps))
     out = _fresh("standardize", data)
     if not _records(a):
         return out
+    if a.data.ndim > 2:
+        raise _stacked("standardize", a)
     n = a.shape[0]
     ref = weakref.ref(out)
 
@@ -782,18 +811,20 @@ def standardize(a, eps: float) -> Tensor:
 
 
 def _softmax_data(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - np.max(x, axis=1, keepdims=True))
-    return e / np.add.reduce(e, axis=1, keepdims=True)
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def softmax_rows(a) -> Tensor:
     """Row-wise softmax, each row shifted by its maximum for stability."""
     a = _wrap(a)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise ShapeError(f"softmax_rows: expected 2-d operand, got {a.shape}")
     out = _fresh("softmax_rows", _raising("softmax_rows", _softmax_data, a.data))
     if not _records(a):
         return out
+    if a.data.ndim > 2:
+        raise _stacked("softmax_rows", a)
     ref = weakref.ref(out)
 
     def vjp(g: Tensor) -> Tensor:
@@ -828,20 +859,24 @@ def softmax_cross_entropy(logits, onehot) -> Tensor:
 
 def _sq_distance_data(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     # ||q - p||^2 = ||q||^2 + ||p||^2 - 2 q.p, batched with one matmul.
-    q_sq = np.add.reduce(np.square(q), axis=1, keepdims=True)
-    p_sq = np.add.reduce(np.square(p), axis=1).reshape(1, p.shape[0])
-    return (q_sq + p_sq - (q @ _kept(p.T)) * 2.0) * -1.0
+    q_sq = np.add.reduce(np.square(q), axis=-1, keepdims=True)
+    p_sq = np.add.reduce(np.square(p), axis=-1).reshape(p.shape[:-2] + (1, p.shape[-2]))
+    return (q_sq + p_sq - (q @ _kept(p.swapaxes(-1, -2))) * 2.0) * -1.0
 
 
 def neg_sq_distances(q, p) -> Tensor:
     """Negative squared euclidean distance from each row of q to each row of p."""
     q, p = _wrap(q), _wrap(p)
-    if q.ndim != 2 or p.ndim != 2 or q.shape[1] != p.shape[1]:
+    if q.ndim < 2 or p.ndim != q.ndim or q.shape[-1] != p.shape[-1]:
         raise ShapeError(f"neg_sq_distances: rows of {q.shape} and {p.shape} differ in width")
+    if q.shape[:-2] != p.shape[:-2]:
+        raise ShapeError(f"neg_sq_distances: stacks {q.shape} and {p.shape} differ")
     data = _raising("neg_sq_distances", _sq_distance_data, q.data, p.data)
     out = _fresh("neg_sq_distances", data, scan=True)
     if not _records(q, p):
         return out
+    if q.data.ndim > 2:
+        raise _stacked("neg_sq_distances", q, p)
 
     def p_vjp(g: Tensor) -> Tensor:
         gt = transpose(g)

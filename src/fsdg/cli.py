@@ -231,7 +231,8 @@ def _cmd_eval(args) -> int:
     report = evaluate(model, domain, way, shot, trials=args.trials, seed=config.seed)
     write_eval_csv(report, args.out)
     print(f"{domain.name}: mean={report.mean:.6f} ci95={report.ci95:.6f} "
-          f"({way}-way {shot}-shot, {args.trials} trials)")
+          f"({way}-way {shot}-shot, {args.trials} trials, "
+          f"{report.seconds:.3f} s, {report.trials_per_s:.1f} trials/s)")
     return 0
 
 

@@ -4,7 +4,9 @@ Each block runs affine -> batch_norm -> optional feature modulation
 (training only) -> ReLU.  Batch normalization always uses the statistics
 of the current batch, in training and evaluation alike; an episode is
 therefore encoded as one batch (support and query rows together) so both
-halves share the same normalization.
+halves share the same normalization.  A stack of batches, shape
+``(..., rows, input_dim)``, is encoded batch by batch in one pass (no-grad
+evaluation only; see ``fsdg.autodiff``).
 """
 
 from __future__ import annotations
@@ -105,9 +107,9 @@ def batch_norm(x: Tensor, bn_scale: Tensor, bn_shift: Tensor) -> Tensor:
     stabilizer.  Requires at least two rows; with one row the statistics
     degenerate to zeros and the output would carry no signal.
     """
-    if x.ndim != 2:
+    if x.ndim < 2:
         raise ContractError(f"batch_norm: expected 2-d activations, got {x.shape}")
-    if x.shape[0] < 2:
+    if x.shape[-2] < 2:
         raise ContractError("batch_norm: batch size must be at least 2")
     return ad.affine(ad.standardize(x, BN_EPS), bn_scale, bn_shift)
 
@@ -124,7 +126,7 @@ def encode(state: EncoderState, ft: FTParams | None, batch: Tensor, mode: str,
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"encode: unknown mode {mode!r}")
-    if batch.ndim != 2 or batch.shape[1] != state.config.input_dim:
+    if batch.ndim < 2 or batch.shape[-1] != state.config.input_dim:
         raise ContractError(
             f"encode: batch shape {batch.shape} does not match input_dim {state.config.input_dim}"
         )

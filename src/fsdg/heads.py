@@ -9,7 +9,9 @@ Three interchangeable comparison rules over a shared embedding space:
     pairs; trained with the same softmax cross-entropy as the others.
 
 All heads take support embeddings with integer labels 0..n_way-1 and
-return one row of n_way logits per query.
+return one row of n_way logits per query.  Embeddings may carry leading
+batch axes, a stack of episodes that share their labels, scored without
+recording; the logits then carry the same leading axes.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ HEAD_KINDS = ("proto", "matching", "relation")
 
 def _check_support(support_emb: Tensor, support_labels: Sequence[int], n_way: int) -> list[list[int]]:
     """Group support row indices by class; every class must be present."""
-    if support_emb.ndim != 2:
+    if support_emb.ndim < 2:
         raise ContractError(f"head: support embeddings must be 2-d, got {support_emb.shape}")
     labels = [int(y) for y in support_labels]
-    if len(labels) != support_emb.shape[0]:
+    if len(labels) != support_emb.shape[-2]:
         raise ContractError("head: one label per support row required")
     groups: list[list[int]] = [[] for _ in range(n_way)]
     for row, y in enumerate(labels):
@@ -48,6 +50,9 @@ def _check_support(support_emb: Tensor, support_labels: Sequence[int], n_way: in
     return groups
 
 
+_STACKED_SUPPORT = "class_prototypes: a stacked support must be class-sorted with equal shots"
+
+
 def class_prototypes(support_emb: Tensor, support_labels: Sequence[int], n_way: int) -> Tensor:
     """Per-class mean embedding, rows ordered by class index.
 
@@ -58,46 +63,53 @@ def class_prototypes(support_emb: Tensor, support_labels: Sequence[int], n_way: 
     groups = _check_support(support_emb, support_labels, n_way)
     shot = len(groups[0])
     if any(len(rows) != shot for rows in groups):
+        if support_emb.ndim > 2:
+            raise ContractError(_STACKED_SUPPORT)
         means = [ad.tensor_mean(ad.take_rows(support_emb, g), axis=0, keepdims=True)
                  for g in groups]
         return ad.concat(means, axis=0)
     order = [row for rows in groups for row in rows]
     if order != list(range(len(order))):
+        if support_emb.ndim > 2:
+            raise ContractError(_STACKED_SUPPORT)
         support_emb = ad.take_rows(support_emb, order)
-    by_class = ad.reshape(support_emb, (n_way, shot, support_emb.shape[1]))
-    return ad.tensor_mean(by_class, axis=1)
+    lead, dim = support_emb.shape[:-2], support_emb.shape[-1]
+    by_class = ad.reshape(support_emb, lead + (n_way, shot, dim))
+    return ad.tensor_mean(by_class, axis=-2)
 
 
 def proto_logits(support_emb: Tensor, support_labels: Sequence[int],
                  query_emb: Tensor, n_way: int) -> Tensor:
     """Negative squared euclidean distance from each query to each prototype."""
     protos = class_prototypes(support_emb, support_labels, n_way)
-    if query_emb.ndim != 2 or query_emb.shape[1] != protos.shape[1]:
+    if (query_emb.ndim != protos.ndim or query_emb.shape[:-2] != protos.shape[:-2]
+            or query_emb.shape[-1] != protos.shape[-1]):
         raise ContractError(
-            f"proto_logits: query shape {query_emb.shape} vs embedding dim {protos.shape[1]}"
+            f"proto_logits: query shape {query_emb.shape} vs prototypes {protos.shape}"
         )
     return ad.neg_sq_distances(query_emb, protos)
 
 
 def _row_norms(x: Tensor) -> Tensor:
     """Row euclidean norms floored at NORM_FLOOR so zero rows stay safe."""
-    return ad.sqrt(ad.add(ad.tensor_sum(ad.square(x), axis=1, keepdims=True), NORM_FLOOR**2))
+    return ad.sqrt(ad.add(ad.tensor_sum(ad.square(x), axis=-1, keepdims=True), NORM_FLOOR**2))
 
 
 def matching_logits(support_emb: Tensor, support_labels: Sequence[int],
                     query_emb: Tensor, n_way: int) -> Tensor:
     """Log of per-class attention mass under cosine-softmax attention."""
     groups = _check_support(support_emb, support_labels, n_way)
-    if query_emb.ndim != 2 or query_emb.shape[1] != support_emb.shape[1]:
+    if (query_emb.ndim != support_emb.ndim or query_emb.shape[:-2] != support_emb.shape[:-2]
+            or query_emb.shape[-1] != support_emb.shape[-1]):
         raise ContractError(
-            f"matching_logits: query shape {query_emb.shape} vs support dim {support_emb.shape[1]}"
+            f"matching_logits: query shape {query_emb.shape} vs support {support_emb.shape}"
         )
     cos = ad.div(
         ad.matmul(query_emb, ad.transpose(support_emb)),
         ad.matmul(_row_norms(query_emb), ad.transpose(_row_norms(support_emb))),
     )
     attention = ad.softmax_rows(cos)
-    onehot = np.zeros((support_emb.shape[0], n_way))
+    onehot = np.zeros((support_emb.shape[-2], n_way))
     for k, rows in enumerate(groups):
         onehot[rows, k] = 1.0
     class_mass = ad.matmul(attention, ad.constant(onehot))
@@ -142,24 +154,21 @@ def relation_logits(support_emb: Tensor, support_labels: Sequence[int],
                     query_emb: Tensor, n_way: int, head: RelationHeadState) -> Tensor:
     """Perceptron scores for all (query, prototype) pairs, shaped (Q, n_way)."""
     protos = class_prototypes(support_emb, support_labels, n_way)
-    n_query = query_emb.shape[0]
-    emb_dim = query_emb.shape[1]
+    lead, (n_query, emb_dim) = query_emb.shape[:-2], query_emb.shape[-2:]
     if head.w1.shape[0] != 2 * emb_dim:
         raise ContractError(
             f"relation_logits: head expects pair width {head.w1.shape[0]}, embeddings give {2 * emb_dim}"
         )
-    q_rep = ad.reshape(
-        ad.broadcast_to(ad.reshape(query_emb, (n_query, 1, emb_dim)), (n_query, n_way, emb_dim)),
-        (n_query * n_way, emb_dim),
-    )
-    p_rep = ad.reshape(
-        ad.broadcast_to(ad.reshape(protos, (1, n_way, emb_dim)), (n_query, n_way, emb_dim)),
-        (n_query * n_way, emb_dim),
-    )
-    pairs = ad.concat([q_rep, p_rep], axis=1)
-    h = ad.relu(ad.linear(pairs, head.w1, head.b1))
-    scores = ad.linear(h, head.w2, head.b2)
-    return ad.reshape(scores, (n_query, n_way))
+    grid, rows = lead + (n_query, n_way, emb_dim), lead + (n_query * n_way, emb_dim)
+    # Left unnamed, the repeated halves and the pair rows are freed as soon as
+    # the next array exists (without recording, nothing else holds them); on
+    # a stack of episodes they are the largest arrays of a pass.
+    h = ad.linear(ad.concat([
+        ad.reshape(ad.broadcast_to(ad.reshape(query_emb, lead + (n_query, 1, emb_dim)), grid), rows),
+        ad.reshape(ad.broadcast_to(ad.reshape(protos, lead + (1, n_way, emb_dim)), grid), rows),
+    ], axis=-1), head.w1, head.b1)
+    scores = ad.linear(ad.relu(h), head.w2, head.b2)
+    return ad.reshape(scores, lead + (n_query, n_way))
 
 
 def episode_logits(head_kind: str, support_emb: Tensor, support_labels: Sequence[int],
@@ -178,7 +187,7 @@ def episode_logits(head_kind: str, support_emb: Tensor, support_labels: Sequence
 
 def predict_episode(logits: Tensor) -> np.ndarray:
     """Hard class decisions per query; ties resolve to the lowest index."""
-    return np.argmax(logits.data, axis=1)
+    return np.argmax(logits.data, axis=-1)
 
 
 def episode_loss(logits: Tensor, labels: Sequence[int]) -> Tensor:

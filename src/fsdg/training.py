@@ -179,12 +179,15 @@ def build_model(config: TrainConfig, input_dim: int, rng: RngStream,
 
 def episode_forward(model: ModelState, episode: Episode, mode: str, use_ft: bool,
                     rng: RngStream | None = None, modulations=None) -> Tensor:
-    """Encode the episode's batch, then score its queries with the head."""
+    """Encode the episode's batch, then score its queries with the head.
+
+    ``episode.x`` may be a no-grad stack of batches of episodes that share
+    the episode's labels; the logits then stack the same way."""
     ft = model.ft if use_ft else None
     emb = encode(model.encoder, ft, episode.x, mode, rng, modulations)
     n_support = episode.n_way * episode.n_shot
-    support = ad.narrow(emb, 0, 0, n_support)
-    query = ad.narrow(emb, 0, n_support, emb.shape[0])
+    support = ad.narrow(emb, -2, 0, n_support)
+    query = ad.narrow(emb, -2, n_support, emb.shape[-2])
     return episode_logits(model.head_kind, support, episode.support_y, query,
                           episode.n_way, model.head)
 

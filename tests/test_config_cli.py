@@ -1,5 +1,6 @@
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -255,6 +256,7 @@ def test_eval_command_writes_per_trial_csv(workspace, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     assert "mean=" in stdout and "ci95=" in stdout
+    assert re.search(r"12 trials, \d+\.\d{3} s, \d+\.\d trials/s\)$", stdout.strip())
     lines = out.read_text().splitlines()
     assert lines[0] == "trial,accuracy"
     assert len(lines) == 14  # header + 12 trials + summary comment

@@ -1,3 +1,4 @@
+import dataclasses
 import types
 import weakref
 
@@ -9,8 +10,8 @@ from fsdg import evaluation as ev
 from fsdg import training as tr
 from fsdg.errors import ContractError, NumericError
 from fsdg.ft import FTParams, init_ft_params
-from fsdg.rng import RngStream
-from fsdg.tasks import Domain, SyntheticDomainSpec, generate_synthetic_domain
+from fsdg.rng import RngStream, derive_seed
+from fsdg.tasks import Domain, SyntheticDomainSpec, generate_synthetic_domain, sample_episode
 from helpers import noise_domain, overflow_nth_episode
 
 
@@ -99,11 +100,68 @@ def test_numeric_error_names_the_trial(monkeypatch):
     assert str(info.value) == f"evaluation trial 1: {info.value.__cause__}"
 
 
+def test_evaluate_reports_its_wall_time_and_throughput():
+    model, domain = toy_model(), toy_domain()
+    report = ev.evaluate(model, domain, 3, 2, trials=5, seed=9, n_query=5)
+    assert report.seconds > 0.0
+    assert report.trials_per_s == pytest.approx(5 / report.seconds, rel=1e-12)
+    # The timing is a measurement, not part of the result.
+    assert report == ev.evaluate(model, domain, 3, 2, trials=5, seed=9, n_query=5)
+
+
+# ---------------------------------------------------------------------------
+# block scoring
+
+
+@pytest.mark.parametrize("seed", [3, 17, 40])
+@pytest.mark.parametrize("head", ["proto", "matching", "relation"])
+def test_block_logits_equal_single_episode_logits(head, seed):
+    domain = generate_synthetic_domain(SyntheticDomainSpec(master_seed=seed, domain_seed=1))
+    model = toy_model(head=head, dim=domain.dim, seed=seed, widths=(64, 32))
+    trials = ev.TRIALS_PER_BLOCK + 3
+    episodes = [sample_episode(domain, 5, 5, 16, RngStream(derive_seed(seed, "eval-trial", t)))
+                for t in range(trials)]
+    with ad.no_grad(), ad.trap_non_finite():
+        single = [tr.episode_forward(model, e, "eval", use_ft=False).data for e in episodes]
+        block = dataclasses.replace(episodes[0], x=ad.constant(
+            np.stack([e.x.data for e in episodes[:ev.TRIALS_PER_BLOCK]])))
+        stacked = tr.episode_forward(model, block, "eval", use_ft=False).data
+    assert stacked.shape == (ev.TRIALS_PER_BLOCK, 5 * 16, 5)
+    for t in range(ev.TRIALS_PER_BLOCK):
+        assert np.array_equal(stacked[t], single[t]), f"trial {t}"
+    # evaluate's blocks (8 trials, then 3) drop, reorder and re-seed no trial.
+    report = ev.evaluate(model, domain, 5, 5, trials=trials, seed=seed, n_query=16)
+    by_trial = [ev.trial_accuracy(model, domain, 5, 5, 16, seed, t) for t in range(trials)]
+    by_logits = [float(np.mean(np.argmax(logits, axis=1) == np.asarray(e.query_y)))
+                 for logits, e in zip(single, episodes)]
+    assert report.accuracies == by_trial == by_logits
+
+
+def test_numeric_error_in_a_later_block_names_its_trial_and_redraws_nothing(monkeypatch):
+    model, domain = toy_model(), toy_domain()
+    trial = ev.TRIALS_PER_BLOCK + 1
+    with monkeypatch.context() as patch:
+        overflow_nth_episode(patch, ev, 0)
+        with pytest.raises(NumericError) as alone:
+            ev.trial_accuracy(model, domain, 3, 2, 4, seed=3, trial=trial)
+    overflow_nth_episode(monkeypatch, ev, trial)
+    drawn = []
+    sampler = ev.sample_episode
+    monkeypatch.setattr(ev, "sample_episode", lambda *a: drawn.append(a) or sampler(*a))
+    trials = ev.TRIALS_PER_BLOCK + 3
+    with pytest.raises(NumericError, match=rf"^evaluation trial {trial}: \w+: non-finite") as info:
+        ev.evaluate(model, domain, 3, 2, trials=trials, seed=3, n_query=4)
+    assert str(info.value) == str(alone.value)
+    assert str(info.value) == f"evaluation trial {trial}: {info.value.__cause__}"
+    assert len(drawn) == trials
+
+
 @pytest.mark.parametrize("head", ["proto", "matching", "relation"])
 def test_trial_builds_no_tape(monkeypatch, head):
     # A pass that records nothing makes no relu mask (a _bare constant)
-    # and no weak reference to an output.  The one _bare constant of a
-    # trial is its episode batch, which sample_episode adopts.
+    # and no weak reference to an output.  The _bare constants of a pass
+    # are each episode's batch, which sample_episode adopts, and each
+    # block's stack of them, which evaluation adopts.
     calls = {"bare": 0, "ref": 0}
 
     def count(key, fn):
@@ -117,7 +175,10 @@ def test_trial_builds_no_tape(monkeypatch, head):
     model, domain = toy_model(head=head, mode="ft"), toy_domain()
     accs = [ev.trial_accuracy(model, domain, 3, 2, 4, seed=5, trial=t) for t in range(2)]
     assert all(0.0 <= acc <= 1.0 for acc in accs)
-    assert calls == {"bare": 2, "ref": 0}
+    assert calls == {"bare": 2 * 2, "ref": 0}  # two one-trial blocks
+    trials = ev.TRIALS_PER_BLOCK + 1
+    ev.evaluate(model, domain, 3, 2, trials=trials, seed=5, n_query=4)
+    assert calls == {"bare": 2 * 2 + trials + 2, "ref": 0}  # two more blocks
 
 
 def test_evaluation_ignores_modulation_state():
@@ -249,6 +310,15 @@ def test_projection_duplicate_domain_coordinates_match():
     first = [(r.pc1, r.pc2) for r in rows[:10]]
     second = [(r.pc1, r.pc2) for r in rows[10:]]
     assert first == second
+
+
+def test_projection_error_names_the_domain():
+    model, good = toy_model(), toy_domain()
+    huge = Domain("huge", good.dim, {cid: arr * 1e200 for cid, arr in good.classes.items()})
+    with pytest.raises(NumericError,
+                       match=r"^feature projection of domain 'huge': \w+: non-finite") as info:
+        ev.emit_feature_projection(model, [good, huge], 8, seed=1)
+    assert isinstance(info.value.__cause__, NumericError)
 
 
 def test_projection_capacity_checks():

@@ -71,6 +71,13 @@ def test_sorted_equal_shot_prototypes_gather_nothing():
     assert node is support and len(ops) == 3  # reshape, sum, scale
 
 
+def test_stacked_support_must_be_class_sorted_with_equal_shots():
+    stack = ad.constant(np.ones((2, 4, 3)))
+    with pytest.raises(ContractError, match="^class_prototypes: a stacked support"):
+        heads.class_prototypes(stack, [0, 1, 0, 1], 2)
+    assert heads.class_prototypes(stack, [0, 0, 1, 1], 2).shape == (2, 2, 3)
+
+
 def test_missing_class_rejected():
     sup = ad.constant(np.ones((3, 2)))
     with pytest.raises(ContractError, match="class 1"):
