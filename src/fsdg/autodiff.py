@@ -1,11 +1,11 @@
 """Reverse-mode automatic differentiation on dense float64 arrays.
 
 A Tensor wraps an immutable numpy array plus links to the tensors it was
-computed from.  Each link carries a vector-Jacobian closure expressed in
-terms of these same primitives, so when ``backward`` runs with
-``create_graph=True`` the returned gradients are themselves graph-attached
-and can be differentiated again.  That one property carries the whole
-second-order meta-gradient in the training loop.
+computed from.  Each link carries a vector-Jacobian closure that records
+what it computes, so when ``backward`` runs with ``create_graph=True`` the
+returned gradients are themselves graph-attached and can be differentiated
+again.  That one property carries the whole second-order meta-gradient in
+the training loop.
 
 Conventions:
   * scalars have shape ``()``,
@@ -28,10 +28,17 @@ cost: ``linear`` (``x @ w + b``), ``affine`` (``x * s + b``),
 ``softmax_rows``, ``softmax_cross_entropy`` and ``neg_sq_distances``
 (prototype logits).  Each forward runs the NumPy operations of its
 composite in the same order, so its values match the composite's bit for
-bit; each VJP is written in primitives, so it can be differentiated again.
-``linear`` and ``affine`` make the VJP calls of their composites and link
-their inputs in the composite's depth-first order, so their gradients,
-first and second order, equal the composite's bit for bit as well.
+bit.  ``linear`` and ``affine`` make the VJP calls of their composites and
+link their inputs in the composite's depth-first order, so their
+gradients, first and second order, equal the composite's bit for bit as
+well.  The VJP of each of the other four is NumPy arithmetic that records
+one adjoint node per input link (``_adjoint``), where the same VJP written
+in primitives would record four to eleven nodes.  The adjoint node's own
+VJP is the reverse sweep of that primitive form in NumPy, adding the same
+terms in the same order, so gradients of first and second order are those
+of the primitive form bit for bit.  Second order is the highest these four
+support: a third backward through an adjoint node raises ContractError.
+The lft meta-gradient needs only the second.
 
 Leading batch axes: the matrix primitives (``linear``, ``matmul``,
 ``transpose``, ``standardize``, ``softmax_rows``, ``neg_sq_distances``)
@@ -771,6 +778,53 @@ def affine(x, s, b) -> Tensor:
     ))
 
 
+def _adjoint(op: str, data: np.ndarray, links: Sequence[Tensor],
+             sweep: Callable[[np.ndarray], Sequence[np.ndarray]], scan: bool = False) -> Tensor:
+    """One input's adjoint under a VJP of ``op``, computed in NumPy, as one node.
+
+    Recording, the node links each tensor of ``links`` in turn, and a tensor
+    may appear more than once: there is one link per term that the VJP
+    written in primitives would add to that tensor's adjoint, in the order
+    in which a walk of that form adds them, so a second backward adds the
+    same terms in the same order.  ``sweep(h)`` is the reverse sweep of that
+    form in NumPy: one term per link for an incoming adjoint ``h``.  It runs
+    once per incoming adjoint and its links share the result; a flag it
+    raises is a NumericError naming ``op``.  Second order is the highest
+    supported: a backward that records through the node raises
+    ContractError.
+    """
+    out = _fresh(op, data, scan)
+    if not _records(*links):
+        return out
+    # A weak reference to the last incoming adjoint, and the terms of its
+    # sweep that no link has returned yet: a backward calls each link at
+    # most once, so a term is dropped as soon as its link returns it.
+    memo: list = [lambda: None, []]
+
+    def part(i: int) -> Callable[[Tensor], Tensor]:
+        def vjp(h: Tensor) -> Tensor:
+            if _grad_enabled:
+                raise ContractError(f"{op}: cannot record the gradient of a gradient "
+                                    "(second order is the highest supported)")
+            if memo[0]() is not h:
+                memo[0], memo[1] = weakref.ref(h), list(_raising(op, sweep, h.data))
+            contribution, memo[1][i] = memo[1][i], None
+            return _fresh(op, contribution, scan)
+        return vjp
+
+    return _link(out, [(t, part(i)) for i, t in enumerate(links)])
+
+
+def _spread(row: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``row`` repeated to ``shape`` in C order, as ``broadcast_to`` fills it:
+    the adjoint of a sum that kept its axis.  (A copy of NumPy's broadcast
+    view of a row comes back F-ordered, and later reductions over it would
+    round differently.)"""
+    out = np.empty(shape)
+    out[...] = row
+    return out
+
+
 def _standardize_data(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
     n = x.shape[-2]
     centered = x - np.add.reduce(x, axis=-2, keepdims=True) * (1.0 / n)
@@ -778,6 +832,33 @@ def _standardize_data(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray
     # 1/sqrt(var + eps) as exp(-0.5 * log(var + eps)); var + eps > 0 always.
     inv_std = np.exp(np.log(var + eps) * -0.5)
     return centered * inv_std, inv_std
+
+
+def _standardize_vjp(a: Tensor, xhat: Tensor, inv_std: np.ndarray, g: Tensor) -> Tensor:
+    """inv_std * (g - mean0(g) - xhat * mean0(g * xhat)), whose inv_std moves
+    with a as well: d inv_std / d a = -inv_std^2 * xhat / n, column by column."""
+    n, x, gd = a.shape[0], xhat.data, g.data
+
+    def first():
+        centered = gd - np.add.reduce(gd, axis=0, keepdims=True) * (1.0 / n)
+        m2 = np.add.reduce(gd * x, axis=0, keepdims=True) * (1.0 / n)
+        centered_g = centered - x * m2
+        return inv_std * centered_g, centered_g, m2
+
+    data, centered_g, m2 = _raising("standardize", first)
+
+    def sweep(h):
+        d_inv_std = np.add.reduce(h * centered_g, axis=0, keepdims=True)
+        d_centered = h * inv_std
+        d_t2 = d_centered * -1.0
+        d_m1 = np.add.reduce(d_t2, axis=0, keepdims=True) * (1.0 / n)
+        d_m2 = np.add.reduce(d_t2 * x, axis=0, keepdims=True) * (1.0 / n)
+        return (x * (d_inv_std * (np.square(inv_std) * (-1.0 / n))),
+                d_centered, _spread(d_m1, gd.shape), d_t2 * m2, d_m2 * x, d_m2 * gd)
+
+    # a through inv_std; g through the centering, mean0(g) and g * xhat;
+    # xhat through xhat * mean0(g * xhat) and g * xhat
+    return _adjoint("standardize", data, (a, g, g, xhat, g, xhat), sweep)
 
 
 def standardize(a, eps: float) -> Tensor:
@@ -792,27 +873,32 @@ def standardize(a, eps: float) -> Tensor:
         return out
     if a.data.ndim > 2:
         raise _stacked("standardize", a)
-    n = a.shape[0]
     ref = weakref.ref(out)
-
-    def vjp(g: Tensor) -> Tensor:
-        xhat = ref()
-        # inv_std as a node of a, so that a second backward sees it move:
-        # d inv_std / d a = -inv_std^2 * xhat / n, column by column.
-        s = _bare(inv_std)
-        if _records(a):
-            s = _link(s, ((a, lambda h: mul(
-                xhat, mul(h, _bare(np.square(inv_std) * (-1.0 / n))))),))
-        centered_g = sub(sub(g, tensor_mean(g, axis=0, keepdims=True)),
-                         mul(xhat, tensor_mean(mul(g, xhat), axis=0, keepdims=True)))
-        return mul(s, centered_g)
-
-    return _link(out, ((a, vjp),))
+    return _link(out, ((a, lambda g: _standardize_vjp(a, ref(), inv_std, g)),))
 
 
 def _softmax_data(x: np.ndarray) -> np.ndarray:
     e = np.exp(x - np.max(x, axis=-1, keepdims=True))
     return e / np.add.reduce(e, axis=-1, keepdims=True)
+
+
+def _softmax_vjp(s: Tensor, g: Tensor) -> Tensor:
+    """s * (g - rowsum(g * s))."""
+    sd, gd = s.data, g.data
+
+    def first():
+        centered = gd - np.add.reduce(gd * sd, axis=1, keepdims=True)
+        return sd * centered, centered
+
+    data, centered = _raising("softmax_rows", first)
+
+    def sweep(h):
+        d_centered = h * sd
+        d_rowsum = np.add.reduce(d_centered * -1.0, axis=1, keepdims=True)
+        return h * centered, d_centered, d_rowsum * sd, d_rowsum * gd
+
+    # s through s * centered and g * s; g through the centering and g * s
+    return _adjoint("softmax_rows", data, (s, g, g, s), sweep)
 
 
 def softmax_rows(a) -> Tensor:
@@ -826,12 +912,7 @@ def softmax_rows(a) -> Tensor:
     if a.data.ndim > 2:
         raise _stacked("softmax_rows", a)
     ref = weakref.ref(out)
-
-    def vjp(g: Tensor) -> Tensor:
-        s = ref()
-        return mul(s, sub(g, tensor_sum(mul(g, s), axis=1, keepdims=True)))
-
-    return _link(out, ((a, vjp),))
+    return _link(out, ((a, lambda g: _softmax_vjp(ref(), g)),))
 
 
 def _cross_entropy_data(x: np.ndarray, onehot: np.ndarray) -> np.ndarray:
@@ -841,6 +922,26 @@ def _cross_entropy_data(x: np.ndarray, onehot: np.ndarray) -> np.ndarray:
     return np.add.reduce(lse - picked, axis=None) * (1.0 / x.shape[0])
 
 
+def _cross_entropy_vjp(logits: Tensor, onehot: Tensor, g: Tensor) -> Tensor:
+    """(softmax_rows(logits) - onehot) * g / n."""
+    n, gd = logits.shape[0], g.data
+
+    def first():
+        s = _softmax_data(logits.data)
+        diff = s - onehot.data
+        return (diff * gd) * (1.0 / n), s, diff
+
+    data, s, diff = _raising("softmax_cross_entropy", first)
+
+    def sweep(h):
+        d_scaled = h * (1.0 / n)
+        d_s = d_scaled * gd
+        d_g = np.add.reduce(np.add.reduce(d_scaled * diff, axis=0), axis=0)
+        return s * (d_s - np.add.reduce(d_s * s, axis=1, keepdims=True)), d_g
+
+    return _adjoint("softmax_cross_entropy", data, (logits, g), sweep)
+
+
 def softmax_cross_entropy(logits, onehot) -> Tensor:
     """Mean over rows of -log softmax(logits) at the row's target; ``onehot``
     holds the targets and is a constant."""
@@ -848,13 +949,11 @@ def softmax_cross_entropy(logits, onehot) -> Tensor:
     if logits.ndim != 2 or onehot.shape != logits.shape:
         raise ShapeError(
             f"softmax_cross_entropy: logits {logits.shape} and targets {onehot.shape}")
-    n = logits.shape[0]
     out = _fresh("softmax_cross_entropy",
                  _raising("softmax_cross_entropy", _cross_entropy_data, logits.data, onehot.data))
     if not _records(logits):
         return out
-    return _link(out, ((logits, lambda g: scale(mul(sub(softmax_rows(logits), onehot), g),
-                                                1.0 / n)),))
+    return _link(out, ((logits, lambda g: _cross_entropy_vjp(logits, onehot, g)),))
 
 
 def _sq_distance_data(q: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -862,6 +961,34 @@ def _sq_distance_data(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     q_sq = np.add.reduce(np.square(q), axis=-1, keepdims=True)
     p_sq = np.add.reduce(np.square(p), axis=-1).reshape(p.shape[:-2] + (1, p.shape[-2]))
     return (q_sq + p_sq - (q @ _kept(p.swapaxes(-1, -2))) * 2.0) * -1.0
+
+
+def _sq_distance_vjp(own: Tensor, other: Tensor, g: Tensor, by_row: bool) -> Tensor:
+    """2 * (g @ other - rowsum(g) * own) for the queries (``by_row``), and
+    the same with g transposed for the prototypes."""
+    own_d, other_d = own.data, other.data
+    gd = g.data if by_row else g.data.T
+
+    def first():
+        rowsum = np.add.reduce(gd, axis=1, keepdims=True)
+        return ((gd @ other_d) - rowsum * own_d) * 2.0, rowsum
+
+    data, rowsum = _raising("neg_sq_distances", first)
+
+    def sweep(h):
+        d_diff = h * 2.0
+        d_g, d_other = d_diff @ other_d.T, gd.T @ d_diff
+        d_sub = d_diff * -1.0
+        d_rowsum = np.add.reduce(d_sub * own_d, axis=1, keepdims=True)
+        if by_row:
+            return d_other, d_g, _spread(d_rowsum, gd.shape), d_sub * rowsum
+        return d_other, (d_g + d_rowsum).T, d_sub * rowsum
+
+    # other through the product; g through the product and rowsum(g), which
+    # for the prototypes meet in g's transpose first; own through
+    # rowsum(g) * own
+    links = (other, g, g, own) if by_row else (other, g, own)
+    return _adjoint("neg_sq_distances", data, links, sweep, scan=True)
 
 
 def neg_sq_distances(q, p) -> Tensor:
@@ -877,14 +1004,9 @@ def neg_sq_distances(q, p) -> Tensor:
         return out
     if q.data.ndim > 2:
         raise _stacked("neg_sq_distances", q, p)
-
-    def p_vjp(g: Tensor) -> Tensor:
-        gt = transpose(g)
-        return scale(sub(matmul(gt, q), mul(tensor_sum(gt, axis=1, keepdims=True), p)), 2.0)
-
     return _link(out, (
-        (q, lambda g: scale(sub(matmul(g, p), mul(tensor_sum(g, axis=1, keepdims=True), q)), 2.0)),
-        (p, p_vjp),
+        (q, lambda g: _sq_distance_vjp(q, p, g, by_row=True)),
+        (p, lambda g: _sq_distance_vjp(p, q, g, by_row=False)),
     ))
 
 
@@ -935,7 +1057,9 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) ->
     contribution to such a node comes from another such node, so each sum
     and its order are those of the full pass.  A non-finite value on a
     path that reaches no tensor in wrt is therefore never computed, and
-    does not raise.  Every vector-Jacobian product runs inside
+    does not raise.  The one exception is an adjoint node of a fused
+    primitive, whose reverse sweep computes the contributions of all its
+    links at once.  Every vector-Jacobian product runs inside
     ``trap_non_finite()``.
     """
     if not isinstance(loss, Tensor) or loss.shape != ():

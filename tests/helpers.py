@@ -1,6 +1,7 @@
 """Shared test utilities: gradient comparison and tiny fixtures."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 
@@ -115,3 +116,83 @@ def ref_linear(x: ad.Tensor, w: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
 
 def ref_affine(x: ad.Tensor, s: ad.Tensor, b) -> ad.Tensor:
     return ad.add(ad.mul(x, s), b)
+
+
+# ---------------------------------------------------------------------------
+# primitive-written VJPs: the four fused primitives whose VJPs are NumPy
+# adjoint nodes, with the VJPs they had when those were written in
+# primitives (each recorded 4 to 11 nodes), kept to check that first- and
+# second-order gradients did not move by a bit.  The forwards are the
+# fused ones, held here so that a test may swap these in for them.
+
+_FUSED_FORWARDS = {name: getattr(ad, name) for name in
+                   ("standardize", "softmax_rows", "softmax_cross_entropy", "neg_sq_distances")}
+
+
+def _with_vjps(out: ad.Tensor, links) -> ad.Tensor:
+    return ad._link(out, links) if ad._records(*(t for t, _ in links)) else out
+
+
+def primitive_vjp_standardize(a: ad.Tensor, eps: float) -> ad.Tensor:
+    with ad.no_grad():
+        out = _FUSED_FORWARDS["standardize"](a, eps)
+    _, inv_std = ad._standardize_data(a.data, eps)
+    n = a.shape[0]
+    ref = weakref.ref(out)
+
+    def vjp(g):
+        xhat = ref()
+        s = ad.adopt(inv_std)
+        if ad._records(a):
+            s = ad._link(s, ((a, lambda h: ad.mul(
+                xhat, ad.mul(h, ad.adopt(np.square(inv_std) * (-1.0 / n))))),))
+        centered_g = ad.sub(ad.sub(g, ad.tensor_mean(g, axis=0, keepdims=True)),
+                            ad.mul(xhat, ad.tensor_mean(ad.mul(g, xhat), axis=0, keepdims=True)))
+        return ad.mul(s, centered_g)
+
+    return _with_vjps(out, ((a, vjp),))
+
+
+def primitive_vjp_softmax_rows(a: ad.Tensor) -> ad.Tensor:
+    with ad.no_grad():
+        out = _FUSED_FORWARDS["softmax_rows"](a)
+    ref = weakref.ref(out)
+
+    def vjp(g):
+        s = ref()
+        return ad.mul(s, ad.sub(g, ad.tensor_sum(ad.mul(g, s), axis=1, keepdims=True)))
+
+    return _with_vjps(out, ((a, vjp),))
+
+
+def primitive_vjp_softmax_cross_entropy(logits: ad.Tensor, onehot) -> ad.Tensor:
+    onehot = onehot if isinstance(onehot, ad.Tensor) else ad.constant(onehot)
+    with ad.no_grad():
+        out = _FUSED_FORWARDS["softmax_cross_entropy"](logits, onehot)
+    n = logits.shape[0]
+    return _with_vjps(out, ((logits, lambda g: ad.scale(
+        ad.mul(ad.sub(primitive_vjp_softmax_rows(logits), onehot), g), 1.0 / n)),))
+
+
+def primitive_vjp_neg_sq_distances(q: ad.Tensor, p: ad.Tensor) -> ad.Tensor:
+    with ad.no_grad():
+        out = _FUSED_FORWARDS["neg_sq_distances"](q, p)
+
+    def q_vjp(g):
+        return ad.scale(ad.sub(ad.matmul(g, p),
+                               ad.mul(ad.tensor_sum(g, axis=1, keepdims=True), q)), 2.0)
+
+    def p_vjp(g):
+        gt = ad.transpose(g)
+        return ad.scale(ad.sub(ad.matmul(gt, q),
+                               ad.mul(ad.tensor_sum(gt, axis=1, keepdims=True), p)), 2.0)
+
+    return _with_vjps(out, ((q, q_vjp), (p, p_vjp)))
+
+
+PRIMITIVE_VJPS = {
+    "standardize": primitive_vjp_standardize,
+    "softmax_rows": primitive_vjp_softmax_rows,
+    "softmax_cross_entropy": primitive_vjp_softmax_cross_entropy,
+    "neg_sq_distances": primitive_vjp_neg_sq_distances,
+}

@@ -1,12 +1,16 @@
 """Fused autodiff primitives against the composites they replace.
 
-Each fused op must give its composite's forward values bit for bit, and
-first- and second-order gradients equal to the composite's up to rounding.
-The gradient tolerances are about ten times the largest error measured
-over 200 random unit-scale cases of each op (2.3e-15 first order, 1.0e-14
-second order, both for ``standardize``).  ``linear`` and ``affine`` make
-their composite's VJP calls in its order, so their gradients must equal
-the composite's bit for bit.
+Each fused op must give its composite's forward values bit for bit.
+``linear`` and ``affine`` make their composite's VJP calls in its order, so
+their gradients must equal the composite's bit for bit.  The VJPs of
+``standardize``, ``softmax_rows``, ``softmax_cross_entropy`` and
+``neg_sq_distances`` are NumPy adjoint nodes; their first- and
+second-order gradients must equal, bit for bit, those of the same
+primitives with the VJPs written in primitives (``helpers.PRIMITIVE_VJPS``),
+and match the op-by-op composites up to rounding.  Those tolerances are
+about ten times the largest error measured over 200 random unit-scale
+cases of each op (2.3e-15 first order, 1.0e-14 second order, both for
+``standardize``).
 """
 
 import numpy as np
@@ -14,9 +18,12 @@ import pytest
 
 from fsdg import autodiff as ad
 from fsdg.encoder import BN_EPS
-from fsdg.errors import ShapeError
+from fsdg.errors import ContractError, NumericError, ShapeError
 from fsdg.rng import RngStream
+from fsdg.tasks import SyntheticDomainSpec, generate_synthetic_domain
+from fsdg.training import TrainConfig, train_loop
 from helpers import (
+    PRIMITIVE_VJPS,
     assert_grads_match,
     max_rel_err,
     ref_affine,
@@ -35,8 +42,10 @@ EXACT = ("linear", "affine", "affine_scalar_bias")
 FUSED = ROUNDED + EXACT
 
 
-def _case(name: str, seed: int):
-    """(fused op, reference composite, input tensors) of one random case."""
+def _case(name: str, seed: int, primitive_vjps: bool = False):
+    """(fused op, reference, input tensors) of one random case.  The
+    reference is the op-by-op composite, or with ``primitive_vjps`` the op
+    with the VJPs written in primitives."""
     stream = RngStream(seed)
 
     def normal(*shape):
@@ -50,15 +59,19 @@ def _case(name: str, seed: int):
         eps = ad.constant(stream.normals(4))
         return ((lambda a: ad.affine(ad.softplus(a), eps, 1.0)),
                 (lambda a: ad.add(1.0, ad.mul(ad.softplus(a), eps))), [normal(4)])
+    ref = PRIMITIVE_VJPS[name] if primitive_vjps else {
+        "standardize": ref_standardize, "softmax_rows": ref_softmax_rows,
+        "softmax_cross_entropy": ref_softmax_cross_entropy,
+        "neg_sq_distances": ref_neg_sq_distances}[name]
     if name == "standardize":
-        return (lambda x: ad.standardize(x, BN_EPS)), (lambda x: ref_standardize(x, BN_EPS)), [normal(6, 4)]
+        return (lambda x: ad.standardize(x, BN_EPS)), (lambda x: ref(x, BN_EPS)), [normal(6, 4)]
     if name == "softmax_rows":
-        return ad.softmax_rows, ref_softmax_rows, [normal(5, 4)]
+        return ad.softmax_rows, ref, [normal(5, 4)]
     if name == "softmax_cross_entropy":
         onehot = np.eye(3)[[int(y) for y in stream.integers(6, 3)]]
         return ((lambda a: ad.softmax_cross_entropy(a, onehot)),
-                (lambda a: ref_softmax_cross_entropy(a, onehot)), [normal(6, 3)])
-    return ad.neg_sq_distances, ref_neg_sq_distances, [normal(5, 3), normal(4, 3)]
+                (lambda a: ref(a, onehot)), [normal(6, 3)])
+    return ad.neg_sq_distances, ref, [normal(5, 3), normal(4, 3)]
 
 
 def _weights(seed: int, shapes):
@@ -118,6 +131,165 @@ def test_gradients_equal_composite_bit_for_bit(name, seed):
     want_first, want_second = _first_and_second(ref, xs, w, vs)
     for got, want in zip(got_first + got_second, want_first + want_second):
         assert np.array_equal(got.data, want.data)
+
+
+def _tanh_first_and_second(fn, xs, w, vs, reverse: bool):
+    """Gradients of sum(w * tanh(fn(xs))) with respect to xs and the leaf w,
+    and the gradient of the sum over them of sum(v * tanh(gradient)), added
+    in order or in reverse.  The tanh nodes give the op's output and its
+    gradients a consumer of their own, the leaf w makes the op's incoming
+    adjoint attached, and the order decides which adjoint node a second
+    backward walks first."""
+    wrt = list(xs) + [w]
+    grads = ad.backward(_contract(ad.tanh(fn(*xs)), w), wrt, create_graph=True)
+    terms = [ad.tensor_sum(ad.mul(ad.tanh(g), v)) for g, v in zip(grads, vs)]
+    if reverse:
+        terms.reverse()
+    total = terms[0]
+    for term in terms[1:]:
+        total = ad.add(total, term)
+    return grads, ad.backward(total, wrt)
+
+
+@pytest.mark.parametrize("form", ["plain", "tanh", "tanh-reversed"])
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ROUNDED)
+def test_gradients_equal_primitive_vjps_bit_for_bit(name, seed, form):
+    fused, ref, xs = _case(name, seed, primitive_vjps=True)
+    shape = ref(*xs).shape
+    if form == "plain":
+        (w,) = _weights(seed, [shape])
+        vs = _weights(seed + 1, [x.shape for x in xs])
+        got, want = (_first_and_second(fn, xs, w, vs) for fn in (fused, ref))
+    else:
+        w = ad.leaf(_weights(seed, [shape])[0].data)
+        vs = _weights(seed + 1, [x.shape for x in xs] + [shape])
+        got, want = (_tanh_first_and_second(fn, xs, w, vs, form == "tanh-reversed")
+                     for fn in (fused, ref))
+    for g, r in zip(got[0] + got[1], want[0] + want[1]):
+        assert np.array_equal(g.data, r.data)
+
+
+@pytest.mark.parametrize("name", ROUNDED)
+def test_create_graph_backward_records_one_node_per_input_link(name, monkeypatch):
+    fused, ref, xs = _case(name, 3)
+    out = fused(*xs)
+    (w,) = _weights(3, [out.shape])
+    loss = _contract(out, w)  # w is a constant, so only the op's VJPs record
+    linked = []
+    real_link = ad._link
+
+    def counting_link(node, parents):
+        linked.append(node)
+        return real_link(node, parents)
+
+    monkeypatch.setattr(ad, "_link", counting_link)
+    grads = ad.backward(loss, xs, create_graph=True)
+    assert len(linked) == len(out.parents) == len(xs)
+    inputs = {id(x) for x in xs} | {id(out)}
+    for g in grads:
+        # each gradient is the adjoint node itself, linked straight to the
+        # op's inputs and output, not to intermediate nodes
+        assert any(g is node for node in linked)
+        assert {id(t) for t, _ in g.parents} <= inputs
+
+
+@pytest.mark.parametrize("name", ROUNDED)
+def test_third_order_through_an_adjoint_node_is_refused(name):
+    fused, ref, xs = _case(name, 4)
+    out = fused(*xs)
+    (w,) = _weights(4, [out.shape])
+    (v,) = _weights(5, [xs[0].shape])
+    grads = ad.backward(_contract(out, w), xs, create_graph=True)
+    total = _contract(grads[0], v)
+    ad.backward(total, xs)  # second order is supported
+    with pytest.raises(ContractError, match=rf"^{name}: cannot record the gradient of a gradient"):
+        ad.backward(total, xs, create_graph=True)
+
+
+_U = np.ones((5, 3))  # queries and prototypes all at one point: distances are exactly 0
+# Inputs whose VJP arithmetic overflows although the forward and the
+# weighted sum of the op's output stay finite: (inputs, eps or targets, w).
+# The cross-entropy's VJP is (softmax - onehot) * g / n, bounded by |g|, so
+# it cannot overflow at first order.
+FIRST_ORDER_OVERFLOW = {
+    # inv_std near 1e10 from a tiny spread, times a gradient near 1e300
+    "standardize": ([1e-10 * RngStream(6).normals(24).reshape(6, 4)], 1e-30,
+                    1e300 * RngStream(7).normals(24).reshape(6, 4)),
+    # g - rowsum(g * s) = 1e308 + 1e308 in the column the row's softmax skips
+    "softmax_rows": ([[[-800.0, 0.0]]], None, [[1e308, -1e308]]),
+    # g @ p adds 4 x 1e308 before rowsum(g) * q takes it away again
+    "neg_sq_distances": ([_U, _U[:4]], None, np.full((5, 4), 1e308)),
+}
+# (inputs, eps or targets, w, v): the second backward's incoming adjoint v
+# is large where the first-order gradient is tiny or zero.
+SECOND_ORDER_OVERFLOW = {
+    "standardize": ([0.1 * RngStream(8).normals(24).reshape(6, 4)], BN_EPS, np.ones((6, 4)),
+                    np.full((6, 4), 1e308)),
+    "softmax_rows": ([RngStream(9).normals(20).reshape(5, 4)], None, np.full((5, 4), 1e160),
+                     np.full((5, 4), 1e160)),
+    # softmax - onehot is about 1e-100 at a margin of 230
+    "softmax_cross_entropy": ([[[230.0, 0.0, 0.0], [0.0, 230.0, 0.0]]], np.eye(3)[:2], 1e200,
+                              np.full((2, 3), 1e200)),
+    "neg_sq_distances": ([_U, _U[:4]], None, np.ones((5, 4)), np.full((5, 3), 1e308)),
+}
+
+
+def _overflow_op(name, inputs, extra):
+    xs = [ad.leaf(np.asarray(x, dtype=np.float64)) for x in inputs]
+    if name == "standardize":
+        return (lambda x: ad.standardize(x, extra)), xs
+    if name == "softmax_cross_entropy":
+        return (lambda a: ad.softmax_cross_entropy(a, extra)), xs
+    return getattr(ad, name), xs
+
+
+@pytest.mark.parametrize("create_graph", [False, True])
+@pytest.mark.parametrize("name", sorted(FIRST_ORDER_OVERFLOW))
+def test_overflow_in_a_first_order_adjoint_raises_numeric_error_naming_op(name, create_graph):
+    inputs, extra, w = FIRST_ORDER_OVERFLOW[name]
+    fn, xs = _overflow_op(name, inputs, extra)
+    loss = _contract(fn(*xs), ad.constant(w))
+    assert np.isfinite(loss.item())
+    with pytest.raises(NumericError, match=rf"^{name}: non-finite values in result$"):
+        ad.backward(loss, xs, create_graph=create_graph)
+
+
+@pytest.mark.parametrize("name", sorted(SECOND_ORDER_OVERFLOW))
+def test_overflow_in_a_second_order_adjoint_raises_numeric_error_naming_op(name):
+    inputs, extra, w, v = SECOND_ORDER_OVERFLOW[name]
+    fn, xs = _overflow_op(name, inputs, extra)
+    grads = ad.backward(_contract(fn(*xs), ad.constant(w)), xs, create_graph=True)
+    total = ad.tensor_sum(ad.mul(grads[0], ad.constant(v)))
+    assert np.isfinite(total.item())
+    with pytest.raises(NumericError, match=rf"^{name}: non-finite values in result$"):
+        ad.backward(total, xs)
+
+
+@pytest.mark.parametrize("head,extra", [
+    ("proto", {}), ("matching", {"optimizer": "sgd"}), ("relation", {}), ("proto", {"inner_steps": 2}),
+])
+def test_lft_training_equals_primitive_vjps_bit_for_bit(head, extra, monkeypatch):
+    # The whole lft graph, where adjoint nodes meet the forward's other
+    # consumers and each other, against the same run with the VJPs
+    # written in primitives swapped in where the encoder and heads look
+    # the four ops up.
+    specs = [SyntheticDomainSpec(master_seed=13, domain_seed=d, n_classes=6, dim=6,
+                                 samples_per_class=12, latent_dim=3) for d in range(2)]
+    domains = [generate_synthetic_domain(s) for s in specs]
+    config = TrainConfig(mode="lft", head=head, alpha=0.05, iterations=4, way=3, shot=2,
+                         query=3, seed=5, encoder_widths=(8, 4), **extra)
+    runs = []
+    for swapped in (False, True):
+        if swapped:
+            for name, ref in PRIMITIVE_VJPS.items():
+                monkeypatch.setattr(ad, name, ref)
+        model, rows = train_loop(config, domains)
+        runs.append(([(n, t.data) for n, t in model.param_store().items()], rows))
+    (params, rows), (ref_params, ref_rows) = runs
+    assert rows == ref_rows
+    for (name, got), (ref_name, want) in zip(params, ref_params):
+        assert name == ref_name and np.array_equal(got, want), name
 
 
 @pytest.mark.parametrize("name", FUSED)
