@@ -75,11 +75,10 @@ __all__ = [
     "ParamStore",
     "no_grad",
     "backward",
-    "finite_difference_grad",
-    "add", "sub", "mul", "div", "matmul", "relu", "tanh", "exp", "log",
+    "add", "sub", "mul", "div", "matmul", "relu", "exp", "log",
     "softplus", "square", "sqrt", "tensor_sum", "tensor_mean",
-    "tensor_max", "concat", "narrow", "take_rows", "broadcast_to", "reshape",
-    "transpose", "scale", "neg", "detach", "leaf", "adopt", "adopt_leaf", "constant",
+    "concat", "narrow", "take_rows", "broadcast_to", "reshape",
+    "transpose", "scale", "neg", "leaf", "adopt", "adopt_leaf", "constant",
     "linear", "affine", "standardize", "softmax_rows", "softmax_cross_entropy", "neg_sq_distances",
 ]
 
@@ -231,11 +230,6 @@ def adopt_leaf(data: np.ndarray) -> Tensor:
     t = adopt(data)
     t.requires_grad = True
     return t
-
-
-def detach(a: Tensor) -> Tensor:
-    """A constant holding ``a``'s values, severed from the graph."""
-    return _bare(a.data)
 
 
 def _wrap(x) -> Tensor:
@@ -417,15 +411,6 @@ def relu(a) -> Tensor:
     return _link(out, ((a, lambda g: mul(g, mask)),))
 
 
-def tanh(a) -> Tensor:
-    a = _wrap(a)
-    out = _fresh("tanh", np.tanh(a.data))
-    if not _records(a):
-        return out
-    ref = weakref.ref(out)
-    return _link(out, ((a, lambda g: mul(g, sub(1.0, square(ref())))),))
-
-
 def exp(a) -> Tensor:
     a = _wrap(a)
     try:
@@ -491,12 +476,6 @@ def sqrt(a) -> Tensor:
 # reductions
 
 
-def _axis_restore_shape(shape: tuple[int, ...], axis: int) -> tuple[int, ...]:
-    lst = list(shape)
-    lst[axis] = 1
-    return tuple(lst)
-
-
 def tensor_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
     if axis is not None:
@@ -510,7 +489,7 @@ def tensor_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     out = _fresh("sum", data)
     if not _records(a):
         return out
-    mid = (1,) * a.ndim if axis is None else _axis_restore_shape(a.shape, axis)
+    mid = (1,) * a.ndim if axis is None else a.shape[:axis] + (1,) + a.shape[axis + 1:]
 
     def vjp(g: Tensor) -> Tensor:
         # A g that lines up with mid from the right broadcasts as it is.
@@ -523,31 +502,12 @@ def tensor_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
 
 def tensor_mean(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
     a = _wrap(a)
-    count = a.size if axis is None else a.shape[axis % a.ndim]
+    if axis is not None and not -a.ndim <= axis < a.ndim:
+        raise ShapeError(f"mean: axis {axis} out of range for shape {a.shape}")
+    count = a.size if axis is None else a.shape[axis]
     if count == 0:
         raise ShapeError("mean: reduction over zero elements")
     return scale(tensor_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
-def tensor_max(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    """Max reduction; gradient flows to the first maximal element only."""
-    a = _wrap(a)
-    if axis is not None:
-        if not -a.ndim <= axis < a.ndim:
-            raise ShapeError(f"max: axis {axis} out of range for shape {a.shape}")
-        axis = axis % a.ndim
-    out = _fresh("max", np.max(a.data, axis=axis, keepdims=keepdims))
-    if not _records(a):
-        return out
-    mask = np.zeros(a.shape)
-    if axis is None:
-        mask.reshape(-1)[int(np.argmax(a.data))] = 1.0
-        mid = (1,) * a.ndim
-    else:
-        np.put_along_axis(mask, np.expand_dims(np.argmax(a.data, axis=axis), axis), 1.0, axis=axis)
-        mid = _axis_restore_shape(a.shape, axis)
-    mask_t = _bare(mask)
-    return _link(out, ((a, lambda g: mul(broadcast_to(reshape(g, mid), a.shape), mask_t)),))
 
 
 # ---------------------------------------------------------------------------
@@ -1095,7 +1055,7 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) ->
 
 
 # ---------------------------------------------------------------------------
-# parameter collections and the finite-difference oracle
+# parameter collections
 
 
 class ParamStore:
@@ -1130,45 +1090,3 @@ class ParamStore:
 
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.items()]
-
-    def with_value(self, name: str, data: np.ndarray) -> "ParamStore":
-        """Copy of the store with one entry replaced by a fresh leaf."""
-        if name not in self._items:
-            raise KeyError(name)
-        store = ParamStore()
-        for k, t in self.items():
-            store.add(k, leaf(data) if k == name else t)
-        return store
-
-
-def _scalar_value(x) -> float:
-    if isinstance(x, Tensor):
-        return x.item()
-    value = float(x)
-    if not np.isfinite(value):
-        raise NumericError("finite_difference_grad: function returned non-finite value")
-    return value
-
-
-def finite_difference_grad(f: Callable[[ParamStore], object], params: ParamStore, eps: float) -> ParamStore:
-    """Central-difference gradients of a scalar function of a ParamStore.
-
-    This is the reference oracle that gradient tests compare against; it
-    shares no code with backward.  f must be deterministic: any sampling
-    it performs has to be pinned by the caller.
-    """
-    if eps <= 0.0:
-        raise ContractError("finite_difference_grad: eps must be positive")
-    grads = ParamStore()
-    for name, t in params.items():
-        flat = t.data.reshape(-1)
-        out = np.empty(flat.size)
-        for i in range(flat.size):
-            bumped = flat.copy()
-            bumped[i] = flat[i] + eps
-            f_plus = _scalar_value(f(params.with_value(name, bumped.reshape(t.shape))))
-            bumped[i] = flat[i] - eps
-            f_minus = _scalar_value(f(params.with_value(name, bumped.reshape(t.shape))))
-            out[i] = (f_plus - f_minus) / (2.0 * eps)
-        grads.add(name, Tensor(out.reshape(t.shape)))
-    return grads

@@ -156,7 +156,10 @@ def _split_path(base: str, tag: str) -> str:
 
 
 def _cmd_split(args) -> int:
-    fractions = tuple(float(tok) for tok in args.fractions.split(","))
+    try:
+        fractions = tuple(float(tok) for tok in args.fractions.split(","))
+    except ValueError:
+        raise ConfigError(f"split: --fractions needs three numbers, got {args.fractions!r}") from None
     if len(fractions) != 3:
         raise ConfigError("split: --fractions needs exactly three values")
     domain = load_domain(args.domain)

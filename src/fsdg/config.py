@@ -9,6 +9,7 @@ are comma separated.
 from __future__ import annotations
 
 from dataclasses import fields
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError, ParseError
 from .training import TrainConfig
@@ -18,38 +19,45 @@ _FLAG_WORDS = {"1": True, "true": True, "yes": True, "on": True,
 
 
 def _parse_flag(token: str) -> bool:
-    word = token.strip().lower()
-    if word not in _FLAG_WORDS:
-        raise ParseError(f"config: {token!r} is not a flag (use 1/0 or true/false)")
-    return _FLAG_WORDS[word]
+    return _FLAG_WORDS[token.strip().lower()]
 
 
-def _parse_value(key: str, raw: str):
+# Per scalar type: parser (raises ValueError or KeyError on bad text),
+# formatter, and what a value of the type, and a list of them, must be.
+_SCALARS = {
+    str: (str, str, None, None),
+    int: (int, str, "an integer", "comma-separated integers"),
+    float: (float, repr, "a number", "comma-separated numbers"),
+    bool: (_parse_flag, lambda flag: "1" if flag else "0",
+           "a flag (1/0 or true/false)", "comma-separated flags (1/0 or true/false)"),
+}
+
+
+def _kind(hint) -> tuple[type, bool]:
+    """A field's scalar type, and whether the field is a tuple of them."""
+    if get_origin(hint) is tuple:
+        return get_args(hint)[0], True
+    return hint, False
+
+
+_HINTS = get_type_hints(TrainConfig)
+_FIELDS = {field.name: _kind(_HINTS[field.name]) for field in fields(TrainConfig)}
+
+
+def _parse_value(lineno: int, key: str, raw: str):
+    kind, is_tuple = _FIELDS[key]
+    parse, _, one, many = _SCALARS[kind]
     raw = raw.strip()
-    if key in ("mode", "head", "optimizer"):
-        return raw
-    if key in ("iterations", "inner_steps", "way", "shot", "query", "seed"):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ParseError(f"config: key {key!r} needs an integer, got {raw!r}") from None
-    if key in ("alpha", "ft_reg_weight", "ft_init_gamma", "ft_init_beta"):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ParseError(f"config: key {key!r} needs a number, got {raw!r}") from None
-    if key == "encoder_widths":
-        try:
-            return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-        except ValueError:
-            raise ParseError(f"config: encoder_widths must be comma-separated ints, got {raw!r}") from None
-    if key == "ft_blocks":
-        return tuple(_parse_flag(tok) for tok in raw.split(",") if tok.strip())
-    raise ConfigError(f"config: unknown key {key!r}")
+    try:
+        if is_tuple:
+            return tuple(parse(tok) for tok in raw.split(",") if tok.strip())
+        return parse(raw)
+    except (ValueError, KeyError):
+        raise ParseError(f"config line {lineno}: key {key!r} needs {many if is_tuple else one}, "
+                         f"got {raw!r}") from None
 
 
 def parse_config_text(text: str) -> TrainConfig:
-    known = {f.name for f in fields(TrainConfig)}
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -59,9 +67,9 @@ def parse_config_text(text: str) -> TrainConfig:
             raise ParseError(f"config line {lineno}: expected 'key = value', got {line!r}")
         key, raw = body.split("=", 1)
         key = key.strip()
-        if key not in known:
+        if key not in _FIELDS:
             raise ConfigError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = _parse_value(key, raw)
+        values[key] = _parse_value(lineno, key, raw)
     return TrainConfig(**values)
 
 
@@ -72,21 +80,9 @@ def load_config(path: str) -> TrainConfig:
 
 def format_config(config: TrainConfig) -> str:
     """Render a config as parseable text (round-trips through parse)."""
-    lines = [
-        f"mode = {config.mode}",
-        f"head = {config.head}",
-        f"alpha = {config.alpha!r}",
-        f"iterations = {config.iterations}",
-        f"inner_steps = {config.inner_steps}",
-        f"ft_reg_weight = {config.ft_reg_weight!r}",
-        f"ft_init_gamma = {config.ft_init_gamma!r}",
-        f"ft_init_beta = {config.ft_init_beta!r}",
-        f"way = {config.way}",
-        f"shot = {config.shot}",
-        f"query = {config.query}",
-        f"seed = {config.seed}",
-        f"optimizer = {config.optimizer}",
-        "encoder_widths = " + ",".join(str(w) for w in config.encoder_widths),
-        "ft_blocks = " + ",".join("1" if b else "0" for b in config.ft_blocks),
-    ]
+    lines = []
+    for key, (kind, is_tuple) in _FIELDS.items():
+        fmt = _SCALARS[kind][1]
+        value = getattr(config, key)
+        lines.append(f"{key} = " + (",".join(map(fmt, value)) if is_tuple else fmt(value)))
     return "\n".join(lines) + "\n"

@@ -20,7 +20,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, ContractError
 # sample_modulation is not called here, but perfbench's traced run wraps it
 # under this module's name.
-from .ft import FTParams, Modulation, modulate, sample_modulation, sample_modulations  # noqa: F401
+from .ft import FTParams, modulate, sample_modulation, sample_modulations  # noqa: F401
 from .rng import RngStream
 
 BN_EPS = 1e-5
@@ -115,14 +115,12 @@ def batch_norm(x: Tensor, bn_scale: Tensor, bn_shift: Tensor) -> Tensor:
 
 
 def encode(state: EncoderState, ft: FTParams | None, batch: Tensor, mode: str,
-           rng: RngStream | None = None,
-           modulations: list[Modulation] | None = None) -> Tensor:
+           rng: RngStream | None = None) -> Tensor:
     """Run the block stack over one batch.
 
     mode "train" applies feature modulation on the flagged blocks (fresh
-    noise from rng, or pinned draws via ``modulations``); mode "eval"
-    bypasses modulation so the pass is a deterministic function of the
-    parameters and the batch.
+    noise from rng); mode "eval" bypasses modulation so the pass is a
+    deterministic function of the parameters and the batch.
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"encode: unknown mode {mode!r}")
@@ -137,12 +135,9 @@ def encode(state: EncoderState, ft: FTParams | None, batch: Tensor, mode: str,
             raise ContractError(
                 f"encode: {ft.n_layers} modulation layers for {len(flagged)} flagged blocks"
             )
-        if modulations is not None and len(modulations) != ft.n_layers:
-            raise ContractError("encode: pinned modulation list has wrong length")
-        if modulations is None:
-            if rng is None:
-                raise ContractError("encode: training with modulation needs an rng stream")
-            modulations = sample_modulations(ft, rng)
+        if rng is None:
+            raise ContractError("encode: training with modulation needs an rng stream")
+        mods = sample_modulations(ft, rng)
 
     h = batch
     ft_index = 0
@@ -150,7 +145,7 @@ def encode(state: EncoderState, ft: FTParams | None, batch: Tensor, mode: str,
         h = ad.linear(h, blk.weight, blk.bias)
         h = batch_norm(h, blk.bn_scale, blk.bn_shift)
         if use_ft and state.config.ft_blocks[i]:
-            h = modulate(h, modulations[ft_index])
+            h = modulate(h, mods[ft_index])
             ft_index += 1
         h = ad.relu(h)
     return h

@@ -178,13 +178,13 @@ def build_model(config: TrainConfig, input_dim: int, rng: RngStream,
 
 
 def episode_forward(model: ModelState, episode: Episode, mode: str, use_ft: bool,
-                    rng: RngStream | None = None, modulations=None) -> Tensor:
+                    rng: RngStream | None = None) -> Tensor:
     """Encode the episode's batch, then score its queries with the head.
 
     ``episode.x`` may be a no-grad stack of batches of episodes that share
     the episode's labels; the logits then stack the same way."""
     ft = model.ft if use_ft else None
-    emb = encode(model.encoder, ft, episode.x, mode, rng, modulations)
+    emb = encode(model.encoder, ft, episode.x, mode, rng)
     n_support = episode.n_way * episode.n_shot
     support = ad.narrow(emb, -2, 0, n_support)
     query = ad.narrow(emb, -2, n_support, emb.shape[-2])

@@ -14,12 +14,12 @@ from fsdg import autodiff as ad
 from fsdg.checkpoint import load_checkpoint, save_checkpoint
 from fsdg.config import format_config
 from fsdg.evaluation import evaluate
-from fsdg.ft import ft_param_count, init_ft_params, modulation_from_noise, sample_modulation
+from fsdg.ft import ft_param_count, init_ft_params, sample_modulation
 from fsdg.heads import episode_loss
 from fsdg.rng import RngStream
 from fsdg.tasks import SyntheticDomainSpec, generate_synthetic_domain, sample_episode
 from fsdg.training import SGD, TrainConfig, build_model, episode_forward, lft_outer_loss, lft_train_step, train_loop
-from helpers import max_rel_err, noise_domain
+from helpers import finite_difference_grad, max_rel_err, noise_domain
 
 # Constants for the directional cross-domain claim (criteria 6 and 9).
 # Fixed by calibration; see notes on the synthetic testbed in the repo docs.
@@ -83,20 +83,14 @@ def test_criterion_2_episode_loss_gradients_match_finite_differences():
             model = build_model(cfg, domain.dim, RngStream(seed))
             episode = sample_episode(domain, cfg.way, cfg.shot, cfg.query,
                                      RngStream(300 + seed))
-            # pinned per-block noise draws, re-applied to whatever theta the
-            # finite-difference probe installs
-            noise = RngStream(400 + seed)
-            eps = [(noise.normals(g.shape[0]), noise.normals(g.shape[0]))
-                   for g in model.ft.gammas]
-
             items = model.trainable() + model.ft_named()
             store = ad.ParamStore(items)
 
             def run(m):
-                mods = [modulation_from_noise(tg, tb, e_g, e_b)
-                        for (tg, tb), (e_g, e_b) in zip(zip(m.ft.gammas, m.ft.betas), eps)]
+                # a fresh stream per pass gives every pass the same noise
+                # draws, applied to whatever theta the probe installs
                 logits = episode_forward(m, episode, mode="train", use_ft=True,
-                                         modulations=mods)
+                                         rng=RngStream(400 + seed))
                 return episode_loss(logits, episode.query_y)
 
             loss = run(model)
@@ -105,7 +99,7 @@ def test_criterion_2_episode_loss_gradients_match_finite_differences():
             def build(s):
                 return run(model.with_values({n: s[n] for n in s.names()}))
 
-            fd = ad.finite_difference_grad(build, store, 1e-5)
+            fd = finite_difference_grad(build, store, 1e-5)
             for (name, _), got in zip(items, grads):
                 err = max_rel_err(got.data, fd[name].data, atol=1e-8)
                 worst = max(worst, err)
@@ -150,7 +144,7 @@ def test_criterion_3_meta_gradient_matches_finite_differences():
             total, _, _, _, _ = lft_outer_loss(shifted, ps, pu, cfg, RngStream(900 + seed))
             return total
 
-        fd = ad.finite_difference_grad(build, store, 1e-4)
+        fd = finite_difference_grad(build, store, 1e-4)
         for name in store.names():
             err = max_rel_err(got[name], fd[name].data, atol=1e-10)
             worst = max(worst, err)

@@ -23,7 +23,7 @@ from fsdg.errors import (
     ShapeError,
 )
 from fsdg.rng import RngStream
-from helpers import max_rel_err, random_tensor
+from helpers import finite_difference_grad, max_rel_err, random_tensor, with_value
 
 p = pytest.mark.parametrize
 
@@ -86,14 +86,12 @@ WORKED = [
     (ad.mul, (_TWO, _TWO), {}, 4.0),
     (ad.matmul, (_MAT, _MAT), {}, [[7.0, 10.0], [15.0, 22.0]]),
     (ad.relu, (ad.constant(-1.0),), {}, 0.0),
-    (ad.tanh, (ad.constant(0.0),), {}, 0.0),
     (ad.exp, (ad.constant(0.0),), {}, 1.0),
     (ad.log, (ad.constant(1.0),), {}, 0.0),
     (ad.softplus, (ad.constant(0.0),), {}, np.log(2.0)),
     (ad.square, (ad.constant(3.0),), {}, 9.0),
     (ad.tensor_sum, (_MAT,), {}, 10.0),
     (ad.tensor_mean, (_MAT,), {}, 2.5),
-    (ad.tensor_max, (_MAT,), {}, 4.0),
     (ad.concat, ((_MAT, _MAT),), {"axis": 1}, [[1.0, 2.0, 1.0, 2.0], [3.0, 4.0, 3.0, 4.0]]),
     (ad.narrow, (_MAT,), {"axis": 0, "start": 0, "stop": 1}, [[1.0, 2.0]]),
     (ad.broadcast_to, (_TWO,), {"shape": (2, 2)}, [[2.0, 2.0], [2.0, 2.0]]),
@@ -148,7 +146,7 @@ def test_backward_linearity_is_exact():
     w = random_tensor(stream, (3, 2))
 
     def f():
-        return ad.tensor_sum(ad.tanh(ad.matmul(x, w)))
+        return ad.tensor_sum(ad.softplus(ad.matmul(x, w)))
 
     def g():
         return ad.tensor_sum(ad.square(ad.matmul(x, w)))
@@ -181,7 +179,7 @@ def _fd_check(build, params, rtol, eps=1e-5, atol=1e-8):
     """build(store) -> scalar Tensor; compares backward against central FD."""
     loss = build(params)
     grads = ad.backward(loss, params.tensors())
-    fd = ad.finite_difference_grad(build, params, eps)
+    fd = finite_difference_grad(build, params, eps)
     for (name, _), got in zip(params.items(), grads):
         err = max_rel_err(got.data, fd[name].data, atol=atol)
         assert err < rtol, f"{name}: rel err {err:.2e}"
@@ -192,7 +190,7 @@ def _by_name(*fns):
     return p("fn", fns, ids=[fn.__name__ for fn in fns])
 
 
-@_by_name(ad.tanh, ad.exp, ad.softplus, ad.square)
+@_by_name(ad.exp, ad.softplus, ad.square)
 def test_unary_primitive_gradients_match_fd(fn):
     for seed in range(4):
         x = random_tensor(RngStream(100 + seed), (3, 4), -2.0, 2.0)
@@ -229,7 +227,7 @@ def test_matmul_gradients_match_fd():
     a = random_tensor(stream, (3, 4))
     b = random_tensor(stream, (4, 2))
     params = ad.ParamStore([("a", a), ("b", b)])
-    _fd_check(lambda s: ad.tensor_sum(ad.tanh(ad.matmul(s["a"], s["b"]))), params, rtol=1e-6)
+    _fd_check(lambda s: ad.tensor_sum(ad.softplus(ad.matmul(s["a"], s["b"]))), params, rtol=1e-6)
 
 
 @p("axis,keepdims", [(None, False), (0, False), (1, True)])
@@ -239,15 +237,6 @@ def test_reduction_gradients_match_fd(axis, keepdims):
     for fn in (ad.tensor_sum, ad.tensor_mean):
         _fd_check(lambda s, fn=fn: ad.tensor_sum(ad.square(
             fn(s["x"], axis=axis, keepdims=keepdims))), params, rtol=1e-6)
-
-
-def test_max_gradient_matches_fd():
-    # entries well separated so the argmax is stable under the FD bump
-    x = ad.leaf(np.array([[0.1, 1.4, -0.9], [2.2, -1.3, 0.4]]))
-    params = ad.ParamStore([("x", x)])
-    _fd_check(lambda s: ad.square(ad.tensor_max(s["x"])), params, rtol=1e-6)
-    _fd_check(lambda s: ad.tensor_sum(ad.square(ad.tensor_max(s["x"], axis=1))),
-              params, rtol=1e-6)
 
 
 def test_structural_op_gradients_match_fd():
@@ -273,7 +262,7 @@ def test_three_layer_random_composition_matches_fd():
         params = ad.ParamStore([("w1", w1), ("w2", w2), ("w3", w3)])
 
         def build(s):
-            h1 = ad.tanh(ad.matmul(x, s["w1"]))
+            h1 = ad.softplus(ad.matmul(x, s["w1"]))
             h2 = ad.softplus(ad.matmul(h1, s["w2"]))
             h3 = ad.square(ad.matmul(h2, s["w3"]))
             return ad.tensor_mean(ad.log(ad.add(h3, 1.0)))
@@ -324,7 +313,7 @@ def test_second_order_matches_fd_of_first_order():
         v = random_tensor(stream, (4, 3), requires_grad=False)
 
         def first_directional(w_t):
-            h = ad.tanh(ad.matmul(x, w_t))
+            h = ad.softplus(ad.matmul(x, w_t))
             loss = ad.tensor_mean(ad.square(h))
             (g,) = ad.backward(loss, [w_t], create_graph=True)
             return ad.tensor_sum(ad.mul(g, v))
@@ -334,12 +323,12 @@ def test_second_order_matches_fd_of_first_order():
 
         def fd_fn(store):
             w_t = store["w"]
-            h = ad.tanh(ad.matmul(x, w_t))
+            h = ad.softplus(ad.matmul(x, w_t))
             loss = ad.tensor_mean(ad.square(h))
             (g,) = ad.backward(loss, [w_t], create_graph=True)
             return ad.tensor_sum(ad.mul(g, v))
 
-        fd = ad.finite_difference_grad(fd_fn, ad.ParamStore([("w", w)]), 1e-4)
+        fd = finite_difference_grad(fd_fn, ad.ParamStore([("w", w)]), 1e-4)
         err = max_rel_err(hv.data, fd["w"].data)
         assert err < 1e-5, f"seed {seed}: rel err {err:.2e}"
 
@@ -372,6 +361,13 @@ def test_elementwise_shape_error_names_op_and_both_shapes(op):
 def test_broadcast_to_rejects_shapes_that_do_not_broadcast(shape, target):
     with pytest.raises(ShapeError, match=r"^broadcast: cannot expand "):
         ad.broadcast_to(ad.constant(np.ones(shape)), target)
+
+
+@p("op", ["sum", "mean"])
+@p("shape,axis", [((), 0), ((2, 3), 2), ((2, 3), -3)], ids=["scalar", "past-last", "before-first"])
+def test_reduction_rejects_axis_out_of_range(op, shape, axis):
+    with pytest.raises(ShapeError, match=rf"^{op}: axis {axis} out of range for shape "):
+        getattr(ad, f"tensor_{op}")(ad.constant(np.ones(shape)), axis=axis)
 
 
 def test_log_rejects_non_positive():
@@ -533,12 +529,12 @@ def test_backward_rejects_detached_wrt():
 
 
 def test_attached_graph_is_freed_without_the_cycle_collector():
-    # Ops whose VJP needs their own output (exp, tanh, softplus, sqrt) must
+    # Ops whose VJP needs their own output (exp, softplus, sqrt) must
     # not make reference cycles, or every graph waits for gc to run.
     gc.disable()
     try:
         x = ad.leaf(np.array([0.1, 0.7]))
-        y = ad.tensor_sum(ad.sqrt(ad.softplus(ad.tanh(ad.exp(x)))))
+        y = ad.tensor_sum(ad.sqrt(ad.softplus(ad.softplus(ad.exp(x)))))
         (g,) = ad.backward(y, [x], create_graph=True)
         (gg,) = ad.backward(ad.tensor_sum(g), [x])
         probes = [weakref.ref(y), weakref.ref(g)]
@@ -559,7 +555,7 @@ def test_no_grad_suppresses_graph_building():
 # One call of each primitive on attached inputs; ``x`` and ``y`` are 3x4,
 # ``pos`` is positive, ``w`` is 4x2.  The names of __all__ that are no
 # primitive are listed apart, so a new export must join one or the other.
-_NOT_PRIMITIVES = {"Tensor", "ParamStore", "no_grad", "backward", "finite_difference_grad"}
+_NOT_PRIMITIVES = {"Tensor", "ParamStore", "no_grad", "backward"}
 _CALLS = {
     "add": lambda v: ad.add(v["x"], v["y"]),
     "sub": lambda v: ad.sub(v["x"], v["y"]),
@@ -567,7 +563,6 @@ _CALLS = {
     "div": lambda v: ad.div(v["x"], v["pos"]),
     "matmul": lambda v: ad.matmul(v["x"], v["w"]),
     "relu": lambda v: ad.relu(v["x"]),
-    "tanh": lambda v: ad.tanh(v["x"]),
     "exp": lambda v: ad.exp(v["x"]),
     "log": lambda v: ad.log(v["pos"]),
     "softplus": lambda v: ad.softplus(v["x"]),
@@ -575,7 +570,6 @@ _CALLS = {
     "sqrt": lambda v: ad.sqrt(v["pos"]),
     "tensor_sum": lambda v: ad.tensor_sum(v["x"], axis=0),
     "tensor_mean": lambda v: ad.tensor_mean(v["x"], axis=1, keepdims=True),
-    "tensor_max": lambda v: ad.tensor_max(ad.tensor_max(v["x"], axis=1)),
     "concat": lambda v: ad.concat([v["x"], ad.constant(np.ones((3, 2))), v["y"]], axis=1),
     "narrow": lambda v: ad.narrow(v["x"], 1, 1, 3),
     "take_rows": lambda v: ad.take_rows(v["x"], [2, 0, 2]),
@@ -584,7 +578,6 @@ _CALLS = {
     "transpose": lambda v: ad.transpose(v["x"]),
     "scale": lambda v: ad.scale(v["x"], 1.5),
     "neg": lambda v: ad.neg(v["x"]),
-    "detach": lambda v: ad.detach(v["x"]),
     "leaf": lambda v: ad.leaf(v["x"].data),
     "adopt": lambda v: ad.adopt(v["x"].data.copy()),
     "adopt_leaf": lambda v: ad.adopt_leaf(v["x"].data.copy()),
@@ -597,7 +590,7 @@ _CALLS = {
     "neg_sq_distances": lambda v: ad.neg_sq_distances(v["x"], v["y"]),
 }
 # Those whose result is a graph node when an input is attached.
-_RECORDING = set(_CALLS) - {"detach", "leaf", "adopt", "adopt_leaf", "constant"}
+_RECORDING = set(_CALLS) - {"leaf", "adopt", "adopt_leaf", "constant"}
 
 
 def test_every_export_is_a_primitive_call_or_listed_apart():
@@ -648,27 +641,27 @@ def test_view_op_results_are_write_locked(make):
 
 
 # ---------------------------------------------------------------------------
-# the finite-difference oracle itself
+# the finite-difference oracle itself (tests/helpers.py)
 
 
 def test_fd_gradient_of_quadratic_is_exact():
     x = ad.leaf(np.array([3.0, -1.0, 0.5]))
     params = ad.ParamStore([("x", x)])
-    fd = ad.finite_difference_grad(lambda s: ad.tensor_sum(ad.square(s["x"])), params, 1e-5)
+    fd = finite_difference_grad(lambda s: ad.tensor_sum(ad.square(s["x"])), params, 1e-5)
     assert np.max(np.abs(fd["x"].data - 2.0 * x.data)) < 1e-8
 
 
 def test_fd_gradient_of_constant_is_zero():
     x = ad.leaf(np.ones((2, 2)))
     params = ad.ParamStore([("x", x)])
-    fd = ad.finite_difference_grad(lambda s: ad.constant(4.2), params, 1e-5)
+    fd = finite_difference_grad(lambda s: ad.constant(4.2), params, 1e-5)
     assert np.array_equal(fd["x"].data, np.zeros((2, 2)))
 
 
 def test_fd_rejects_bad_eps():
     params = ad.ParamStore([("x", ad.leaf(1.0))])
     with pytest.raises(ContractError):
-        ad.finite_difference_grad(lambda s: s["x"], params, 0.0)
+        finite_difference_grad(lambda s: s["x"], params, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +681,7 @@ def test_param_store_rejects_duplicates():
 
 def test_param_store_with_value_replaces_single_leaf():
     store = ad.ParamStore([("x", ad.leaf(1.0)), ("y", ad.leaf(2.0))])
-    bumped = store.with_value("x", np.asarray(5.0))
+    bumped = with_value(store, "x", np.asarray(5.0))
     assert bumped["x"].item() == 5.0
     assert bumped["y"] is store["y"]
     assert store["x"].item() == 1.0
@@ -705,7 +698,7 @@ def test_elementwise_gradient_shape_matches_input(seed):
     rows = 1 + seed % 4
     cols = 1 + (seed // 4) % 5
     x = random_tensor(stream, (rows, cols))
-    loss = ad.tensor_sum(ad.mul(ad.tanh(x), x))
+    loss = ad.tensor_sum(ad.mul(ad.softplus(x), x))
     (g,) = ad.backward(loss, [x])
     assert g.shape == x.shape
 

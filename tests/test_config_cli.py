@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -58,9 +59,12 @@ def test_parse_minimal_config_fills_defaults():
 
 def test_parse_full_round_trip():
     cfg = TrainConfig(mode="lft", head="relation", alpha=0.025, iterations=123,
-                      inner_steps=2, ft_reg_weight=3e-7, way=7, shot=1, query=9,
+                      inner_steps=2, ft_reg_weight=3e-7, ft_init_gamma=0.125,
+                      ft_init_beta=1e-12, way=7, shot=1, query=9,
                       seed=42, optimizer="adam", encoder_widths=(12, 6, 3),
                       ft_blocks=(True, False, True))
+    default = TrainConfig()
+    assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(TrainConfig))
     back = cfgmod.parse_config_text(cfgmod.format_config(cfg))
     assert back == cfg
 
@@ -85,13 +89,13 @@ def test_parse_error_taxonomy():
         cfgmod.parse_config_text("modee = ft\n")
     with pytest.raises(ParseError, match="line 1"):
         cfgmod.parse_config_text("mode ft\n")
-    with pytest.raises(ParseError):
-        cfgmod.parse_config_text("iterations = many\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^config line 2: key 'iterations' needs an integer, got 'many'$"):
+        cfgmod.parse_config_text("mode = ft\niterations = many\n")
+    with pytest.raises(ParseError, match=r"^config line 1: key 'alpha' needs a number, got 'fast'$"):
         cfgmod.parse_config_text("alpha = fast\n")
-    with pytest.raises(ParseError):
-        cfgmod.parse_config_text("ft_blocks = maybe\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^config line 3: key 'ft_blocks' needs comma-separated flags"):
+        cfgmod.parse_config_text("\n# flags\nft_blocks = 1, maybe\n")
+    with pytest.raises(ParseError, match=r"^config line 1: key 'encoder_widths' needs comma-separated integers"):
         cfgmod.parse_config_text("encoder_widths = 8;4\n")
     with pytest.raises(ConfigError):  # parses fine, violates invariants
         cfgmod.parse_config_text("mode = warpdrive\n")
@@ -188,6 +192,13 @@ def test_split_bad_fractions_exits_two(workspace, capsys):
     code = run_cli(["split", str(workspace / "dom_a.bin"),
                     "--out", str(workspace / "p.bin"), "--fractions", "0.5,0.5"])
     assert code == 2
+
+
+def test_split_fractions_that_are_not_numbers_exit_two_naming_the_flag(workspace, capsys):
+    code = run_cli(["split", str(workspace / "dom_a.bin"),
+                    "--out", str(workspace / "p.bin"), "--fractions", "a,b,c"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: split: --fractions needs three numbers, got 'a,b,c'\n"
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from fsdg import autodiff as ad
 from fsdg import ft
 from fsdg.errors import ContractError
 from fsdg.rng import RngStream
-from helpers import max_rel_err
+from helpers import finite_difference_grad, max_rel_err
 
 
 def softplus(x):
@@ -148,7 +148,7 @@ def test_pinned_noise_gradient_is_sigmoid_times_noise():
     assert max_rel_err(g_tg.data, sigmoid(theta_g.data) * eps_g) < 1e-12
     assert max_rel_err(g_tb.data, sigmoid(theta_b.data) * eps_b) < 1e-12
 
-    fd = ad.finite_difference_grad(build, params, 1e-5)
+    fd = finite_difference_grad(build, params, 1e-5)
     assert max_rel_err(g_tg.data, fd["tg"].data) < 1e-6
     assert max_rel_err(g_tb.data, fd["tb"].data) < 1e-6
 
@@ -168,7 +168,7 @@ def test_modulated_activation_gradients_match_fd():
         return ad.tensor_mean(ad.square(ft.modulate(z, mod)))
 
     grads = ad.backward(build(params), params.tensors())
-    fd = ad.finite_difference_grad(build, params, 1e-5)
+    fd = finite_difference_grad(build, params, 1e-5)
     for (name, _), got in zip(params.items(), grads):
         assert max_rel_err(got.data, fd[name].data) < 1e-6, name
 

@@ -7,7 +7,7 @@ from fsdg import autodiff as ad
 from fsdg import heads
 from fsdg.errors import ConfigError, ContractError
 from fsdg.rng import RngStream
-from helpers import max_rel_err
+from helpers import finite_difference_grad, max_rel_err
 
 
 def embeddings(seed, rows, dim, lo=-1.0, hi=1.0):
@@ -145,7 +145,7 @@ def test_proto_gradients_match_fd():
         return heads.episode_loss(logits, [0, 1, 0])
 
     grads = ad.backward(build(params), params.tensors())
-    fd = ad.finite_difference_grad(build, params, 1e-5)
+    fd = finite_difference_grad(build, params, 1e-5)
     for (name, _), got in zip(params.items(), grads):
         assert max_rel_err(got.data, fd[name].data) < 1e-6, name
 
@@ -205,7 +205,7 @@ def test_matching_gradients_match_fd():
         return heads.episode_loss(logits, [1, 0, 1])
 
     grads = ad.backward(build(params), params.tensors())
-    fd = ad.finite_difference_grad(build, params, 1e-5)
+    fd = finite_difference_grad(build, params, 1e-5)
     for (name, _), got in zip(params.items(), grads):
         assert max_rel_err(got.data, fd[name].data) < 1e-6, name
 
@@ -286,7 +286,7 @@ def test_relation_gradients_match_fd():
         return heads.episode_loss(logits, [0, 1, 0])
 
     grads = ad.backward(build(params), params.tensors())
-    fd = ad.finite_difference_grad(build, params, 1e-5)
+    fd = finite_difference_grad(build, params, 1e-5)
     for (name, _), got in zip(params.items(), grads):
         assert max_rel_err(got.data, fd[name].data, atol=1e-10) < 1e-6, name
 

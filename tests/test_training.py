@@ -12,7 +12,7 @@ from fsdg.evaluation import evaluate
 from fsdg.heads import episode_loss
 from fsdg.rng import RngStream
 from fsdg.tasks import SyntheticDomainSpec, generate_synthetic_domain, sample_episode
-from helpers import max_rel_err, noise_domain, overflow_nth_episode
+from helpers import finite_difference_grad, max_rel_err, noise_domain, overflow_nth_episode
 
 
 def toy_config(**kw):
@@ -258,7 +258,7 @@ def test_meta_gradient_matches_fd_on_toy_model():
             shifted = model.with_values({n: store[n] for n in store.names()})
             return pinned_outer_total(shifted, ps, pu, cfg, 70 + seed)
 
-        fd = ad.finite_difference_grad(build, params, 1e-4)
+        fd = finite_difference_grad(build, params, 1e-4)
         for (name, _), got in zip(ft_items, grads):
             err = max_rel_err(got.data, fd[name].data, atol=1e-10)
             assert err < 1e-4, f"seed {seed} {name}: rel err {err:.2e}"
