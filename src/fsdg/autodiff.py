@@ -72,12 +72,11 @@ from .errors import (
 
 __all__ = [
     "Tensor",
-    "ParamStore",
     "no_grad",
     "backward",
     "add", "sub", "mul", "div", "matmul", "relu", "exp", "log",
     "softplus", "square", "sqrt", "tensor_sum", "tensor_mean",
-    "concat", "narrow", "take_rows", "broadcast_to", "reshape",
+    "concat", "narrow", "broadcast_to", "reshape",
     "transpose", "scale", "neg", "leaf", "adopt", "adopt_leaf", "constant",
     "linear", "affine", "standardize", "softmax_rows", "softmax_cross_entropy", "neg_sq_distances",
 ]
@@ -197,11 +196,9 @@ class Tensor:
 def _bare(data: np.ndarray) -> Tensor:
     """Wrap an array as a constant tensor without copying."""
     t = Tensor.__new__(Tensor)
-    if not data.flags.writeable:
-        t.data = data
-    else:
+    if data.flags.writeable:
         data.setflags(write=False)
-        t.data = data
+    t.data = data
     t.parents = ()
     t.requires_grad = False
     return t
@@ -634,33 +631,6 @@ def _embed(g: Tensor, axis: int, start: int, full_shape: tuple[int, ...]) -> Ten
     return _link(out, ((g, lambda h: narrow(h, axis, start, stop)),))
 
 
-def take_rows(a, indices: Sequence[int]) -> Tensor:
-    """Gather rows by index (duplicates allowed); adjoint scatters with add."""
-    a = _wrap(a)
-    if a.ndim < 1:
-        raise ShapeError("take_rows: operand must have at least one axis")
-    idx = tuple(int(i) for i in indices)
-    if any(i < 0 or i >= a.shape[0] for i in idx):
-        raise ShapeError(f"take_rows: index out of range for {a.shape[0]} rows")
-    out = _fresh("take_rows", np.take(a.data, idx, axis=0))
-    if not _records(a):
-        return out
-    return _link(out, ((a, lambda g: _scatter_rows(g, idx, a.shape[0])),))
-
-
-def _scatter_rows(g: Tensor, indices: tuple[int, ...], n_rows: int) -> Tensor:
-    g = _wrap(g)
-    data = np.zeros((n_rows,) + g.shape[1:])
-    try:
-        np.add.at(data, list(indices), g.data)
-    except FloatingPointError:
-        raise _non_finite("scatter_rows") from None
-    out = _fresh("scatter_rows", data)
-    if not _records(g):
-        return out
-    return _link(out, ((g, lambda h: take_rows(h, indices)),))
-
-
 # ---------------------------------------------------------------------------
 # fused composites
 #
@@ -1052,41 +1022,3 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) ->
                 held = adjoints.get(pid)
                 adjoints[pid] = contribution if held is None else add(held, contribution)
     return [adjoints.get(id(w), _bare(np.zeros(w.shape))) for w in wrt]
-
-
-# ---------------------------------------------------------------------------
-# parameter collections
-
-
-class ParamStore:
-    """Named parameter tensors with deterministic lexicographic iteration."""
-
-    def __init__(self, items: Iterable[tuple[str, Tensor]] = ()):
-        self._items: dict[str, Tensor] = {}
-        for name, t in items:
-            self.add(name, t)
-
-    def add(self, name: str, t: Tensor) -> None:
-        if name in self._items:
-            raise ContractError(f"ParamStore: duplicate name {name!r}")
-        self._items[name] = t
-
-    def __getitem__(self, name: str) -> Tensor:
-        if name not in self._items:
-            raise KeyError(name)
-        return self._items[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._items
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def names(self) -> list[str]:
-        return sorted(self._items)
-
-    def items(self) -> list[tuple[str, Tensor]]:
-        return [(k, self._items[k]) for k in sorted(self._items)]
-
-    def tensors(self) -> list[Tensor]:
-        return [t for _, t in self.items()]

@@ -16,12 +16,13 @@ from __future__ import annotations
 import io
 import logging
 import math
+import os
 import struct
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParamStore
+from .autodiff import Tensor
 from .encoder import EncoderConfig
 from .errors import (
     ConfigError,
@@ -58,10 +59,13 @@ def save_checkpoint(model: ModelState, config_text: str, path: str) -> None:
 
 
 def _read_exact(fh: io.BufferedReader, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise LengthError(f"checkpoint {fh.name}: truncated while reading {what}")
-    return data
+    """The next ``n`` bytes, once the file is known to hold them: a corrupt
+    size in a header must not make ``read`` allocate the payload it declares."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise LengthError(f"checkpoint {fh.name}: truncated while reading {what}: "
+                          f"{n} bytes declared, {left} left")
+    return fh.read(n)
 
 
 def _utf8(raw: bytes, path: str, what: str) -> str:
@@ -71,7 +75,7 @@ def _utf8(raw: bytes, path: str, what: str) -> str:
         raise FormatError(f"checkpoint {path}: {what} is not UTF-8") from None
 
 
-def read_checkpoint(path: str) -> tuple[ParamStore, str]:
+def read_checkpoint(path: str) -> tuple[dict[str, Tensor], str]:
     """Raw parameters and config text, without model reconstruction."""
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
@@ -82,7 +86,7 @@ def read_checkpoint(path: str) -> tuple[ParamStore, str]:
             raise VersionError(f"checkpoint {path}: version {version} not supported")
         config_text = _utf8(_read_exact(fh, config_len, "config text"), path, "config text")
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
-        store = ParamStore()
+        store: dict[str, Tensor] = {}
         for index in range(count):
             (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
             name = _utf8(_read_exact(fh, name_len, "name"), path, f"the name of tensor {index}")
@@ -96,7 +100,7 @@ def read_checkpoint(path: str) -> tuple[ParamStore, str]:
             payload = _read_exact(fh, 8 * math.prod(dims), f"tensor {name}")
             data = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
             try:
-                store.add(name, ad.leaf(data))
+                store[name] = ad.leaf(data)
             except NumericError:
                 raise FormatError(
                     f"checkpoint {path}: tensor {name!r} has non-finite values") from None
@@ -112,7 +116,7 @@ def _block_id(name: str) -> int:
         raise FormatError(f"tensor {name!r} names no encoder block number") from None
 
 
-def _check_shape(store: ParamStore, name: str,
+def _check_shape(store: dict[str, Tensor], name: str,
                  want: tuple[int | None, ...]) -> tuple[int, ...]:
     """``name``'s shape, which must be ``want``, where None matches any size."""
     shape = store[name].shape
@@ -122,7 +126,7 @@ def _check_shape(store: ParamStore, name: str,
     return shape
 
 
-def _check_shapes(store: ParamStore, n_blocks: int) -> None:
+def _check_shapes(store: dict[str, Tensor], n_blocks: int) -> None:
     """Every tensor's shape against the layout the block weights imply:
     block i's weight maps block i-1's width to its own, and its per-channel
     tensors, the modulation ones included, have that width."""
@@ -141,7 +145,7 @@ def _check_shapes(store: ParamStore, n_blocks: int) -> None:
         _check_shape(store, "head.rel.b2", (1,))
 
 
-def model_from_store(store: ParamStore, head_kind: str,
+def model_from_store(store: dict[str, Tensor], head_kind: str,
                      config: TrainConfig | None = None) -> ModelState:
     """Rebuild a model from named tensors; layout is implied by the names.
 
@@ -156,7 +160,7 @@ def model_from_store(store: ParamStore, head_kind: str,
     numbered 0, 1, ... or whose tensor shapes do not fit together raises
     FormatError; ``load_checkpoint`` adds the file path.
     """
-    block_ids = sorted({_block_id(n) for n in store.names() if n.startswith("enc.block")})
+    block_ids = sorted({_block_id(n) for n in store if n.startswith("enc.block")})
     if block_ids != list(range(len(block_ids))) or not block_ids:
         raise FormatError("encoder blocks are not a contiguous range")
     try:
@@ -176,7 +180,7 @@ def model_from_store(store: ParamStore, head_kind: str,
         model = assemble_model(enc_config, head_kind, store, with_ft=has_ft)
     except KeyError as err:
         raise FormatError(f"missing tensor {err}") from None
-    unowned = sorted(set(store.names()) - set(model.param_store().names()))
+    unowned = sorted(set(store) - set(model.param_store()))
     if unowned:
         raise FormatError(f"tensor {unowned[0]!r} belongs to no part of the model")
     return model

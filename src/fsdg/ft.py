@@ -69,11 +69,6 @@ def init_ft_params(channels: list[int], init_gamma: float = 0.3, init_beta: floa
     return FTParams(gammas, betas)
 
 
-def ft_param_count(channels: list[int]) -> int:
-    """Total scalar hyper-parameters: one gamma and one beta per channel."""
-    return 2 * sum(int(c) for c in channels)
-
-
 def modulation_from_noise(theta_gamma: Tensor, theta_beta: Tensor,
                           eps_gamma: np.ndarray, eps_beta: np.ndarray) -> Modulation:
     """Build the modulation for fixed noise; gradients flow into theta."""

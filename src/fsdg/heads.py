@@ -8,10 +8,12 @@ Three interchangeable comparison rules over a shared embedding space:
   * relation: a two-layer ReLU perceptron scores (query, class mean)
     pairs; trained with the same softmax cross-entropy as the others.
 
-All heads take support embeddings with integer labels 0..n_way-1 and
-return one row of n_way logits per query.  Embeddings may carry leading
-batch axes, a stack of episodes that share their labels, scored without
-recording; the logits then carry the same leading axes.
+All heads take an N-way K-shot support as ``tasks.sample_episode`` lays it
+out: class-major rows with equal shots, labels ``[0]*K + [1]*K + ...``;
+any other layout raises ContractError.  They return one row of n_way
+logits per query.  Embeddings may carry leading batch axes, a stack of
+episodes that share their labels, scored without recording; the logits
+then carry the same leading axes.
 """
 
 from __future__ import annotations
@@ -32,47 +34,27 @@ NORM_FLOOR = 1e-8  # norms are computed as sqrt(sum of squares + NORM_FLOOR^2)
 HEAD_KINDS = ("proto", "matching", "relation")
 
 
-def _check_support(support_emb: Tensor, support_labels: Sequence[int], n_way: int) -> list[list[int]]:
-    """Group support row indices by class; every class must be present."""
+def _check_support(support_emb: Tensor, support_labels: Sequence[int], n_way: int) -> int:
+    """The shots per class of a class-major support, whose labels must read
+    ``[0]*shot + [1]*shot + ... + [n_way-1]*shot`` with ``shot = rows // n_way``."""
     if support_emb.ndim < 2:
         raise ContractError(f"head: support embeddings must be 2-d, got {support_emb.shape}")
-    labels = [int(y) for y in support_labels]
-    if len(labels) != support_emb.shape[-2]:
-        raise ContractError("head: one label per support row required")
-    groups: list[list[int]] = [[] for _ in range(n_way)]
-    for row, y in enumerate(labels):
-        if not 0 <= y < n_way:
-            raise ContractError(f"head: support label {y} outside 0..{n_way - 1}")
-        groups[y].append(row)
-    for k, rows in enumerate(groups):
-        if not rows:
-            raise ContractError(f"head: class {k} has no support rows")
-    return groups
-
-
-_STACKED_SUPPORT = "class_prototypes: a stacked support must be class-sorted with equal shots"
+    rows = support_emb.shape[-2]
+    shot = rows // n_way
+    labels = list(support_labels)
+    want = [k for k in range(n_way) for _ in range(shot)]
+    if labels != want or rows != len(want) or not shot:
+        bad = next((r for r, (y, w) in enumerate(zip(labels, want)) if y != w),
+                   min(len(labels), len(want)))
+        raise ContractError(f"head: support row {bad} breaks the class-major layout, "
+                            f"{shot} rows for each of {n_way} classes")
+    return shot
 
 
 def class_prototypes(support_emb: Tensor, support_labels: Sequence[int], n_way: int) -> Tensor:
-    """Per-class mean embedding, rows ordered by class index.
-
-    With equal shots the support is viewed as (n_way, shot, dim) and
-    averaged over the shot axis, after one gather if it is not already
-    class-sorted; each class still sums its rows in support order.
-    """
-    groups = _check_support(support_emb, support_labels, n_way)
-    shot = len(groups[0])
-    if any(len(rows) != shot for rows in groups):
-        if support_emb.ndim > 2:
-            raise ContractError(_STACKED_SUPPORT)
-        means = [ad.tensor_mean(ad.take_rows(support_emb, g), axis=0, keepdims=True)
-                 for g in groups]
-        return ad.concat(means, axis=0)
-    order = [row for rows in groups for row in rows]
-    if order != list(range(len(order))):
-        if support_emb.ndim > 2:
-            raise ContractError(_STACKED_SUPPORT)
-        support_emb = ad.take_rows(support_emb, order)
+    """Per-class mean embedding, rows ordered by class index: the support is
+    viewed as (n_way, shot, dim) and averaged over the shot axis."""
+    shot = _check_support(support_emb, support_labels, n_way)
     lead, dim = support_emb.shape[:-2], support_emb.shape[-1]
     by_class = ad.reshape(support_emb, lead + (n_way, shot, dim))
     return ad.tensor_mean(by_class, axis=-2)
@@ -98,7 +80,7 @@ def _row_norms(x: Tensor) -> Tensor:
 def matching_logits(support_emb: Tensor, support_labels: Sequence[int],
                     query_emb: Tensor, n_way: int) -> Tensor:
     """Log of per-class attention mass under cosine-softmax attention."""
-    groups = _check_support(support_emb, support_labels, n_way)
+    shot = _check_support(support_emb, support_labels, n_way)
     if (query_emb.ndim != support_emb.ndim or query_emb.shape[:-2] != support_emb.shape[:-2]
             or query_emb.shape[-1] != support_emb.shape[-1]):
         raise ContractError(
@@ -109,10 +91,7 @@ def matching_logits(support_emb: Tensor, support_labels: Sequence[int],
         ad.matmul(_row_norms(query_emb), ad.transpose(_row_norms(support_emb))),
     )
     attention = ad.softmax_rows(cos)
-    onehot = np.zeros((support_emb.shape[-2], n_way))
-    for k, rows in enumerate(groups):
-        onehot[rows, k] = 1.0
-    class_mass = ad.matmul(attention, ad.constant(onehot))
+    class_mass = ad.matmul(attention, ad.constant(np.eye(n_way).repeat(shot, axis=0)))
     return ad.log(ad.add(class_mass, MATCH_LOGIT_FLOOR))
 
 
@@ -124,10 +103,6 @@ class RelationHeadState:
     b1: Tensor
     w2: Tensor
     b2: Tensor
-
-    @property
-    def hidden(self) -> int:
-        return self.w1.shape[1]
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import struct
 from dataclasses import dataclass
 
@@ -169,10 +170,13 @@ def save_domain(domain: Domain, path: str) -> None:
 
 
 def _read_exact(fh: io.BufferedReader, n: int, what: str) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise LengthError(f"dataset file {fh.name}: truncated while reading {what}")
-    return data
+    """The next ``n`` bytes, once the file is known to hold them: a corrupt
+    size in a header must not make ``read`` allocate the payload it declares."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise LengthError(f"dataset file {fh.name}: truncated while reading {what}: "
+                          f"{n} bytes declared, {left} left")
+    return fh.read(n)
 
 
 def load_domain_binary(path: str) -> Domain:

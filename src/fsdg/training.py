@@ -29,7 +29,7 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParamStore, Tensor
+from .autodiff import Tensor
 from .encoder import (
     BlockParams,
     EncoderConfig,
@@ -120,8 +120,9 @@ class ModelState:
             items.append((f"ft.block{block}.beta", self.ft.betas[layer]))
         return items
 
-    def param_store(self) -> ParamStore:
-        return ParamStore(self.trainable() + self.ft_named())
+    def param_store(self) -> dict[str, Tensor]:
+        """Every named parameter, in lexicographic name order."""
+        return dict(sorted(self.trainable() + self.ft_named()))
 
     def with_values(self, values: dict[str, Tensor]) -> "ModelState":
         """Rebuild the state with some parameters replaced (by name)."""

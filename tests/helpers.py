@@ -12,11 +12,11 @@ from fsdg.rng import RngStream
 from fsdg.tasks import Domain, Episode, sample_episode
 
 
-def with_value(store: ad.ParamStore, name: str, data: np.ndarray) -> ad.ParamStore:
-    """Copy of the store with one entry replaced by a fresh leaf."""
+def with_value(store: dict[str, ad.Tensor], name: str, data: np.ndarray) -> dict[str, ad.Tensor]:
+    """Copy of the name-to-tensor dict with one entry replaced by a fresh leaf."""
     if name not in store:
         raise KeyError(name)
-    return ad.ParamStore((k, ad.leaf(data) if k == name else t) for k, t in store.items())
+    return {k: ad.leaf(data) if k == name else t for k, t in store.items()}
 
 
 def _scalar_value(x) -> float:
@@ -28,8 +28,9 @@ def _scalar_value(x) -> float:
     return value
 
 
-def finite_difference_grad(f, params: ad.ParamStore, eps: float) -> ad.ParamStore:
-    """Central-difference gradients of a scalar function of a ParamStore.
+def finite_difference_grad(f, params: dict[str, ad.Tensor], eps: float) -> dict[str, ad.Tensor]:
+    """Central-difference gradients of a scalar function of a name-to-tensor
+    dict, in the dict's order.
 
     This is the reference oracle that gradient tests compare against; it
     shares no code with backward.  f must be deterministic: any sampling
@@ -38,7 +39,7 @@ def finite_difference_grad(f, params: ad.ParamStore, eps: float) -> ad.ParamStor
     """
     if eps <= 0.0:
         raise ContractError("finite_difference_grad: eps must be positive")
-    grads = ad.ParamStore()
+    grads = {}
     for name, t in params.items():
         flat = t.data.reshape(-1)
         out = np.empty(flat.size)
@@ -49,7 +50,7 @@ def finite_difference_grad(f, params: ad.ParamStore, eps: float) -> ad.ParamStor
             bumped[i] = flat[i] - eps
             f_minus = _scalar_value(f(with_value(params, name, bumped.reshape(t.shape))))
             out[i] = (f_plus - f_minus) / (2.0 * eps)
-        grads.add(name, ad.Tensor(out.reshape(t.shape)))
+        grads[name] = ad.Tensor(out.reshape(t.shape))
     return grads
 
 
@@ -71,10 +72,10 @@ def max_rel_err(got: np.ndarray, want: np.ndarray, atol: float = 1e-8) -> float:
 
 
 def assert_grads_match(got_tensors, want_store, rtol, atol: float = 1e-8):
-    """Compare backward results against a finite-difference ParamStore."""
-    names = want_store.names()
-    assert len(got_tensors) == len(names)
-    for t, name in zip(got_tensors, names):
+    """Compare backward results, in the dict's order, against a
+    finite-difference dict."""
+    assert len(got_tensors) == len(want_store)
+    for t, name in zip(got_tensors, want_store):
         err = max_rel_err(t.data, want_store[name].data, atol=atol)
         assert err < rtol, f"{name}: relative error {err:.3e} >= {rtol:.0e}"
 

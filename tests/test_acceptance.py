@@ -14,7 +14,7 @@ from fsdg import autodiff as ad
 from fsdg.checkpoint import load_checkpoint, save_checkpoint
 from fsdg.config import format_config
 from fsdg.evaluation import evaluate
-from fsdg.ft import ft_param_count, init_ft_params, sample_modulation
+from fsdg.ft import init_ft_params, sample_modulation
 from fsdg.heads import episode_loss
 from fsdg.rng import RngStream
 from fsdg.tasks import SyntheticDomainSpec, generate_synthetic_domain, sample_episode
@@ -57,10 +57,10 @@ def _testbed_domains(master: int):
 
 def test_criterion_1_modulation_parameter_count():
     t0 = time.perf_counter()
-    count = ft_param_count([64, 128, 256, 512])
+    count = sum(t.size for t in init_ft_params([64, 128, 256, 512]).tensors())
     elapsed = time.perf_counter() - t0
     ok = count == 1920 and elapsed < 1e-3
-    _report(1, ok, f"ft_param_count([64,128,256,512])={count} in {elapsed * 1e6:.0f}us")
+    _report(1, ok, f"init_ft_params([64,128,256,512]) holds {count} scalars in {elapsed * 1e6:.0f}us")
     assert count == 1920
     assert elapsed < 1e-3
 
@@ -84,7 +84,7 @@ def test_criterion_2_episode_loss_gradients_match_finite_differences():
             episode = sample_episode(domain, cfg.way, cfg.shot, cfg.query,
                                      RngStream(300 + seed))
             items = model.trainable() + model.ft_named()
-            store = ad.ParamStore(items)
+            store = dict(items)
 
             def run(m):
                 # a fresh stream per pass gives every pass the same noise
@@ -97,7 +97,7 @@ def test_criterion_2_episode_loss_gradients_match_finite_differences():
             grads = ad.backward(loss, [t for _, t in items])
 
             def build(s):
-                return run(model.with_values({n: s[n] for n in s.names()}))
+                return run(model.with_values(dict(s)))
 
             fd = finite_difference_grad(build, store, 1e-5)
             for (name, _), got in zip(items, grads):
@@ -137,15 +137,15 @@ def test_criterion_3_meta_gradient_matches_finite_differences():
             for (name, old), (_, new) in zip(model.ft_named(), stepped.ft_named())
         }
 
-        store = ad.ParamStore(model.ft_named())
+        store = dict(model.ft_named())
 
         def build(s):
-            shifted = model.with_values({n: s[n] for n in s.names()})
+            shifted = model.with_values(dict(s))
             total, _, _, _, _ = lft_outer_loss(shifted, ps, pu, cfg, RngStream(900 + seed))
             return total
 
         fd = finite_difference_grad(build, store, 1e-4)
-        for name in store.names():
+        for name in store:
             err = max_rel_err(got[name], fd[name].data, atol=1e-10)
             worst = max(worst, err)
             assert err < 1e-4, f"seed {seed} {name}: rel err {err:.2e}"

@@ -72,12 +72,6 @@ def test_concat_narrow_round_trip():
     assert np.array_equal(ad.narrow(joined, 0, 2, 5).data, b.data)
 
 
-def test_take_rows_gathers_with_duplicates():
-    m = ad.constant(np.arange(12.0).reshape(4, 3))
-    picked = ad.take_rows(m, [2, 0, 2])
-    assert np.array_equal(picked.data, m.data[[2, 0, 2]])
-
-
 _TWO = ad.constant(2.0)
 _MAT = ad.constant([[1.0, 2.0], [3.0, 4.0]])
 WORKED = [
@@ -178,7 +172,7 @@ def test_backward_is_deterministic_bitwise():
 def _fd_check(build, params, rtol, eps=1e-5, atol=1e-8):
     """build(store) -> scalar Tensor; compares backward against central FD."""
     loss = build(params)
-    grads = ad.backward(loss, params.tensors())
+    grads = ad.backward(loss, list(params.values()))
     fd = finite_difference_grad(build, params, eps)
     for (name, _), got in zip(params.items(), grads):
         err = max_rel_err(got.data, fd[name].data, atol=atol)
@@ -194,7 +188,7 @@ def _by_name(*fns):
 def test_unary_primitive_gradients_match_fd(fn):
     for seed in range(4):
         x = random_tensor(RngStream(100 + seed), (3, 4), -2.0, 2.0)
-        params = ad.ParamStore([("x", x)])
+        params = {"x": x}
         _fd_check(lambda s: ad.tensor_sum(fn(s["x"])), params, rtol=1e-6)
 
 
@@ -202,14 +196,14 @@ def test_unary_primitive_gradients_match_fd(fn):
 def test_positive_domain_primitive_gradients_match_fd(fn):
     for seed in range(4):
         x = random_tensor(RngStream(200 + seed), (3, 4), 0.5, 2.5)
-        params = ad.ParamStore([("x", x)])
+        params = {"x": x}
         _fd_check(lambda s: ad.tensor_sum(fn(s["x"])), params, rtol=1e-6)
 
 
 def test_relu_gradient_matches_fd_away_from_kink():
     x_data = RngStream(3).uniforms(12).reshape(3, 4) * 4.0 - 2.0
     x_data = np.where(np.abs(x_data) < 0.1, x_data + 0.25, x_data)
-    params = ad.ParamStore([("x", ad.leaf(x_data))])
+    params = {"x": ad.leaf(x_data)}
     _fd_check(lambda s: ad.tensor_sum(ad.square(ad.relu(s["x"]))), params, rtol=1e-6)
 
 
@@ -218,7 +212,7 @@ def test_binary_primitive_gradients_match_fd_with_broadcast(fn):
     stream = RngStream(17)
     a = random_tensor(stream, (3, 4), 0.5, 2.0)
     b = random_tensor(stream, (4,), 0.5, 2.0)
-    params = ad.ParamStore([("a", a), ("b", b)])
+    params = {"a": a, "b": b}
     _fd_check(lambda s: ad.tensor_sum(ad.square(fn(s["a"], s["b"]))), params, rtol=1e-6)
 
 
@@ -226,14 +220,14 @@ def test_matmul_gradients_match_fd():
     stream = RngStream(23)
     a = random_tensor(stream, (3, 4))
     b = random_tensor(stream, (4, 2))
-    params = ad.ParamStore([("a", a), ("b", b)])
+    params = {"a": a, "b": b}
     _fd_check(lambda s: ad.tensor_sum(ad.softplus(ad.matmul(s["a"], s["b"]))), params, rtol=1e-6)
 
 
 @p("axis,keepdims", [(None, False), (0, False), (1, True)])
 def test_reduction_gradients_match_fd(axis, keepdims):
     x = random_tensor(RngStream(29), (4, 5))
-    params = ad.ParamStore([("x", x)])
+    params = {"x": x}
     for fn in (ad.tensor_sum, ad.tensor_mean):
         _fd_check(lambda s, fn=fn: ad.tensor_sum(ad.square(
             fn(s["x"], axis=axis, keepdims=keepdims))), params, rtol=1e-6)
@@ -241,9 +235,8 @@ def test_reduction_gradients_match_fd(axis, keepdims):
 
 def test_structural_op_gradients_match_fd():
     x = random_tensor(RngStream(37), (4, 3))
-    params = ad.ParamStore([("x", x)])
+    params = {"x": x}
     _fd_check(lambda s: ad.tensor_sum(ad.square(ad.narrow(s["x"], 0, 1, 3))), params, rtol=1e-6)
-    _fd_check(lambda s: ad.tensor_sum(ad.square(ad.take_rows(s["x"], [0, 2, 2]))), params, rtol=1e-6)
     _fd_check(lambda s: ad.tensor_sum(ad.square(ad.broadcast_to(
         ad.reshape(s["x"], (4, 3, 1)), (4, 3, 2)))), params, rtol=1e-6)
     _fd_check(lambda s: ad.tensor_sum(ad.square(ad.transpose(s["x"]))), params, rtol=1e-6)
@@ -259,7 +252,7 @@ def test_three_layer_random_composition_matches_fd():
         w2 = random_tensor(stream, (6, 4))
         w3 = random_tensor(stream, (4, 2))
         x = random_tensor(stream, (7, 5), requires_grad=False)
-        params = ad.ParamStore([("w1", w1), ("w2", w2), ("w3", w3)])
+        params = {"w1": w1, "w2": w2, "w3": w3}
 
         def build(s):
             h1 = ad.softplus(ad.matmul(x, s["w1"]))
@@ -328,7 +321,7 @@ def test_second_order_matches_fd_of_first_order():
             (g,) = ad.backward(loss, [w_t], create_graph=True)
             return ad.tensor_sum(ad.mul(g, v))
 
-        fd = finite_difference_grad(fd_fn, ad.ParamStore([("w", w)]), 1e-4)
+        fd = finite_difference_grad(fd_fn, {"w": w}, 1e-4)
         err = max_rel_err(hv.data, fd["w"].data)
         assert err < 1e-5, f"seed {seed}: rel err {err:.2e}"
 
@@ -401,7 +394,7 @@ def test_tensor_rejects_non_finite_input():
 BIG = [[1e200, 1e200]]
 HUGE = [[1e308], [1e308]]
 # Ops whose name is not their function's name, called as fn(constant(a), b).
-_NAMED = {"sum": ad.tensor_sum, "scatter_rows": lambda g, rows: ad._scatter_rows(g, rows, 1),
+_NAMED = {"sum": ad.tensor_sum,
           "linear": lambda x, wb: ad.linear(x, *map(ad.constant, wb)),
           "affine": lambda x, sb: ad.affine(x, *map(ad.constant, sb))}
 
@@ -420,7 +413,6 @@ _NAMED = {"sum": ad.tensor_sum, "scatter_rows": lambda g, rows: ad._scatter_rows
     pytest.param("square", BIG, None, id="square"),
     pytest.param("sum", HUGE, None, id="sum-all"),
     pytest.param("sum", HUGE, 0, id="sum-axis"),
-    pytest.param("scatter_rows", HUGE, (0, 0), id="scatter_rows"),
     # The fused ops raise on an intermediate overflow, as their composites did.
     pytest.param("standardize", HUGE, 1e-5, id="standardize"),
     pytest.param("softmax_rows", [[1e308, -1e308]], None, id="softmax_rows"),
@@ -555,7 +547,7 @@ def test_no_grad_suppresses_graph_building():
 # One call of each primitive on attached inputs; ``x`` and ``y`` are 3x4,
 # ``pos`` is positive, ``w`` is 4x2.  The names of __all__ that are no
 # primitive are listed apart, so a new export must join one or the other.
-_NOT_PRIMITIVES = {"Tensor", "ParamStore", "no_grad", "backward"}
+_NOT_PRIMITIVES = {"Tensor", "no_grad", "backward"}
 _CALLS = {
     "add": lambda v: ad.add(v["x"], v["y"]),
     "sub": lambda v: ad.sub(v["x"], v["y"]),
@@ -572,7 +564,6 @@ _CALLS = {
     "tensor_mean": lambda v: ad.tensor_mean(v["x"], axis=1, keepdims=True),
     "concat": lambda v: ad.concat([v["x"], ad.constant(np.ones((3, 2))), v["y"]], axis=1),
     "narrow": lambda v: ad.narrow(v["x"], 1, 1, 3),
-    "take_rows": lambda v: ad.take_rows(v["x"], [2, 0, 2]),
     "broadcast_to": lambda v: ad.broadcast_to(ad.narrow(v["x"], 0, 0, 1), (2, 3, 4)),
     "reshape": lambda v: ad.reshape(v["x"], (4, 3)),
     "transpose": lambda v: ad.transpose(v["x"]),
@@ -646,41 +637,26 @@ def test_view_op_results_are_write_locked(make):
 
 def test_fd_gradient_of_quadratic_is_exact():
     x = ad.leaf(np.array([3.0, -1.0, 0.5]))
-    params = ad.ParamStore([("x", x)])
+    params = {"x": x}
     fd = finite_difference_grad(lambda s: ad.tensor_sum(ad.square(s["x"])), params, 1e-5)
     assert np.max(np.abs(fd["x"].data - 2.0 * x.data)) < 1e-8
 
 
 def test_fd_gradient_of_constant_is_zero():
     x = ad.leaf(np.ones((2, 2)))
-    params = ad.ParamStore([("x", x)])
+    params = {"x": x}
     fd = finite_difference_grad(lambda s: ad.constant(4.2), params, 1e-5)
     assert np.array_equal(fd["x"].data, np.zeros((2, 2)))
 
 
 def test_fd_rejects_bad_eps():
-    params = ad.ParamStore([("x", ad.leaf(1.0))])
+    params = {"x": ad.leaf(1.0)}
     with pytest.raises(ContractError):
         finite_difference_grad(lambda s: s["x"], params, 0.0)
 
 
-# ---------------------------------------------------------------------------
-# ParamStore
-
-
-def test_param_store_iterates_lexicographically():
-    store = ad.ParamStore([("b", ad.leaf(1.0)), ("a", ad.leaf(2.0)), ("a.b", ad.leaf(3.0))])
-    assert store.names() == ["a", "a.b", "b"]
-
-
-def test_param_store_rejects_duplicates():
-    store = ad.ParamStore([("x", ad.leaf(1.0))])
-    with pytest.raises(ContractError):
-        store.add("x", ad.leaf(2.0))
-
-
 def test_param_store_with_value_replaces_single_leaf():
-    store = ad.ParamStore([("x", ad.leaf(1.0)), ("y", ad.leaf(2.0))])
+    store = {"x": ad.leaf(1.0), "y": ad.leaf(2.0)}
     bumped = with_value(store, "x", np.asarray(5.0))
     assert bumped["x"].item() == 5.0
     assert bumped["y"] is store["y"]

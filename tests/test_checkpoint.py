@@ -40,8 +40,8 @@ def test_round_trip_preserves_every_tensor(tmp_path, mode, head):
     assert loaded.head_kind == head
     want = model.param_store()
     got = loaded.param_store()
-    assert got.names() == want.names()
-    for name in want.names():
+    assert list(got) == list(want)
+    for name in want:
         assert np.array_equal(got[name].data, want[name].data), name
     assert f"head = {head}" in text
 
@@ -102,7 +102,7 @@ def test_tensors_stored_in_lexicographic_order(tmp_path):
         n_values = int(np.prod(dims)) if ndim else 1
         offset += 8 * n_values
     assert names == sorted(names)
-    assert names == model.param_store().names()
+    assert names == list(model.param_store())
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +141,16 @@ def test_truncation_raises_length_error(tmp_path):
         open(bad, "wb").write(raw[:cut])
         with pytest.raises(LengthError, match=f"cut{cut}.ckpt: truncated while reading"):
             ck.read_checkpoint(bad)
+
+
+def test_oversized_tensor_header_rejected_before_reading(tmp_path):
+    # A 60000 x 60000 tensor is 28.8 GB, which read() would allocate.
+    path = str(tmp_path / "huge.ckpt")
+    open(path, "wb").write(ck.CHECKPOINT_MAGIC + struct.pack("<IIII", ck.CHECKPOINT_VERSION, 0, 1, 1)
+                           + b"w" + struct.pack("<III", 2, 60000, 60000) + bytes(16))
+    with pytest.raises(LengthError, match=r"huge\.ckpt: truncated while reading tensor w: "
+                                          r"28800000000 bytes declared, 16 left$"):
+        ck.read_checkpoint(path)
 
 
 def test_trailing_bytes_rejected(tmp_path):
@@ -187,7 +197,7 @@ def test_repeated_tensor_name_rejected_naming_path_and_tensor(tmp_path):
     path = str(tmp_path / "dup.ckpt")
     _raw_checkpoint(path, b"", [(b"a", np.ones(2)), (b"b", np.ones(1))])
     store, _ = ck.read_checkpoint(path)
-    assert store.names() == ["a", "b"]
+    assert list(store) == ["a", "b"]
     _raw_checkpoint(path, b"", [(b"a", np.ones(2)), (b"a", np.ones(1))])
     with pytest.raises(FormatError, match=r"dup\.ckpt: tensor 'a' appears twice"):
         ck.read_checkpoint(path)
@@ -195,25 +205,20 @@ def test_repeated_tensor_name_rejected_naming_path_and_tensor(tmp_path):
 
 def test_missing_encoder_tensor_rejected(tmp_path):
     cfg, model = toy_model()
-    store = model.param_store()
-    from fsdg.autodiff import ParamStore
-
-    partial = ParamStore([(n, t) for n, t in store.items()
-                          if n != "enc.block1.bias"])
+    partial = {n: t for n, t in model.param_store().items() if n != "enc.block1.bias"}
     with pytest.raises(FormatError):
         ck.model_from_store(partial, "proto")
 
 
 def test_non_contiguous_blocks_rejected():
     from fsdg import autodiff as ad
-    from fsdg.autodiff import ParamStore
 
-    store = ParamStore()
+    store = {}
     for i in (0, 2):
-        store.add(f"enc.block{i}.weight", ad.leaf(np.ones((3, 3))))
-        store.add(f"enc.block{i}.bias", ad.leaf(np.zeros(3)))
-        store.add(f"enc.block{i}.bn_scale", ad.leaf(np.ones(3)))
-        store.add(f"enc.block{i}.bn_shift", ad.leaf(np.zeros(3)))
+        store[f"enc.block{i}.weight"] = ad.leaf(np.ones((3, 3)))
+        store[f"enc.block{i}.bias"] = ad.leaf(np.zeros(3))
+        store[f"enc.block{i}.bn_scale"] = ad.leaf(np.ones(3))
+        store[f"enc.block{i}.bn_shift"] = ad.leaf(np.zeros(3))
     with pytest.raises(FormatError):
         ck.model_from_store(store, "proto")
 
@@ -318,7 +323,7 @@ def test_lft_model_flagging_no_block_round_trips(tmp_path):
     loaded, _ = ck.load_checkpoint(path)
     assert loaded.encoder.config.ft_blocks == (False, False)
     assert loaded.ft is not None and loaded.ft.n_layers == 0
-    assert loaded.param_store().names() == model.param_store().names()
+    assert list(loaded.param_store()) == list(model.param_store())
 
     domain = toy_domain()
     trained, rows = tr.train_loop(tr.TrainConfig(

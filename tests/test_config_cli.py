@@ -344,7 +344,7 @@ def test_train_with_init_from_lft_model_flagging_no_block(workspace):
     model, _ = load_checkpoint(str(second))
     assert model.encoder.config.ft_blocks == (False, False)
     assert model.ft is not None and model.ft.n_layers == 0
-    assert not [n for n in model.param_store().names() if n.startswith("ft.")]
+    assert not [n for n in model.param_store() if n.startswith("ft.")]
 
 
 def test_train_rejects_init_with_another_encoder_layout(workspace, capsys):

@@ -111,16 +111,16 @@ def test_batch_norm_constant_column_stays_finite():
 
 def test_batch_norm_gradients_match_fd():
     stream = RngStream(21)
-    params = ad.ParamStore([
-        ("x", ad.leaf(stream.normals(12).reshape(4, 3))),
-        ("scale", ad.leaf(stream.uniforms(3) + 0.5)),
-        ("shift", ad.leaf(stream.normals(3))),
-    ])
+    params = {
+        "x": ad.leaf(stream.normals(12).reshape(4, 3)),
+        "scale": ad.leaf(stream.uniforms(3) + 0.5),
+        "shift": ad.leaf(stream.normals(3)),
+    }
 
     def build(s):
         return ad.tensor_mean(ad.square(enc.batch_norm(s["x"], s["scale"], s["shift"])))
 
-    grads = ad.backward(build(params), params.tensors())
+    grads = ad.backward(build(params), list(params.values()))
     fd = finite_difference_grad(build, params, 1e-5)
     for (name, _), got in zip(params.items(), grads):
         assert max_rel_err(got.data, fd[name].data) < 1e-6, name
@@ -221,7 +221,7 @@ def test_output_is_nonnegative_from_final_relu():
 def test_encoder_parameter_gradients_match_fd():
     state = small_encoder(seed=30, input_dim=4, widths=(5, 3))
     batch = ad.constant(RngStream(31).normals(24).reshape(6, 4))
-    params = ad.ParamStore(state.parameters())
+    params = dict(state.parameters())
 
     def rebuild(store):
         blocks = []
@@ -235,7 +235,7 @@ def test_encoder_parameter_gradients_match_fd():
         out = enc.encode(rebuild(store), None, batch, "eval")
         return ad.tensor_mean(ad.square(out))
 
-    grads = ad.backward(build(params), params.tensors())
+    grads = ad.backward(build(params), list(params.values()))
     fd = finite_difference_grad(build, params, 1e-5)
     for (name, _), got in zip(params.items(), grads):
         assert max_rel_err(got.data, fd[name].data, atol=1e-10) < 1e-5, name
@@ -246,7 +246,7 @@ def test_ft_gradients_through_encoder_match_fd():
     batch = ad.constant(RngStream(41).normals(24).reshape(6, 4))
     base = init_ft_params([5, 3])
     names = ["ft0.g", "ft0.b", "ft1.g", "ft1.b"]
-    params = ad.ParamStore(list(zip(names, base.tensors())))
+    params = dict(zip(names, base.tensors()))
 
     def build(store):
         ftp = FTParams([store["ft0.g"], store["ft1.g"]], [store["ft0.b"], store["ft1.b"]])
@@ -254,7 +254,7 @@ def test_ft_gradients_through_encoder_match_fd():
         out = enc.encode(state, ftp, batch, "train", rng=RngStream(42))
         return ad.tensor_mean(ad.square(out))
 
-    grads = ad.backward(build(params), params.tensors())
+    grads = ad.backward(build(params), list(params.values()))
     fd = finite_difference_grad(build, params, 1e-5)
     for (name, _), got in zip(params.items(), grads):
         assert max_rel_err(got.data, fd[name].data, atol=1e-10) < 1e-5, name

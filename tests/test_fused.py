@@ -303,17 +303,17 @@ def test_gradients_match_finite_differences(name):
     fused, ref, xs = _case(name, 11)
     (w,) = _weights(11, [ref(*xs).shape])
     vs = _weights(12, [x.shape for x in xs])
-    params = ad.ParamStore((f"x{i}", x) for i, x in enumerate(xs))
+    params = {f"x{i}": x for i, x in enumerate(xs)}
 
     def loss(store):
-        return _contract(fused(*store.tensors()), w)
+        return _contract(fused(*store.values()), w)
 
     def directional(store):
         # sum(v * gradient), whose own gradient is the second-order term
-        grads = ad.backward(loss(store), store.tensors())
+        grads = ad.backward(loss(store), list(store.values()))
         return sum(float(np.sum(g.data * v.data)) for g, v in zip(grads, vs))
 
-    first, second = _first_and_second(fused, params.tensors(), w, vs)
+    first, second = _first_and_second(fused, list(params.values()), w, vs)
     assert_grads_match(first, finite_difference_grad(loss, params, 1e-6), rtol=1e-6)
     assert_grads_match(second, finite_difference_grad(directional, params, 1e-5), rtol=1e-6)
 

@@ -27,15 +27,16 @@ def test_class_prototypes_are_per_class_means():
 
 def test_class_prototypes_with_one_shot_are_the_rows():
     sup = ad.constant([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    protos = heads.class_prototypes(sup, [2, 0, 1], 3)
-    assert np.array_equal(protos.data, [[3.0, 4.0], [5.0, 6.0], [1.0, 2.0]])
+    protos = heads.class_prototypes(sup, [0, 1, 2], 3)
+    assert np.array_equal(protos.data, sup.data)
 
 
 def _per_class_prototypes(support, labels, n_way):
-    """The reference: one gather and one mean per class, then a concat."""
-    groups = [[i for i, y in enumerate(labels) if y == k] for k in range(n_way)]
-    return ad.concat([ad.tensor_mean(ad.take_rows(support, g), axis=0, keepdims=True)
-                      for g in groups], axis=0)
+    """The reference: one slice and one mean per class, then a concat."""
+    shot = len(labels) // n_way
+    return ad.concat([ad.tensor_mean(ad.narrow(support, 0, k * shot, (k + 1) * shot),
+                                     axis=0, keepdims=True)
+                      for k in range(n_way)], axis=0)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -43,8 +44,6 @@ def test_reshape_prototypes_are_bit_identical_to_the_per_class_path(seed):
     rng = np.random.default_rng(seed)
     way, shot, dim = (int(v) for v in rng.integers(1, [7, 12, 20], endpoint=True))
     labels = [k for k in range(way) for _ in range(shot)]
-    if seed % 3:
-        labels = [int(y) for y in rng.permutation(labels)]
     values = rng.standard_normal((way * shot, dim)) * 3.0
     weights = ad.constant(rng.standard_normal((way, dim)))
     probe = ad.constant(rng.standard_normal((way * shot, dim)))
@@ -73,19 +72,32 @@ def test_sorted_equal_shot_prototypes_gather_nothing():
 
 def test_stacked_support_must_be_class_sorted_with_equal_shots():
     stack = ad.constant(np.ones((2, 4, 3)))
-    with pytest.raises(ContractError, match="^class_prototypes: a stacked support"):
+    with pytest.raises(ContractError, match="^head: support row 1 breaks the class-major layout"):
         heads.class_prototypes(stack, [0, 1, 0, 1], 2)
     assert heads.class_prototypes(stack, [0, 0, 1, 1], 2).shape == (2, 2, 3)
 
 
 def test_missing_class_rejected():
     sup = ad.constant(np.ones((3, 2)))
-    with pytest.raises(ContractError, match="class 1"):
-        heads.class_prototypes(sup, [0, 0, 2], 3)
-    with pytest.raises(ContractError):
-        heads.class_prototypes(sup, [0, 0, 5], 3)
-    with pytest.raises(ContractError):
+    for labels in ([0, 0, 2], [0, 0, 5]):
+        with pytest.raises(ContractError, match="row 1 breaks .* 1 rows for each of 3 classes$"):
+            heads.class_prototypes(sup, labels, 3)
+    with pytest.raises(ContractError, match="row 1 breaks .* 1 rows for each of 2 classes$"):
         heads.class_prototypes(sup, [0, 0], 2)
+
+
+@pytest.mark.parametrize("kind", heads.HEAD_KINDS)
+@pytest.mark.parametrize("rows,labels,bad,shot", [
+    (4, [0, 1, 0, 1], 1, 2),
+    (5, [0, 0, 0, 1, 1], 2, 2),
+    (4, [0, 0, 1], 3, 2),
+    (1, [0], 0, 0),
+], ids=["shuffled", "unequal-shots", "label-short", "class-short"])
+def test_each_head_rejects_a_support_that_is_not_class_major(kind, rows, labels, bad, shot):
+    head = heads.build_relation_head(3, 4, RngStream(27))
+    message = f"^head: support row {bad} breaks the class-major layout, {shot} rows for each of 2 classes$"
+    with pytest.raises(ContractError, match=message):
+        heads.episode_logits(kind, embeddings(28, rows, 3), labels, embeddings(29, 2, 3), 2, head)
 
 
 # ---------------------------------------------------------------------------
@@ -116,35 +128,25 @@ def test_proto_softmax_two_way_example():
 def test_proto_logits_match_direct_distance_computation():
     sup = embeddings(1, 10, 6)
     q = embeddings(2, 7, 6)
-    logits = heads.proto_logits(sup, [0, 1, 2, 3, 4] * 2, q, 5).data
-    protos = heads.class_prototypes(sup, [0, 1, 2, 3, 4] * 2, 5).data
+    labels = [k for k in range(5) for _ in range(2)]
+    logits = heads.proto_logits(sup, labels, q, 5).data
+    protos = heads.class_prototypes(sup, labels, 5).data
     direct = -((q.data[:, None, :] - protos[None, :, :]) ** 2).sum(axis=2)
     assert max_rel_err(logits, direct, atol=1e-12) < 1e-10
 
 
-def test_proto_head_invariant_to_support_row_order():
-    sup_rows = RngStream(3).normals(12).reshape(6, 2)
-    q = embeddings(4, 3, 2)
-    labels = [0, 0, 1, 1, 2, 2]
-    base = heads.proto_logits(ad.constant(sup_rows), labels, q, 3).data
-    perm = [4, 1, 5, 0, 3, 2]
-    shuffled = heads.proto_logits(ad.constant(sup_rows[perm]),
-                                  [labels[i] for i in perm], q, 3).data
-    assert np.allclose(base, shuffled, atol=1e-12)
-
-
 def test_proto_gradients_match_fd():
     stream = RngStream(5)
-    params = ad.ParamStore([
-        ("sup", ad.leaf(stream.normals(8).reshape(4, 2))),
-        ("q", ad.leaf(stream.normals(6).reshape(3, 2))),
-    ])
+    params = {
+        "sup": ad.leaf(stream.normals(8).reshape(4, 2)),
+        "q": ad.leaf(stream.normals(6).reshape(3, 2)),
+    }
 
     def build(s):
-        logits = heads.proto_logits(s["sup"], [0, 1, 0, 1], s["q"], 2)
+        logits = heads.proto_logits(s["sup"], [0, 0, 1, 1], s["q"], 2)
         return heads.episode_loss(logits, [0, 1, 0])
 
-    grads = ad.backward(build(params), params.tensors())
+    grads = ad.backward(build(params), list(params.values()))
     fd = finite_difference_grad(build, params, 1e-5)
     for (name, _), got in zip(params.items(), grads):
         assert max_rel_err(got.data, fd[name].data) < 1e-6, name
@@ -169,7 +171,7 @@ def test_matching_logits_orthogonal_example():
 def test_matching_attention_mass_sums_to_one():
     sup = embeddings(6, 8, 4)
     q = embeddings(7, 5, 4)
-    logits = heads.matching_logits(sup, [0, 1, 2, 3, 0, 1, 2, 3], q, 4).data
+    logits = heads.matching_logits(sup, [0, 0, 1, 1, 2, 2, 3, 3], q, 4).data
     mass = np.exp(logits) - heads.MATCH_LOGIT_FLOOR
     assert np.allclose(mass.sum(axis=1), 1.0, atol=1e-9)
 
@@ -177,7 +179,7 @@ def test_matching_attention_mass_sums_to_one():
 def test_matching_is_scale_invariant_in_the_inputs():
     sup = embeddings(8, 6, 3, 0.1, 1.0)
     q = embeddings(9, 4, 3, 0.1, 1.0)
-    labels = [0, 1, 2, 0, 1, 2]
+    labels = [0, 0, 1, 1, 2, 2]
     base = heads.matching_logits(sup, labels, q, 3).data
     scaled = heads.matching_logits(
         ad.constant(sup.data * 40.0), labels, ad.constant(q.data * 7.0), 3).data
@@ -195,16 +197,16 @@ def test_matching_zero_query_row_is_safe():
 
 def test_matching_gradients_match_fd():
     stream = RngStream(10)
-    params = ad.ParamStore([
-        ("sup", ad.leaf(stream.normals(12).reshape(4, 3))),
-        ("q", ad.leaf(stream.normals(9).reshape(3, 3))),
-    ])
+    params = {
+        "sup": ad.leaf(stream.normals(12).reshape(4, 3)),
+        "q": ad.leaf(stream.normals(9).reshape(3, 3)),
+    }
 
     def build(s):
-        logits = heads.matching_logits(s["sup"], [0, 1, 1, 0], s["q"], 2)
+        logits = heads.matching_logits(s["sup"], [0, 0, 1, 1], s["q"], 2)
         return heads.episode_loss(logits, [1, 0, 1])
 
-    grads = ad.backward(build(params), params.tensors())
+    grads = ad.backward(build(params), list(params.values()))
     fd = finite_difference_grad(build, params, 1e-5)
     for (name, _), got in zip(params.items(), grads):
         assert max_rel_err(got.data, fd[name].data) < 1e-6, name
@@ -220,7 +222,6 @@ def test_relation_head_shapes_and_param_names():
     assert head.b1.shape == (8,)
     assert head.w2.shape == (8, 1)
     assert head.b2.shape == (1,)
-    assert head.hidden == 8
     assert [n for n, _ in head.parameters()] == [
         "head.rel.w1", "head.rel.b1", "head.rel.w2", "head.rel.b2"]
 
@@ -234,8 +235,8 @@ def test_relation_logits_shape_and_determinism():
     head = heads.build_relation_head(3, 5, RngStream(11))
     sup = embeddings(12, 6, 3)
     q = embeddings(13, 4, 3)
-    a = heads.relation_logits(sup, [0, 1, 2, 0, 1, 2], q, 3, head)
-    b = heads.relation_logits(sup, [0, 1, 2, 0, 1, 2], q, 3, head)
+    a = heads.relation_logits(sup, [0, 0, 1, 1, 2, 2], q, 3, head)
+    b = heads.relation_logits(sup, [0, 0, 1, 1, 2, 2], q, 3, head)
     assert a.shape == (4, 3)
     assert np.array_equal(a.data, b.data)
 
@@ -246,7 +247,7 @@ def test_relation_zero_output_layer_gives_uniform_logits():
                                    ad.leaf(np.zeros((5, 1))), ad.leaf(np.zeros(1)))
     sup = embeddings(15, 4, 3)
     q = embeddings(16, 3, 3)
-    logits = heads.relation_logits(sup, [0, 1, 0, 1], q, 2, head).data
+    logits = heads.relation_logits(sup, [0, 0, 1, 1], q, 2, head).data
     assert np.all(logits == 0.0)
     loss = heads.episode_loss(ad.constant(logits), [0, 1, 1])
     assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
@@ -257,10 +258,10 @@ def test_relation_scores_each_pair_independently():
     head = heads.build_relation_head(3, 4, RngStream(17))
     sup = embeddings(18, 4, 3)
     q = embeddings(19, 3, 3)
-    batched = heads.relation_logits(sup, [0, 1, 0, 1], q, 2, head).data
+    batched = heads.relation_logits(sup, [0, 0, 1, 1], q, 2, head).data
     for i in range(3):
         single = heads.relation_logits(
-            sup, [0, 1, 0, 1], ad.constant(q.data[i : i + 1]), 2, head).data
+            sup, [0, 0, 1, 1], ad.constant(q.data[i : i + 1]), 2, head).data
         assert np.allclose(batched[i], single[0], atol=1e-12)
 
 
@@ -269,7 +270,7 @@ def test_relation_pair_width_mismatch_rejected():
     sup = embeddings(21, 4, 3)
     q = embeddings(22, 2, 3)
     with pytest.raises(ContractError):
-        heads.relation_logits(sup, [0, 1, 0, 1], q, 2, head)
+        heads.relation_logits(sup, [0, 0, 1, 1], q, 2, head)
 
 
 def test_relation_gradients_match_fd():
@@ -277,15 +278,15 @@ def test_relation_gradients_match_fd():
     head = heads.build_relation_head(2, 4, stream.substream("head"))
     sup = ad.constant(stream.normals(8).reshape(4, 2))
     q = ad.constant(stream.normals(6).reshape(3, 2))
-    params = ad.ParamStore(head.parameters())
+    params = dict(head.parameters())
 
     def build(s):
         h = heads.RelationHeadState(s["head.rel.w1"], s["head.rel.b1"],
                                     s["head.rel.w2"], s["head.rel.b2"])
-        logits = heads.relation_logits(sup, [0, 1, 0, 1], q, 2, h)
+        logits = heads.relation_logits(sup, [0, 0, 1, 1], q, 2, h)
         return heads.episode_loss(logits, [0, 1, 0])
 
-    grads = ad.backward(build(params), params.tensors())
+    grads = ad.backward(build(params), list(params.values()))
     fd = finite_difference_grad(build, params, 1e-5)
     for (name, _), got in zip(params.items(), grads):
         assert max_rel_err(got.data, fd[name].data, atol=1e-10) < 1e-6, name
@@ -300,12 +301,12 @@ def test_episode_logits_dispatch():
     q = embeddings(25, 2, 3)
     head = heads.build_relation_head(3, 4, RngStream(26))
     for kind in heads.HEAD_KINDS:
-        out = heads.episode_logits(kind, sup, [0, 1, 0, 1], q, 2, head)
+        out = heads.episode_logits(kind, sup, [0, 0, 1, 1], q, 2, head)
         assert out.shape == (2, 2)
     with pytest.raises(ConfigError):
-        heads.episode_logits("nearest", sup, [0, 1, 0, 1], q, 2)
+        heads.episode_logits("nearest", sup, [0, 0, 1, 1], q, 2)
     with pytest.raises(ContractError):
-        heads.episode_logits("relation", sup, [0, 1, 0, 1], q, 2, None)
+        heads.episode_logits("relation", sup, [0, 0, 1, 1], q, 2, None)
 
 
 def test_predict_episode_picks_argmax():

@@ -300,6 +300,18 @@ def test_binary_trailing_bytes_rejected(tmp_path):
         tasks.load_domain(path)
 
 
+def test_binary_oversized_class_header_rejected_before_reading(tmp_path):
+    # 60000 rows of 60000 features are 28.8 GB, which read() would allocate.
+    import struct
+
+    path = str(tmp_path / "huge.bin")
+    open(path, "wb").write(tasks.DATASET_MAGIC + struct.pack(
+        "<IIIII", tasks.DATASET_VERSION, 1, 60000, 0, 60000) + bytes(16))
+    with pytest.raises(LengthError, match=r"huge\.bin: truncated while reading class 0 samples: "
+                                          r"28800000000 bytes declared, 16 left$"):
+        tasks.load_domain(path)
+
+
 # ---------------------------------------------------------------------------
 # episode sampling
 

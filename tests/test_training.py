@@ -80,7 +80,7 @@ def test_ft_layers_follow_block_flags():
 
 def test_param_store_contains_all_named_parameters():
     model = tr.build_model(toy_config(mode="lft", head="relation"), 6, RngStream(3))
-    names = model.param_store().names()
+    names = list(model.param_store())
     assert "enc.block0.weight" in names
     assert "head.rel.w1" in names
     assert "ft.block0.gamma" in names
@@ -252,10 +252,10 @@ def test_meta_gradient_matches_fd_on_toy_model():
         total = pinned_outer_total(model, ps, pu, cfg, 70 + seed)
         grads = ad.backward(total, [t for _, t in ft_items])
 
-        params = ad.ParamStore(ft_items)
+        params = dict(ft_items)
 
         def build(store, model=model, ps=ps, pu=pu, cfg=cfg, seed=seed):
-            shifted = model.with_values({n: store[n] for n in store.names()})
+            shifted = model.with_values(dict(store))
             return pinned_outer_total(shifted, ps, pu, cfg, 70 + seed)
 
         fd = finite_difference_grad(build, params, 1e-4)
