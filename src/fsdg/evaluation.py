@@ -6,8 +6,9 @@ and in any order.  Modulation layers are never consulted; an evaluated
 model behaves identically whatever its hyper-parameter values or the
 state of any random stream.
 
-Trials are scored in blocks of up to ``TRIALS_PER_BLOCK``: the batches of
-a block's episodes are stacked and encoded and scored in one no-grad
+Trials are scored in blocks of up to ``TRIALS_PER_BLOCK``: one
+``sample_episode`` call draws the block's episodes from their trials'
+streams as one stacked batch, which is encoded and scored in one no-grad
 pass.  Every slice of that pass computes what a pass over its episode
 alone computes, bit for bit, so a trial's logits and accuracy do not
 depend on its block.
@@ -64,10 +65,8 @@ def summarize(accuracies: Sequence[float]) -> tuple[float, float]:
     return mean, float(1.96 * np.std(accs, ddof=1) / np.sqrt(accs.size))
 
 
-def _score(model: ModelState, episodes: list[Episode]) -> list[float]:
-    """Accuracy of each episode, from one pass over their stacked batches."""
-    # Every episode of a call has the same shape and labels.
-    block = dataclasses.replace(episodes[0], x=ad.adopt(np.stack([e.x.data for e in episodes])))
+def _score(model: ModelState, block: Episode) -> list[float]:
+    """Accuracy of each task of a block, from one pass over its batches."""
     with ad.no_grad(), ad.trap_non_finite():
         preds = predict_episode(episode_forward(model, block, "eval", use_ft=False))
     return np.mean(preds == np.asarray(block.query_y), axis=-1).tolist()
@@ -75,23 +74,24 @@ def _score(model: ModelState, episodes: list[Episode]) -> list[float]:
 
 def _block_accuracies(model: ModelState, domain: Domain, n_way: int, n_shot: int,
                       n_query: int, seed: int, trials: range) -> list[float]:
-    """Accuracies of consecutive trials, scored as one block.
+    """Accuracies of consecutive trials, drawn and scored as one block.
 
     A NumericError is re-raised naming the first trial that raises it on
-    its own; the drawn episodes are scored again one by one to find it.
+    its own; the drawn tasks are scored again one by one to find it.
     """
-    episodes = [sample_episode(domain, n_way, n_shot, n_query,
-                               RngStream(derive_seed(seed, "eval-trial", t)))
-                for t in trials]
+    block = sample_episode(domain, n_way, n_shot, n_query,
+                           [RngStream(derive_seed(seed, "eval-trial", t)) for t in trials])
     try:
-        return _score(model, episodes)
+        return _score(model, block)
     except NumericError:
-        for trial, episode in zip(trials, episodes):
+        for i, trial in enumerate(trials):
+            task = dataclasses.replace(block, x=ad.adopt(block.x.data[i:i + 1]),
+                                       class_ids=block.class_ids[i:i + 1])
             try:
-                _score(model, [episode])
+                _score(model, task)
             except NumericError as err:
                 raise NumericError(f"evaluation trial {trial}: {err}") from err
-        raise  # a slice computes what its episode alone does, so this is not reached
+        raise  # a slice computes what its task alone does, so this is not reached
 
 
 def trial_accuracy(model: ModelState, domain: Domain, n_way: int, n_shot: int,

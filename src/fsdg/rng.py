@@ -59,6 +59,16 @@ _U_30, _U_27, _U_31, _U_11 = np.uint64(30), np.uint64(27), np.uint64(31), np.uin
 _U_NONE = np.zeros(0, dtype=np.uint64)
 
 
+def _finalize(z: np.ndarray) -> np.ndarray:
+    """mix64's avalanche steps on a uint64 array, in place."""
+    z ^= z >> _U_30
+    z *= _U_MUL1
+    z ^= z >> _U_27
+    z *= _U_MUL2
+    z ^= z >> _U_31
+    return z
+
+
 @functools.lru_cache(maxsize=256)
 def _box_muller_plan(ns: tuple[int, ...]) -> tuple[int, np.ndarray | slice, tuple[int, ...]]:
     """For ``normals_each(ns)``: how many uniforms the calls consume, the
@@ -97,12 +107,7 @@ class RngStream:
         self._pos += n
         z *= _U_GOLDEN
         z += np.uint64(self.seed)
-        z ^= z >> _U_30
-        z *= _U_MUL1
-        z ^= z >> _U_27
-        z *= _U_MUL2
-        z ^= z >> _U_31
-        return z
+        return _finalize(z)
 
     def uniforms(self, n: int) -> np.ndarray:
         """n doubles uniform on (0, 1]; 53-bit mantissas, never exactly 0."""
@@ -146,21 +151,63 @@ class RngStream:
         Equal to successive ``permutation(n)`` calls, and leaves the stream
         where they would: a shuffle of n items consumes n - 1 draws.
         """
-        # Every swap index draw % (i + 1) from one uint64 array op, then
-        # Python ints: indexing a uint64 array would cost more than the swaps.
-        moduli = np.concatenate([np.arange(n, 1, -1, dtype=np.uint64) for n in ns] or [_U_NONE])
-        picks = iter((self._raw(moduli.size) % moduli).tolist())
-        out = []
+        ranges = []
         for n in ns:
-            items = list(range(n))
-            # zip pulls from the range first, so it takes exactly n - 1 picks.
-            for i, j in zip(range(n - 1, 0, -1), picks):
-                items[i], items[j] = items[j], items[i]
-            out.append(items)
-        return out
+            if n < 0:
+                raise ValueError(f"permutation: n={n} is negative")
+            ranges.append(range(n))
+        return shuffles([self], [ranges])[0]
 
     def sample_without_replacement(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), order given by the shuffle."""
+        if k < 0:
+            raise ValueError(f"sample_without_replacement: k={k} is negative")
         if k > n:
             raise ValueError(f"sample_without_replacement: k={k} exceeds n={n}")
         return self.permutation(n)[:k]
+
+
+@functools.lru_cache(maxsize=64)
+def _swap_plan(ns_each: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """For ``shuffles`` of items ``ns_each[t]`` on stream t: the stream of
+    each swap draw, the draw's counter on its stream (1, 2, ... from the
+    stream's position), its modulus (n, n - 1, ..., 2 for a shuffle of n
+    items) and how many draws each stream makes."""
+    used = tuple(sum(max(n - 1, 0) for n in ns) for ns in ns_each)
+    owner = np.repeat(np.arange(len(used), dtype=np.intp), used)
+    counters = np.concatenate([np.arange(1, m + 1, dtype=np.uint64) for m in used] or [_U_NONE])
+    moduli = np.concatenate([np.arange(n, 1, -1, dtype=np.uint64)
+                             for ns in ns_each for n in ns] or [_U_NONE])
+    for arr in (owner, counters, moduli):
+        arr.setflags(write=False)
+    return owner, counters, moduli, used
+
+
+def shuffles(streams, ranges_each) -> list[list[list[int]]]:
+    """Stream t's Fisher-Yates shuffle of each range in ``ranges_each[t]``,
+    with the swap draws of every stream from one uint64 pass.
+
+    Each stream's shuffles equal its successive ``permutation`` calls,
+    offset by each range's start, and each stream ends where they would
+    leave it: a shuffle of n items consumes n - 1 draws.
+    """
+    owner, counters, moduli, used = _swap_plan(tuple(tuple(map(len, rs)) for rs in ranges_each))
+    z = np.array([s._pos for s in streams], dtype=np.uint64)[owner]
+    z += counters
+    z *= _U_GOLDEN
+    z += np.array([s.seed for s in streams], dtype=np.uint64)[owner]
+    # Python ints: indexing a uint64 array would cost more than the swaps.
+    picks = iter((_finalize(z) % moduli).tolist())
+    for stream, m in zip(streams, used):
+        stream._pos += m
+    out = []
+    for ranges in ranges_each:
+        shuffled = []
+        for r in ranges:
+            items = list(r)
+            # zip pulls from the range first, so it takes exactly n - 1 picks.
+            for i, j in zip(range(len(items) - 1, 0, -1), picks):
+                items[i], items[j] = items[j], items[i]
+            shuffled.append(items)
+        out.append(shuffled)
+    return out

@@ -20,7 +20,8 @@ import csv
 import io
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .errors import (
     ParseError,
     VersionError,
 )
-from .rng import RngStream, derive_seed
+from .rng import RngStream, derive_seed, shuffles
 
 DATASET_MAGIC = b"FSDS"
 DATASET_VERSION = 1
@@ -42,11 +43,19 @@ DATASET_VERSION = 1
 
 @dataclass
 class Domain:
-    """Labeled samples for one domain; class arrays are immutable."""
+    """Labeled samples for one domain.
+
+    Every row lives in ``rows``, one read-only float64 block in class-id
+    order; ``classes[cid]`` is the view of class cid's rows in it and
+    ``spans[cid]`` their range of block rows.
+    """
 
     name: str
     dim: int
     classes: dict[int, np.ndarray]
+    rows: np.ndarray = field(init=False, repr=False)
+    spans: dict[int, range] = field(init=False, repr=False)
+    smallest: int | None = field(init=False, repr=False)  # id of a class with fewest rows
 
     def __post_init__(self):
         for cid, arr in self.classes.items():
@@ -59,7 +68,16 @@ class Domain:
                 raise ContractError(
                     f"domain {self.name!r}: class {cid} row {bad[0]} has non-finite values"
                 )
-            arr.setflags(write=False)
+        ids = sorted(self.classes)
+        self.rows = np.concatenate([self.classes[cid] for cid in ids] or [np.empty((0, self.dim))],
+                                   dtype=np.float64)
+        self.rows.setflags(write=False)
+        self.spans, start = {}, 0
+        for cid in ids:
+            self.spans[cid] = range(start, start + self.classes[cid].shape[0])
+            start += self.classes[cid].shape[0]
+        self.classes = {cid: self.rows[r.start:r.stop] for cid, r in self.spans.items()}
+        self.smallest = min(ids, key=lambda cid: len(self.spans[cid]), default=None)
 
     def class_ids(self) -> list[int]:
         return sorted(self.classes)
@@ -72,7 +90,12 @@ class Domain:
 @dataclass
 class Episode:
     """One few-shot task.  ``x`` is the encoder's batch: the support rows,
-    then the query rows, each class-major in label order."""
+    then the query rows, each class-major in label order.
+
+    An episode drawn from a sequence of T streams is a block of T tasks:
+    ``x`` stacks their batches as (T, rows, dim) and ``class_ids`` holds
+    one list per task; the labels are the same for every task.
+    """
 
     n_way: int
     n_shot: int
@@ -81,7 +104,7 @@ class Episode:
     support_y: list[int]
     query_y: list[int]
     domain_name: str
-    class_ids: list[int]  # original domain class id for each episode label
+    class_ids: list  # original domain class id of each label (one list per task in a block)
 
 
 @dataclass
@@ -193,7 +216,7 @@ def load_domain_binary(path: str) -> Domain:
             if cid in classes:
                 raise FormatError(f"dataset file {path}: class {cid} appears twice")
             payload = _read_exact(fh, count * dim * 8, f"class {cid} samples")
-            classes[cid] = np.frombuffer(payload, dtype="<f8").reshape(count, dim).copy()
+            classes[cid] = np.frombuffer(payload, dtype="<f8").reshape(count, dim)
         if fh.read(1):
             raise FormatError(
                 f"dataset file {path}: trailing bytes after the {n_classes} classes of its header")
@@ -243,10 +266,13 @@ def load_domain(path: str) -> Domain:
 
 
 def sample_episode(domain: Domain, n_way: int, n_shot: int, n_query: int,
-                   rng: RngStream) -> Episode:
+                   rng: RngStream | Sequence[RngStream]) -> Episode:
     """Draw one task: n_way classes, then n_shot + n_query rows per class.
 
-    Support and query rows are disjoint by construction.
+    Support and query rows are disjoint by construction.  Given a sequence
+    of streams, draws one task from each, as one block (see ``Episode``);
+    each task and each stream's end position equal those of a call with
+    that stream alone.
     """
     if min(n_way, n_shot, n_query) < 1:
         raise ContractError("sample_episode: way, shot, and query must be positive")
@@ -255,31 +281,41 @@ def sample_episode(domain: Domain, n_way: int, n_shot: int, n_query: int,
         raise CapacityError(
             f"domain {domain.name!r}: {len(ids)} classes available, episode needs {n_way}"
         )
-    picked = [ids[i] for i in rng.sample_without_replacement(len(ids), n_way)]
-    arrays = [domain.classes[cid] for cid in picked]
     need = n_shot + n_query
-    for cid, arr in zip(picked, arrays):
-        if arr.shape[0] < need:
-            raise CapacityError(
-                f"domain {domain.name!r}: class {cid} has {arr.shape[0]} samples, episode needs {need}"
-            )
-    # The rows of every picked class from one draw, in label order.
-    perms = rng.permutations([arr.shape[0] for arr in arrays])
-    drawn = [arr[rows[:need]] for arr, rows in zip(arrays, perms)]
-    support_rows = [rows[:n_shot] for rows in drawn]
-    query_rows = [rows[n_shot:] for rows in drawn]
-    support_y = [label for label in range(n_way) for _ in range(n_shot)]
-    query_y = [label for label in range(n_way) for _ in range(n_query)]
+    # Any class may be picked, so the smallest must hold an episode's rows.
+    if len(domain.spans[domain.smallest]) < need:
+        raise CapacityError(
+            f"domain {domain.name!r}: class {domain.smallest} has "
+            f"{len(domain.spans[domain.smallest])} samples, episode needs {need}"
+        )
+    single = isinstance(rng, RngStream)
+    streams = [rng] if single else list(rng)
+    if not streams:
+        raise ContractError("sample_episode: no streams to draw from")
+    # Each task's classes, then the block rows of every picked class in
+    # label order; the first `need` of a class's shuffle are its episode rows.
+    orders = shuffles(streams, [[range(len(ids))]] * len(streams))
+    picked = [[ids[i] for i in order[:n_way]] for (order,) in orders]
+    perms = shuffles(streams, [[domain.spans[cid] for cid in p] for p in picked])
+    rows = []
+    for task in perms:
+        for block_rows in task:
+            rows += block_rows[:n_shot]
+        for block_rows in task:
+            rows += block_rows[n_shot:need]
+    # A private float64 copy of rows that Domain proved finite.
+    x = np.take(domain.rows, rows, axis=0)
+    if not single:
+        x = x.reshape(len(streams), n_way * need, domain.dim)
     return Episode(
         n_way=n_way,
         n_shot=n_shot,
         n_query=n_query,
-        # A private float64 copy of rows that Domain proved finite.
-        x=ad.adopt(np.concatenate(support_rows + query_rows, dtype=np.float64)),
-        support_y=support_y,
-        query_y=query_y,
+        x=ad.adopt(x),
+        support_y=[label for label in range(n_way) for _ in range(n_shot)],
+        query_y=[label for label in range(n_way) for _ in range(n_query)],
         domain_name=domain.name,
-        class_ids=picked,
+        class_ids=picked[0] if single else picked,
     )
 
 

@@ -106,18 +106,59 @@ def random_tensor(stream: RngStream, shape, lo: float = -2.0, hi: float = 2.0,
 
 def overflow_nth_episode(monkeypatch, module, index: int) -> None:
     """Scale the inputs of the ``index``-th episode that ``module`` samples
-    (counting from 0) by 1e200, so that encoding it overflows."""
+    (counting from 0, each task of a block one episode) by 1e200, so that
+    encoding it overflows."""
     real = module.sample_episode
     count = [0]
 
     def sampler(*args, **kwargs):
         episode = real(*args, **kwargs)
-        count[0] += 1
-        if count[0] - 1 != index:
+        data = episode.x.data
+        first = count[0]
+        count[0] += data.shape[0] if data.ndim == 3 else 1
+        if not first <= index < count[0]:
             return episode
-        return dataclasses.replace(episode, x=ad.constant(episode.x.data * 1e200))
+        data = data.copy()
+        if data.ndim == 3:
+            data[index - first] *= 1e200
+        else:
+            data *= 1e200
+        return dataclasses.replace(episode, x=ad.constant(data))
 
     monkeypatch.setattr(module, "sample_episode", sampler)
+
+
+def reference_permutations(rng: RngStream, ns) -> list[list[int]]:
+    """The Fisher-Yates rule on one stream's own draws: for i = n-1 .. 1,
+    swap i with draw % (i + 1); a shuffle of n items takes n - 1 draws."""
+    draws = iter(rng._raw(sum(max(n - 1, 0) for n in ns)).tolist())
+    out = []
+    for n in ns:
+        items = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = next(draws) % (i + 1)
+            items[i], items[j] = items[j], items[i]
+        out.append(items)
+    return out
+
+
+def reference_episode(domain: Domain, n_way: int, n_shot: int, n_query: int,
+                      rng: RngStream) -> Episode:
+    """One episode drawn class by class, as the sampler drew it before it
+    drew blocks: the classes from one shuffle of the sorted class ids, then
+    one shuffle of each picked class's rows, gathered class by class."""
+    ids = domain.class_ids()
+    picked = [ids[i] for i in reference_permutations(rng, [len(ids)])[0][:n_way]]
+    arrays = [domain.classes[cid] for cid in picked]
+    need = n_shot + n_query
+    perms = reference_permutations(rng, [arr.shape[0] for arr in arrays])
+    drawn = [arr[rows[:need]] for arr, rows in zip(arrays, perms)]
+    x = np.concatenate([rows[:n_shot] for rows in drawn] + [rows[n_shot:] for rows in drawn],
+                       dtype=np.float64)
+    return Episode(n_way, n_shot, n_query, ad.constant(x),
+                   [label for label in range(n_way) for _ in range(n_shot)],
+                   [label for label in range(n_way) for _ in range(n_query)],
+                   domain.name, picked)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,3 @@
-import dataclasses
 import types
 import weakref
 
@@ -121,10 +120,10 @@ def test_block_logits_equal_single_episode_logits(head, seed):
     trials = ev.TRIALS_PER_BLOCK + 3
     episodes = [sample_episode(domain, 5, 5, 16, RngStream(derive_seed(seed, "eval-trial", t)))
                 for t in range(trials)]
+    block = sample_episode(domain, 5, 5, 16, [RngStream(derive_seed(seed, "eval-trial", t))
+                                              for t in range(ev.TRIALS_PER_BLOCK)])
     with ad.no_grad(), ad.trap_non_finite():
         single = [tr.episode_forward(model, e, "eval", use_ft=False).data for e in episodes]
-        block = dataclasses.replace(episodes[0], x=ad.constant(
-            np.stack([e.x.data for e in episodes[:ev.TRIALS_PER_BLOCK]])))
         stacked = tr.episode_forward(model, block, "eval", use_ft=False).data
     assert stacked.shape == (ev.TRIALS_PER_BLOCK, 5 * 16, 5)
     for t in range(ev.TRIALS_PER_BLOCK):
@@ -135,6 +134,15 @@ def test_block_logits_equal_single_episode_logits(head, seed):
     by_logits = [float(np.mean(np.argmax(logits, axis=1) == np.asarray(e.query_y)))
                  for logits, e in zip(single, episodes)]
     assert report.accuracies == by_trial == by_logits
+
+
+def test_accuracies_do_not_depend_on_the_block_size(monkeypatch):
+    model, domain = toy_model(), toy_domain()
+    trials = 2 * ev.TRIALS_PER_BLOCK + 3
+    want = ev.evaluate(model, domain, 3, 2, trials=trials, seed=21, n_query=4).accuracies
+    for size in (1, 3, ev.TRIALS_PER_BLOCK + 5, trials):
+        monkeypatch.setattr(ev, "TRIALS_PER_BLOCK", size)
+        assert ev.evaluate(model, domain, 3, 2, trials=trials, seed=21, n_query=4).accuracies == want
 
 
 def test_numeric_error_in_a_later_block_names_its_trial_and_redraws_nothing(monkeypatch):
@@ -153,15 +161,16 @@ def test_numeric_error_in_a_later_block_names_its_trial_and_redraws_nothing(monk
         ev.evaluate(model, domain, 3, 2, trials=trials, seed=3, n_query=4)
     assert str(info.value) == str(alone.value)
     assert str(info.value) == f"evaluation trial {trial}: {info.value.__cause__}"
-    assert len(drawn) == trials
+    # One draw per block, each over its trials' streams; the fallback
+    # re-scores the drawn tasks without drawing again.
+    assert [len(args[4]) for args in drawn] == [ev.TRIALS_PER_BLOCK, 3]
 
 
 @pytest.mark.parametrize("head", ["proto", "matching", "relation"])
 def test_trial_builds_no_tape(monkeypatch, head):
     # A pass that records nothing makes no relu mask (a _bare constant)
-    # and no weak reference to an output.  The _bare constants of a pass
-    # are each episode's batch, which sample_episode adopts, and each
-    # block's stack of them, which evaluation adopts.
+    # and no weak reference to an output.  The one _bare constant of a
+    # pass is its block's stacked batch, which sample_episode adopts.
     calls = {"bare": 0, "ref": 0}
 
     def count(key, fn):
@@ -175,10 +184,10 @@ def test_trial_builds_no_tape(monkeypatch, head):
     model, domain = toy_model(head=head, mode="ft"), toy_domain()
     accs = [ev.trial_accuracy(model, domain, 3, 2, 4, seed=5, trial=t) for t in range(2)]
     assert all(0.0 <= acc <= 1.0 for acc in accs)
-    assert calls == {"bare": 2 * 2, "ref": 0}  # two one-trial blocks
+    assert calls == {"bare": 2, "ref": 0}  # two one-trial blocks
     trials = ev.TRIALS_PER_BLOCK + 1
     ev.evaluate(model, domain, 3, 2, trials=trials, seed=5, n_query=4)
-    assert calls == {"bare": 2 * 2 + trials + 2, "ref": 0}  # two more blocks
+    assert calls == {"bare": 2 + 2, "ref": 0}  # two more blocks
 
 
 def test_evaluation_ignores_modulation_state():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsdg.rng import RngStream, derive_seed, label_hash, mix64
+from fsdg.rng import RngStream, derive_seed, label_hash, mix64, shuffles
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -214,6 +214,37 @@ def test_sample_without_replacement_distinct(seed, n, data):
 def test_sample_without_replacement_overdraw_raises():
     with pytest.raises(ValueError):
         RngStream(0).sample_without_replacement(3, 4)
+
+
+def test_sample_without_replacement_rejects_a_negative_count():
+    with pytest.raises(ValueError, match=r"^sample_without_replacement: k=-1 is negative$"):
+        RngStream(0).sample_without_replacement(5, -1)
+
+
+def test_permutation_rejects_a_negative_size():
+    with pytest.raises(ValueError, match=r"^permutation: n=-1 is negative$"):
+        RngStream(0).permutation(-1)
+    with pytest.raises(ValueError, match=r"^permutation: n=-3 is negative$"):
+        RngStream(0).permutations([4, -3])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, MASK), st.integers(0, 40),
+                          st.lists(st.integers(0, 12), max_size=4)), max_size=6))
+def test_shuffles_equal_each_streams_own_permutations(specs):
+    # One draw over several streams at arbitrary positions equals each
+    # stream's own permutations, offset by its ranges' starts.
+    streams = [RngStream(seed) for seed, _, _ in specs]
+    alone = [RngStream(seed) for seed, _, _ in specs]
+    for s, a, (_, skip, _) in zip(streams, alone, specs):
+        s.uniforms(skip)
+        a.uniforms(skip)
+    ranges_each = [[range(3 * k, 4 * k) for k in ns] for _, _, ns in specs]
+    got = shuffles(streams, ranges_each)
+    for g, a, ranges, s in zip(got, alone, ranges_each, streams):
+        want = a.permutations([len(r) for r in ranges])
+        assert g == [[r.start + i for i in p] for r, p in zip(ranges, want)]
+        assert s._pos == a._pos
 
 
 def test_integers_bound_and_spread():

@@ -14,7 +14,7 @@ from fsdg.errors import (
     VersionError,
 )
 from fsdg.rng import RngStream
-from helpers import noise_domain
+from helpers import noise_domain, reference_episode
 
 
 def small_spec(**kw):
@@ -39,6 +39,22 @@ def test_domain_locks_class_arrays():
     d = tasks.Domain("d", 2, {0: np.ones((3, 2))})
     with pytest.raises(ValueError):
         d.classes[0][0, 0] = 9.0
+
+
+def test_domain_class_views_share_its_read_only_row_block():
+    given = {5: np.full((2, 2), 5.0), 1: np.full((3, 2), 1.0), 3: np.full((1, 2), 3.0)}
+    d = tasks.Domain("d", 2, given)
+    # One float64 block in class-id order; each class is a view into it.
+    assert d.rows.dtype == np.float64 and not d.rows.flags.writeable
+    assert d.rows[:, 0].tolist() == [1.0, 1.0, 1.0, 3.0, 5.0, 5.0]
+    assert d.spans == {1: range(0, 3), 3: range(3, 4), 5: range(4, 6)}
+    assert d.smallest == 3
+    for cid, arr in given.items():
+        view = d.classes[cid]
+        assert view.base is d.rows and np.shares_memory(view, d.rows)
+        assert not view.flags.writeable
+        assert np.array_equal(view, arr)
+        assert np.array_equal(d.rows[d.spans[cid].start:d.spans[cid].stop], arr)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +409,71 @@ def test_episode_capacity_errors_name_the_shortfall():
         tasks.sample_episode(d, 2, 3, 2, RngStream(0))
     with pytest.raises(ContractError):
         tasks.sample_episode(d, 0, 1, 1, RngStream(0))
+
+
+def test_undersized_class_fails_every_draw():
+    # Nine 30-row classes and one of 6: 5-way 5+16 episodes need 21 rows of
+    # every class, so every seed fails, whichever classes it would pick.
+    classes = {cid: np.ones((30 if cid != 7 else 6, 2)) for cid in range(10)}
+    d = tasks.Domain("short", 2, classes)
+    for seed in range(100):
+        with pytest.raises(CapacityError,
+                           match=r"^domain 'short': class 7 has 6 samples, episode needs 21$"):
+            tasks.sample_episode(d, 5, 5, 16, RngStream(seed))
+    with pytest.raises(CapacityError, match="class 7 has 6 samples"):
+        tasks.sample_episode(d, 5, 5, 16, [RngStream(1), RngStream(2)])
+
+
+def test_block_of_one_stream_is_the_episode_stacked():
+    d = noise_domain(seed=5, n_classes=7, dim=3, per_class=9)
+    one = tasks.sample_episode(d, 3, 2, 4, RngStream(12))
+    block = tasks.sample_episode(d, 3, 2, 4, [RngStream(12)])
+    assert one.x.shape == (18, 3) and block.x.shape == (1, 18, 3)
+    assert block.x.data[0].tobytes() == one.x.data.tobytes()
+    assert block.class_ids == [one.class_ids]
+    assert (block.support_y, block.query_y) == (one.support_y, one.query_y)
+    assert not block.x.data.flags.writeable and block.x.parents == ()
+    with pytest.raises(ContractError, match="no streams"):
+        tasks.sample_episode(d, 3, 2, 4, [])
+
+
+@st.composite
+def block_draws(draw):
+    """A domain of unequal classes, an episode size it holds, and streams
+    that stand at arbitrary positions."""
+    way = draw(st.integers(1, 4))
+    shot, query = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(shot + query, shot + query + 6), min_size=way, max_size=8))
+    ids = draw(st.lists(st.integers(0, 50), min_size=len(sizes), max_size=len(sizes), unique=True))
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=9))
+    skips = draw(st.lists(st.integers(0, 30), min_size=len(seeds), max_size=len(seeds)))
+    return way, shot, query, dict(zip(ids, sizes)), list(zip(seeds, skips))
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_draws())
+def test_block_equals_the_reference_sampler_task_by_task(case):
+    way, shot, query, sizes, streams = case
+    stream = RngStream(len(sizes))
+    classes = {cid: stream.normals(n * 3).reshape(n, 3) for cid, n in sizes.items()}
+    d = tasks.Domain("unequal", 3, classes)
+
+    def positioned():
+        out = [RngStream(seed) for seed, _ in streams]
+        for s, (_, skip) in zip(out, streams):
+            s.uniforms(skip)
+        return out
+
+    block_streams, alone = positioned(), positioned()
+    block = tasks.sample_episode(d, way, shot, query, block_streams)
+    assert block.x.shape == (len(streams), way * (shot + query), 3)
+    for t, s in enumerate(alone):
+        want = reference_episode(d, way, shot, query, s)
+        assert block.x.data[t].tobytes() == want.x.data.tobytes()
+        assert block.class_ids[t] == want.class_ids
+        assert (block.support_y, block.query_y) == (want.support_y, want.query_y)
+        # Each stream ends where drawing its episode alone leaves it.
+        assert block_streams[t]._pos == s._pos
 
 
 def test_episode_class_frequency_is_near_uniform():
