@@ -5,22 +5,18 @@ feature modulation) on four of five synthetic domains and evaluates each on
 the held-out fifth, rotating the held-out domain across master seeds.  Prints
 one row per (seed, mode), a final mean table, and the paired differences
 between modes with two-sided 95% t-intervals: over seeds, and over trials
-(every mode of a seed is evaluated on the same episodes).  With ``--jobs N``
-the (seed, mode) cells run in N worker processes; the output is the same,
-row for row, but for each row's wall time.
+(every mode of a seed is evaluated on the same episodes).
 
 Example:
-    python3 scripts/run_crossdomain.py --seeds 11 12 13 14 15 --trials 1000 --jobs 2
+    python3 scripts/run_crossdomain.py --seeds 11 12 13 14 15 --trials 1000
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 # One BLAS/OpenMP thread, as perfbench pins it, set before NumPy loads; a
@@ -68,28 +64,6 @@ def build_testbed(master_seed: int, n_domains: int, latent_dim: int,
     return [generate_synthetic_domain(s) for s in specs]
 
 
-def run_cell(args, cell: tuple[int, int, str]) -> tuple[str, float, float, list[float], float]:
-    """Train and evaluate one (seed, mode) cell: (held-out domain name, mean
-    accuracy, its ci95, per-trial accuracies, wall seconds)."""
-    i, master, mode = cell
-    domains = build_testbed(master, args.n_domains, args.latent_dim,
-                            args.noise_sigma, args.warp_strength)
-    held_idx = i % args.n_domains
-    held = domains[held_idx]
-    seen = [d for j, d in enumerate(domains) if j != held_idx]
-    cfg = TrainConfig(mode=mode, head="proto", alpha=args.alpha,
-                      optimizer=args.optimizer,
-                      iterations=args.iterations, way=args.way,
-                      shot=args.shot, seed=master,
-                      encoder_widths=tuple(args.widths),
-                      inner_steps=args.inner_steps)
-    t0 = time.time()
-    model, _ = train_loop(cfg, seen)
-    report = evaluate(model, held, args.way, args.shot,
-                      trials=args.trials, seed=master)
-    return held.name, report.mean, report.ci95, report.accuracies, time.time() - t0
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[11, 12, 13, 14, 15],
@@ -107,23 +81,32 @@ def main(argv=None) -> int:
     ap.add_argument("--inner-steps", type=int, default=1,
                     help="inner SGD steps of each lft meta-update")
     ap.add_argument("--trials", type=int, default=1000)
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="worker processes for the (seed, mode) cells")
     args = ap.parse_args(argv)
-    if args.jobs < 1:
-        ap.error(f"--jobs must be at least 1, got {args.jobs}")
 
     per_mode: dict[str, list[float]] = {m: [] for m in MODES}
     per_trial: dict[str, list[float]] = {m: [] for m in MODES}
-    cells = [(i, master, mode) for i, master in enumerate(args.seeds) for mode in MODES]
-    run = functools.partial(run_cell, args)
-    with ProcessPoolExecutor(args.jobs) as pool:
-        # map yields in cell order, so rows print in the same order for any N.
-        for (_, master, mode), (held, mean, ci95, accs, seconds) in zip(cells, pool.map(run, cells)):
-            per_mode[mode].append(mean)
-            per_trial[mode].extend(accs)
-            print(f"seed={master} held={held} mode={mode:8s} "
-                  f"acc={mean:.4f} ci95={ci95:.4f} ({seconds:.0f}s)", flush=True)
+    for i, master in enumerate(args.seeds):
+        domains = build_testbed(master, args.n_domains, args.latent_dim,
+                                args.noise_sigma, args.warp_strength)
+        held_idx = i % args.n_domains
+        held = domains[held_idx]
+        seen = [d for j, d in enumerate(domains) if j != held_idx]
+        for mode in MODES:
+            cfg = TrainConfig(mode=mode, head="proto", alpha=args.alpha,
+                              optimizer=args.optimizer,
+                              iterations=args.iterations, way=args.way,
+                              shot=args.shot, seed=master,
+                              encoder_widths=tuple(args.widths),
+                              inner_steps=args.inner_steps)
+            t0 = time.time()
+            model, _ = train_loop(cfg, seen)
+            report = evaluate(model, held, args.way, args.shot,
+                              trials=args.trials, seed=master)
+            per_mode[mode].append(report.mean)
+            per_trial[mode].extend(report.accuracies)
+            print(f"seed={master} held={held.name} mode={mode:8s} "
+                  f"acc={report.mean:.4f} ci95={report.ci95:.4f} "
+                  f"({time.time() - t0:.0f}s)", flush=True)
 
     print()
     means = {m: float(np.mean(v)) for m, v in per_mode.items()}

@@ -16,6 +16,7 @@ how earlier outputs were used.
 from __future__ import annotations
 
 import functools
+import itertools
 
 import numpy as np
 
@@ -167,20 +168,15 @@ class RngStream:
         return self.permutation(n)[:k]
 
 
-@functools.lru_cache(maxsize=64)
-def _swap_plan(ns_each: tuple[tuple[int, ...], ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
-    """For ``shuffles`` of items ``ns_each[t]`` on stream t: the stream of
-    each swap draw, the draw's counter on its stream (1, 2, ... from the
-    stream's position), its modulus (n, n - 1, ..., 2 for a shuffle of n
-    items) and how many draws each stream makes."""
-    used = tuple(sum(max(n - 1, 0) for n in ns) for ns in ns_each)
-    owner = np.repeat(np.arange(len(used), dtype=np.intp), used)
-    counters = np.concatenate([np.arange(1, m + 1, dtype=np.uint64) for m in used] or [_U_NONE])
-    moduli = np.concatenate([np.arange(n, 1, -1, dtype=np.uint64)
-                             for ns in ns_each for n in ns] or [_U_NONE])
-    for arr in (owner, counters, moduli):
-        arr.setflags(write=False)
-    return owner, counters, moduli, used
+@functools.lru_cache(maxsize=256)
+def _moduli(n: int) -> np.ndarray:
+    """The swap moduli of a shuffle of n items: swap i (i = n - 1 down to 1)
+    picks modulo i + 1.  Keyed by one shuffle's length, the cache serves
+    every domain whose classes take at most a few hundred distinct sizes,
+    equal or not."""
+    moduli = np.arange(n, 1, -1, dtype=np.uint64)
+    moduli.setflags(write=False)
+    return moduli
 
 
 def shuffles(streams, ranges_each) -> list[list[list[int]]]:
@@ -191,11 +187,16 @@ def shuffles(streams, ranges_each) -> list[list[list[int]]]:
     offset by each range's start, and each stream ends where they would
     leave it: a shuffle of n items consumes n - 1 draws.
     """
-    owner, counters, moduli, used = _swap_plan(tuple(tuple(map(len, rs)) for rs in ranges_each))
-    z = np.array([s._pos for s in streams], dtype=np.uint64)[owner]
-    z += counters
+    lens = [[len(r) for r in ranges] for ranges in ranges_each]
+    used = [sum(max(n - 1, 0) for n in ns) for ns in lens]
+    moduli = np.concatenate([_moduli(n) for ns in lens for n in ns] or [_U_NONE])
+    # Draw g of the pass (from 1) is stream t's draw pos_t + g - start_t,
+    # so its counter word is g * GOLDEN plus a constant of stream t.
+    offsets = [((s._pos - start) * _GOLDEN + s.seed) & _MASK64
+               for s, start in zip(streams, itertools.accumulate(used, initial=0))]
+    z = np.arange(1, moduli.size + 1, dtype=np.uint64)
     z *= _U_GOLDEN
-    z += np.array([s.seed for s in streams], dtype=np.uint64)[owner]
+    z += np.repeat(np.array(offsets, dtype=np.uint64), used)
     # Python ints: indexing a uint64 array would cost more than the swaps.
     picks = iter((_finalize(z) % moduli).tolist())
     for stream, m in zip(streams, used):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import os
 import struct
 from dataclasses import dataclass, field
@@ -45,39 +46,54 @@ DATASET_VERSION = 1
 class Domain:
     """Labeled samples for one domain.
 
-    Every row lives in ``rows``, one read-only float64 block in class-id
-    order; ``classes[cid]`` is the view of class cid's rows in it and
-    ``spans[cid]`` their range of block rows.
+    ``rows`` is one read-only float64 block and ``spans[cid]`` the range of
+    block rows of class cid; ``classes[cid]`` is the view of those rows.
+    The domains that ``split_classes`` makes share their source's block.
     """
 
     name: str
     dim: int
-    classes: dict[int, np.ndarray]
-    rows: np.ndarray = field(init=False, repr=False)
-    spans: dict[int, range] = field(init=False, repr=False)
+    rows: np.ndarray = field(repr=False)
+    spans: dict[int, range]
+    classes: dict[int, np.ndarray] = field(init=False, repr=False)
     smallest: int | None = field(init=False, repr=False)  # id of a class with fewest rows
 
     def __post_init__(self):
-        for cid, arr in self.classes.items():
-            if arr.ndim != 2 or arr.shape[1] != self.dim:
+        self.rows = np.asarray(self.rows, dtype=np.float64)
+        if self.rows.ndim != 2 or self.rows.shape[1] != self.dim:
+            raise ContractError(
+                f"domain {self.name!r}: rows have shape {self.rows.shape}, expected (*, {self.dim})"
+            )
+        self.rows.setflags(write=False)
+        self.classes = {}
+        for cid in sorted(self.spans):
+            span = self.spans[cid]
+            if span.step != 1 or not 0 <= span.start <= span.stop <= self.rows.shape[0]:
                 raise ContractError(
-                    f"domain {self.name!r}: class {cid} has shape {arr.shape}, expected (*, {self.dim})"
+                    f"domain {self.name!r}: class {cid} spans {span}, outside its "
+                    f"{self.rows.shape[0]} block rows"
                 )
+            arr = self.rows[span.start:span.stop]
             bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
             if bad.size:
                 raise ContractError(
                     f"domain {self.name!r}: class {cid} row {bad[0]} has non-finite values"
                 )
-        ids = sorted(self.classes)
-        self.rows = np.concatenate([self.classes[cid] for cid in ids] or [np.empty((0, self.dim))],
-                                   dtype=np.float64)
-        self.rows.setflags(write=False)
-        self.spans, start = {}, 0
-        for cid in ids:
-            self.spans[cid] = range(start, start + self.classes[cid].shape[0])
-            start += self.classes[cid].shape[0]
-        self.classes = {cid: self.rows[r.start:r.stop] for cid, r in self.spans.items()}
-        self.smallest = min(ids, key=lambda cid: len(self.spans[cid]), default=None)
+            self.classes[cid] = arr
+        self.smallest = min(self.classes, key=lambda cid: len(self.spans[cid]), default=None)
+
+    @classmethod
+    def from_classes(cls, name: str, dim: int, classes: dict[int, np.ndarray]) -> "Domain":
+        """A domain whose block is a copy of each class's rows, in class-id order."""
+        for cid, arr in classes.items():
+            if arr.ndim != 2 or arr.shape[1] != dim:
+                raise ContractError(
+                    f"domain {name!r}: class {cid} has shape {arr.shape}, expected (*, {dim})"
+                )
+        ids = sorted(classes)
+        rows = np.concatenate([classes[cid] for cid in ids] or [np.empty((0, dim))],
+                              dtype=np.float64)
+        return cls(name, dim, rows, _spans({cid: classes[cid].shape[0] for cid in ids}))
 
     def class_ids(self) -> list[int]:
         return sorted(self.classes)
@@ -85,6 +101,12 @@ class Domain:
     @property
     def n_classes(self) -> int:
         return len(self.classes)
+
+
+def _spans(counts: dict[int, int]) -> dict[int, range]:
+    """Consecutive block row ranges for classes of these row counts, in order."""
+    starts = itertools.accumulate(counts.values(), initial=0)
+    return {cid: range(start, start + n) for (cid, n), start in zip(counts.items(), starts)}
 
 
 @dataclass
@@ -151,14 +173,15 @@ def generate_synthetic_domain(spec: SyntheticDomainSpec) -> Domain:
     shifts = spec.warp_strength * warp.normals(spec.dim)
 
     noise = RngStream(derive_seed(spec.master_seed, "domain-noise", spec.domain_seed))
-    classes: dict[int, np.ndarray] = {}
-    for cid in range(spec.n_classes):
+    spans = _spans(dict.fromkeys(range(spec.n_classes), spec.samples_per_class))
+    rows = np.empty((spec.n_classes * spec.samples_per_class, spec.dim))
+    for cid, span in spans.items():
         eps = noise.substream("class", cid).normals(
             spec.samples_per_class * spec.latent_dim
         ).reshape(spec.samples_per_class, spec.latent_dim)
         latents = protos[cid] + spec.noise_sigma * eps
-        classes[cid] = np.tanh(latents @ mixing.T) * scales + shifts
-    return Domain(spec.name, spec.dim, classes)
+        rows[span.start:span.stop] = np.tanh(latents @ mixing.T) * scales + shifts
+    return Domain(spec.name, spec.dim, rows, spans)
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +215,18 @@ def save_domain(domain: Domain, path: str) -> None:
         save_domain_binary(domain, path)
 
 
-def _read_exact(fh: io.BufferedReader, n: int, what: str) -> bytes:
-    """The next ``n`` bytes, once the file is known to hold them: a corrupt
-    size in a header must not make ``read`` allocate the payload it declares."""
+def _claim(fh: io.BufferedReader, n: int, what: str) -> None:
+    """Check that the file holds its next ``n`` bytes: a corrupt size in a
+    header must not make a read allocate the payload it declares."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if n > left:
         raise LengthError(f"dataset file {fh.name}: truncated while reading {what}: "
                           f"{n} bytes declared, {left} left")
+
+
+def _read_exact(fh: io.BufferedReader, n: int, what: str) -> bytes:
+    """The next ``n`` bytes, once the file is known to hold them."""
+    _claim(fh, n, what)
     return fh.read(n)
 
 
@@ -210,17 +238,28 @@ def load_domain_binary(path: str) -> Domain:
         version, n_classes, dim = struct.unpack("<III", _read_exact(fh, 12, "header"))
         if version > DATASET_VERSION:
             raise VersionError(f"dataset file {path}: version {version} not supported")
-        classes: dict[int, np.ndarray] = {}
+        # First pass: the class headers, skipping each payload; second pass:
+        # every payload straight into its rows of the domain's block.
+        counts: dict[int, int] = {}
+        payloads = []
         for _ in range(n_classes):
             cid, count = struct.unpack("<II", _read_exact(fh, 8, "class header"))
-            if cid in classes:
+            if cid in counts:
                 raise FormatError(f"dataset file {path}: class {cid} appears twice")
-            payload = _read_exact(fh, count * dim * 8, f"class {cid} samples")
-            classes[cid] = np.frombuffer(payload, dtype="<f8").reshape(count, dim)
+            _claim(fh, count * dim * 8, f"class {cid} samples")
+            counts[cid] = count
+            payloads.append(fh.tell())
+            fh.seek(count * dim * 8, os.SEEK_CUR)
         if fh.read(1):
             raise FormatError(
                 f"dataset file {path}: trailing bytes after the {n_classes} classes of its header")
-    return Domain(path, dim, classes)
+        spans = _spans(counts)
+        rows = np.empty((sum(counts.values()), dim))
+        for offset, span in zip(payloads, spans.values()):
+            fh.seek(offset)
+            rows[span.start:span.stop] = np.frombuffer(
+                fh.read(len(span) * dim * 8), dtype="<f8").reshape(len(span), dim)
+    return Domain(path, dim, rows, spans)
 
 
 def load_domain_csv(path: str) -> Domain:
@@ -251,8 +290,7 @@ def load_domain_csv(path: str) -> Domain:
             rows.setdefault(cid, []).append(values)
     if not rows:
         raise ParseError(f"dataset csv {path}: no sample rows")
-    classes = {cid: np.array(vals) for cid, vals in rows.items()}
-    return Domain(path, dim, classes)
+    return Domain.from_classes(path, dim, {cid: np.array(vals) for cid, vals in rows.items()})
 
 
 def load_domain(path: str) -> Domain:
@@ -346,7 +384,7 @@ def split_classes(domain: Domain, fractions: tuple[float, float, float],
     bounds = {"train": (0, n_train), "val": (n_train, n_train + n_val),
               "test": (n_train + n_val, k)}
     return {
-        tag: Domain(f"{domain.name}:{tag}", domain.dim,
-                    {cid: domain.classes[cid] for cid in sorted(order[lo:hi])})
+        tag: Domain(f"{domain.name}:{tag}", domain.dim, domain.rows,
+                    {cid: domain.spans[cid] for cid in sorted(order[lo:hi])})
         for tag, (lo, hi) in bounds.items()
     }

@@ -466,8 +466,8 @@ def pretrain_encoder(encoder: EncoderState, domain: Domain, epochs: int,
     ids = domain.class_ids()
     if len(ids) < 2:
         raise ContractError("pretrain_encoder: need at least two base classes")
-    xs = domain.rows
-    ys = np.repeat(np.arange(len(ids)), [len(domain.spans[cid]) for cid in ids])
+    xs = np.concatenate([domain.classes[cid] for cid in ids])
+    ys = np.concatenate([np.full(domain.classes[cid].shape[0], k) for k, cid in enumerate(ids)])
     n, k_classes = xs.shape[0], len(ids)
 
     head_rng = rng.substream("pretrain-head")

@@ -88,7 +88,7 @@ def noise_domain(seed: int, n_classes: int = 10, dim: int = 16,
         cid: stream.substream("class", cid).normals(per_class * dim).reshape(per_class, dim)
         for cid in range(n_classes)
     }
-    return Domain(name, dim, classes)
+    return Domain.from_classes(name, dim, classes)
 
 
 def toy_episode(seed: int, dim: int = 6, n_way: int = 2, n_shot: int = 2,

@@ -61,24 +61,3 @@ def test_script_pins_one_blas_thread_unless_the_environment_sets_it():
     out = subprocess.run([sys.executable, "-c", probe, str(SCRIPT)], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "1,1,3,1,1,1"
-
-
-def _rows(*extra: str) -> list[str]:
-    """The per-(seed, mode) rows of a tiny run, wall time cut off."""
-    out = subprocess.run([sys.executable, str(SCRIPT), "--seeds", "11", "12", "--iterations", "3",
-                          "--trials", "10", "--widths", "8", "4", *extra],
-                         capture_output=True, text=True, check=True).stdout
-    lines = out.splitlines()
-    rows = [line.rsplit(" (", 1)[0] for line in lines if line.startswith("seed=")]
-    assert len(rows) == 2 * len(crossdomain.MODES)
-    return rows + [line for line in lines if not line.startswith("seed=")]
-
-
-def test_jobs_run_the_cells_in_workers_with_the_same_rows():
-    assert _rows("--jobs", "2") == _rows("--jobs", "1") == _rows()
-
-
-def test_jobs_below_one_rejected():
-    run = subprocess.run([sys.executable, str(SCRIPT), "--jobs", "0"], capture_output=True, text=True)
-    assert run.returncode == 2
-    assert "--jobs must be at least 1, got 0" in run.stderr

@@ -323,7 +323,7 @@ def test_projection_duplicate_domain_coordinates_match():
 
 def test_projection_error_names_the_domain():
     model, good = toy_model(), toy_domain()
-    huge = Domain("huge", good.dim, {cid: arr * 1e200 for cid, arr in good.classes.items()})
+    huge = Domain.from_classes("huge", good.dim, {cid: arr * 1e200 for cid, arr in good.classes.items()})
     with pytest.raises(NumericError,
                        match=r"^feature projection of domain 'huge': \w+: non-finite") as info:
         ev.emit_feature_projection(model, [good, huge], 8, seed=1)

@@ -30,20 +30,20 @@ def small_spec(**kw):
 
 def test_domain_validates_class_shapes():
     with pytest.raises(ContractError):
-        tasks.Domain("d", 3, {0: np.ones((4, 2))})
+        tasks.Domain.from_classes("d", 3, {0: np.ones((4, 2))})
     with pytest.raises(ContractError):
-        tasks.Domain("d", 3, {0: np.ones(3)})
+        tasks.Domain.from_classes("d", 3, {0: np.ones(3)})
 
 
 def test_domain_locks_class_arrays():
-    d = tasks.Domain("d", 2, {0: np.ones((3, 2))})
+    d = tasks.Domain.from_classes("d", 2, {0: np.ones((3, 2))})
     with pytest.raises(ValueError):
         d.classes[0][0, 0] = 9.0
 
 
 def test_domain_class_views_share_its_read_only_row_block():
     given = {5: np.full((2, 2), 5.0), 1: np.full((3, 2), 1.0), 3: np.full((1, 2), 3.0)}
-    d = tasks.Domain("d", 2, given)
+    d = tasks.Domain.from_classes("d", 2, given)
     # One float64 block in class-id order; each class is a view into it.
     assert d.rows.dtype == np.float64 and not d.rows.flags.writeable
     assert d.rows[:, 0].tolist() == [1.0, 1.0, 1.0, 3.0, 5.0, 5.0]
@@ -55,6 +55,35 @@ def test_domain_class_views_share_its_read_only_row_block():
         assert not view.flags.writeable
         assert np.array_equal(view, arr)
         assert np.array_equal(d.rows[d.spans[cid].start:d.spans[cid].stop], arr)
+
+
+def test_domain_keeps_the_block_it_is_given():
+    rows = np.arange(12.0).reshape(6, 2)
+    d = tasks.Domain("d", 2, rows, {4: range(0, 2), 2: range(2, 6)})
+    assert d.rows is rows and not rows.flags.writeable
+    assert d.class_ids() == [2, 4] and d.smallest == 4
+    assert np.shares_memory(d.classes[4], rows) and d.classes[4].tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
+
+def test_domain_rejects_a_bad_block_or_span():
+    with pytest.raises(ContractError, match=r"rows have shape \(3,\), expected \(\*, 2\)"):
+        tasks.Domain("d", 2, np.ones(3), {})
+    with pytest.raises(ContractError, match=r"class 1 spans range\(2, 5\), outside its 4 block rows"):
+        tasks.Domain("d", 2, np.ones((4, 2)), {0: range(0, 2), 1: range(2, 5)})
+    with pytest.raises(ContractError, match="class 0 row 1 has non-finite values"):
+        tasks.Domain("d", 2, np.array([[0.0, 1.0], [np.nan, 0.0]]), {0: range(0, 2)})
+
+
+@pytest.mark.parametrize("suffix", ["bin", "csv"])
+def test_made_and_loaded_domains_hold_each_row_once(tmp_path, suffix):
+    made = tasks.generate_synthetic_domain(small_spec())
+    path = str(tmp_path / f"dom.{suffix}")
+    tasks.save_domain(made, path)
+    for d in (made, tasks.load_domain(path)):
+        # The block owns its memory, and each class is a view into it.
+        assert d.rows.base is None
+        assert d.rows.shape[0] == sum(len(span) for span in d.spans.values())
+        assert all(arr.base is d.rows for arr in d.classes.values())
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +227,7 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
 
 
 def test_csv_header_layout(tmp_path):
-    d = tasks.Domain("d", 2, {4: np.array([[0.5, -1.25]])})
+    d = tasks.Domain.from_classes("d", 2, {4: np.array([[0.5, -1.25]])})
     path = str(tmp_path / "dom.csv")
     tasks.save_domain(d, path)
     lines = open(path).read().splitlines()
@@ -207,7 +236,7 @@ def test_csv_header_layout(tmp_path):
 
 
 def test_binary_layout_header(tmp_path):
-    d = tasks.Domain("d", 2, {7: np.array([[1.0, 2.0]])})
+    d = tasks.Domain.from_classes("d", 2, {7: np.array([[1.0, 2.0]])})
     path = str(tmp_path / "dom.bin")
     tasks.save_domain(d, path)
     raw = open(path, "rb").read()
@@ -222,7 +251,7 @@ def test_binary_layout_header(tmp_path):
 
 
 def test_load_binary_error_taxonomy(tmp_path):
-    d = tasks.Domain("d", 2, {0: np.ones((3, 2))})
+    d = tasks.Domain.from_classes("d", 2, {0: np.ones((3, 2))})
     path = str(tmp_path / "dom.bin")
     tasks.save_domain(d, path)
     raw = open(path, "rb").read()
@@ -309,6 +338,15 @@ def test_binary_repeated_class_id_rejected(tmp_path):
         tasks.load_domain(path)
 
 
+def test_binary_classes_load_in_any_file_order(tmp_path):
+    path = str(tmp_path / "order.bin")
+    _binary_domain(path, 2, [(4, [[1.0, 2.0], [5.0, 6.0]]), (3, [[3.0, 4.0]])])
+    d = tasks.load_domain(path)
+    assert d.class_ids() == [3, 4]
+    assert d.classes[4].tolist() == [[1.0, 2.0], [5.0, 6.0]]
+    assert d.classes[3].tolist() == [[3.0, 4.0]]
+
+
 def test_binary_trailing_bytes_rejected(tmp_path):
     path = str(tmp_path / "extra.bin")
     _binary_domain(path, 1, [(0, [[1.0, 2.0]])], trailing=b"\x00")
@@ -390,7 +428,7 @@ def test_episode_support_and_query_rows_are_disjoint():
 def test_episode_golden_class_ids_and_rows():
     classes = {cid: np.stack([np.full(6 + cid, float(cid)), np.arange(6.0 + cid)], axis=1)
                for cid in range(6)}
-    d = tasks.Domain("indexed", 2, classes)
+    d = tasks.Domain.from_classes("indexed", 2, classes)
     ep = tasks.sample_episode(d, 3, 2, 3, RngStream(2026))
     assert ep.class_ids == [4, 2, 0]
     n_support = ep.n_way * ep.n_shot
@@ -415,7 +453,7 @@ def test_undersized_class_fails_every_draw():
     # Nine 30-row classes and one of 6: 5-way 5+16 episodes need 21 rows of
     # every class, so every seed fails, whichever classes it would pick.
     classes = {cid: np.ones((30 if cid != 7 else 6, 2)) for cid in range(10)}
-    d = tasks.Domain("short", 2, classes)
+    d = tasks.Domain.from_classes("short", 2, classes)
     for seed in range(100):
         with pytest.raises(CapacityError,
                            match=r"^domain 'short': class 7 has 6 samples, episode needs 21$"):
@@ -456,7 +494,7 @@ def test_block_equals_the_reference_sampler_task_by_task(case):
     way, shot, query, sizes, streams = case
     stream = RngStream(len(sizes))
     classes = {cid: stream.normals(n * 3).reshape(n, 3) for cid, n in sizes.items()}
-    d = tasks.Domain("unequal", 3, classes)
+    d = tasks.Domain.from_classes("unequal", 3, classes)
 
     def positioned():
         out = [RngStream(seed) for seed, _ in streams]
@@ -537,6 +575,14 @@ def test_split_leaves_original_domain_untouched():
     assert all(np.array_equal(d.classes[c], before[c]) for c in d.class_ids())
 
 
+def test_split_domains_share_their_sources_block():
+    d = tasks.generate_synthetic_domain(small_spec())
+    for part in tasks.split_classes(d, (0.6, 0.2, 0.2), RngStream(3)).values():
+        assert part.rows is d.rows
+        for cid in part.class_ids():
+            assert part.spans[cid] == d.spans[cid] and part.classes[cid].base is d.rows
+
+
 def test_split_partition_is_pinned():
     # the class files of `fsdg gen-domain --seed 7` split by
     # `fsdg split --seed 7 --fractions 0.6,0.2,0.2`
@@ -590,7 +636,7 @@ def test_binary_round_trip_property(tmp_path_factory, seed):
     for cid in range(n_classes):
         rows = 1 + int(stream.integers(1, 6)[0])
         classes[cid * 3] = stream.normals(rows * dim).reshape(rows, dim)
-    d = tasks.Domain("prop", dim, classes)
+    d = tasks.Domain.from_classes("prop", dim, classes)
     path = str(tmp_path_factory.mktemp("roundtrip") / "d.bin")
     tasks.save_domain(d, path)
     back = tasks.load_domain(path)
