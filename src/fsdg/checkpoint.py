@@ -7,16 +7,13 @@ Layout (all integers little-endian u32, all floats little-endian f64):
 
 Tensors are written in lexicographic name order, so two models with equal
 parameters serialize to byte-identical files.  The config text is carried
-verbatim and parsed on load to recover the head kind and, where the
-tensor names cannot tell, the modulation layout.
+verbatim and parsed on load: the head kind and the modulated blocks come
+from it, so config text that does not parse makes the file unreadable.
 """
 
 from __future__ import annotations
 
-import io
-import logging
 import math
-import os
 import struct
 
 import numpy as np
@@ -24,17 +21,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .encoder import EncoderConfig
-from .errors import (
-    ConfigError,
-    FormatError,
-    LengthError,
-    NumericError,
-    ParseError,
-    VersionError,
-)
-from .training import ModelState, TrainConfig, assemble_model
-
-log = logging.getLogger(__name__)
+from .errors import ConfigError, FormatError, NumericError, ParseError, VersionError
+from .tasks import read_exact
+from .training import ModelState, TrainConfig
 
 CHECKPOINT_MAGIC = b"FTCP"
 CHECKPOINT_VERSION = 1
@@ -58,16 +47,6 @@ def save_checkpoint(model: ModelState, config_text: str, path: str) -> None:
             fh.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
 
 
-def _read_exact(fh: io.BufferedReader, n: int, what: str) -> bytes:
-    """The next ``n`` bytes, once the file is known to hold them: a corrupt
-    size in a header must not make ``read`` allocate the payload it declares."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
-    if n > left:
-        raise LengthError(f"checkpoint {fh.name}: truncated while reading {what}: "
-                          f"{n} bytes declared, {left} left")
-    return fh.read(n)
-
-
 def _utf8(raw: bytes, path: str, what: str) -> str:
     try:
         return raw.decode("utf-8")
@@ -78,26 +57,28 @@ def _utf8(raw: bytes, path: str, what: str) -> str:
 def read_checkpoint(path: str) -> tuple[dict[str, Tensor], str]:
     """Raw parameters and config text, without model reconstruction."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
+        magic = read_exact(fh, 4, "magic", "checkpoint")
         if magic != CHECKPOINT_MAGIC:
             raise FormatError(f"checkpoint {path}: bad magic {magic!r}")
-        version, config_len = struct.unpack("<II", _read_exact(fh, 8, "header"))
+        version, config_len = struct.unpack("<II", read_exact(fh, 8, "header", "checkpoint"))
         if version > CHECKPOINT_VERSION:
             raise VersionError(f"checkpoint {path}: version {version} not supported")
-        config_text = _utf8(_read_exact(fh, config_len, "config text"), path, "config text")
-        (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
+        raw = read_exact(fh, config_len, "config text", "checkpoint")
+        config_text = _utf8(raw, path, "config text")
+        (count,) = struct.unpack("<I", read_exact(fh, 4, "tensor count", "checkpoint"))
         store: dict[str, Tensor] = {}
         for index in range(count):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4, "name length"))
-            name = _utf8(_read_exact(fh, name_len, "name"), path, f"the name of tensor {index}")
+            (name_len,) = struct.unpack("<I", read_exact(fh, 4, "name length", "checkpoint"))
+            raw = read_exact(fh, name_len, "name", "checkpoint")
+            name = _utf8(raw, path, f"the name of tensor {index}")
             if name in store:
                 raise FormatError(f"checkpoint {path}: tensor {name!r} appears twice")
-            (ndim,) = struct.unpack("<I", _read_exact(fh, 4, "rank"))
+            (ndim,) = struct.unpack("<I", read_exact(fh, 4, "rank", "checkpoint"))
             dims = [
-                struct.unpack("<I", _read_exact(fh, 4, "dimension"))[0]
+                struct.unpack("<I", read_exact(fh, 4, "dimension", "checkpoint"))[0]
                 for _ in range(ndim)
             ]
-            payload = _read_exact(fh, 8 * math.prod(dims), f"tensor {name}")
+            payload = read_exact(fh, 8 * math.prod(dims), f"tensor {name}", "checkpoint")
             data = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
             try:
                 store[name] = ad.leaf(data)
@@ -145,62 +126,51 @@ def _check_shapes(store: dict[str, Tensor], n_blocks: int) -> None:
         _check_shape(store, "head.rel.b2", (1,))
 
 
-def model_from_store(store: dict[str, Tensor], head_kind: str,
-                     config: TrainConfig | None = None) -> ModelState:
-    """Rebuild a model from named tensors; layout is implied by the names.
+def model_from_store(store: dict[str, Tensor], config: TrainConfig) -> ModelState:
+    """Rebuild a model from named tensors and the run configuration saved
+    with them.
 
-    Names cannot tell a model without modulation from one whose layout
-    flags no block: neither owns an ``ft.*`` tensor.  When there is none,
-    ``config``, the run configuration saved with the tensors, supplies the
-    block flags, and the model modulates iff its mode is ft or lft and it
-    flags no block (an encoder saved without its modulation, as
-    ``fsdg pretrain`` writes it, flags blocks but holds no ``ft.*`` tensor).
-    A store that lacks a tensor (a relation head needs ``head.rel.*``),
-    holds one that no part of the model owns, whose encoder blocks are not
-    numbered 0, 1, ... or whose tensor shapes do not fit together raises
-    FormatError; ``load_checkpoint`` adds the file path.
+    The encoder blocks and their widths come from the tensors, the head and
+    the modulated blocks from ``config``; the model modulates iff the store
+    holds ``ft.*`` tensors (an encoder saved without its modulation, as
+    ``fsdg pretrain`` writes it, holds none).  A store that lacks a tensor
+    of that layout, holds one that no part of the model owns, whose encoder
+    blocks are not numbered 0, 1, ... or whose tensor shapes do not fit
+    together raises FormatError; ``load_checkpoint`` adds the file path.
     """
     block_ids = sorted({_block_id(n) for n in store if n.startswith("enc.block")})
     if block_ids != list(range(len(block_ids))) or not block_ids:
         raise FormatError("encoder blocks are not a contiguous range")
+    names = [f"enc.block{i}.{field}" for i in block_ids
+             for field in ("weight", "bias", "bn_scale", "bn_shift")]
+    if config.head == "relation":
+        names += ["head.rel.w1", "head.rel.b1", "head.rel.w2", "head.rel.b2"]
     try:
-        if head_kind == "relation" and "head.rel.w1" not in store:
-            raise KeyError("head.rel.w1")
         _check_shapes(store, len(block_ids))
         weights = [store[f"enc.block{i}.weight"] for i in block_ids]
-        ft_flags = tuple(f"ft.block{i}.gamma" in store for i in block_ids)
-        has_ft = any(ft_flags)
-        if not has_ft:
-            ft_flags = ()
-            if config is not None and len(config.ft_blocks) == len(block_ids):
-                ft_flags = config.ft_blocks
-                has_ft = config.mode in ("ft", "lft") and not any(ft_flags)
-        enc_config = EncoderConfig(weights[0].shape[0], tuple(w.shape[1] for w in weights),
-                                   ft_flags)
-        model = assemble_model(enc_config, head_kind, store, with_ft=has_ft)
+        encoder = EncoderConfig(weights[0].shape[0], tuple(w.shape[1] for w in weights),
+                                config.ft_blocks)
+        if any(n.startswith("ft.") for n in store):
+            names += [f"ft.block{i}.{field}" for i in encoder.flagged_blocks
+                      for field in ("gamma", "beta")]
+        params = {name: store[name] for name in names}
     except KeyError as err:
         raise FormatError(f"missing tensor {err}") from None
-    unowned = sorted(set(store) - set(model.param_store()))
+    except ConfigError as err:
+        raise FormatError(str(err)) from None
+    unowned = sorted(set(store) - set(names))
     if unowned:
         raise FormatError(f"tensor {unowned[0]!r} belongs to no part of the model")
-    return model
+    return ModelState(config.head, encoder, params)
 
 
 def load_checkpoint(path: str) -> tuple[ModelState, str]:
-    """Read a checkpoint and rebuild the model it describes."""
+    """Read a checkpoint and rebuild the model its saved config describes;
+    config text that does not parse raises FormatError."""
     from .config import parse_config_text
 
     store, config_text = read_checkpoint(path)
     try:
-        config = parse_config_text(config_text)
-    except (ConfigError, ParseError) as err:
-        config = None
-        head_kind = "relation" if "head.rel.w1" in store else "proto"
-        log.warning("checkpoint %s: config text not understood (%s); head kind %r "
-                    "guessed from the tensor names", path, err, head_kind)
-    else:
-        head_kind = config.head
-    try:
-        return model_from_store(store, head_kind, config), config_text
-    except FormatError as err:
+        return model_from_store(store, parse_config_text(config_text)), config_text
+    except (ConfigError, FormatError, ParseError) as err:
         raise FormatError(f"checkpoint {path}: {err}") from None

@@ -176,21 +176,23 @@ def _cmd_pretrain(args) -> int:
     config = _config_from_args(args)
     domain = load_domain(args.domain)
     rng = RngStream(config.seed)
-    model = build_model(config, domain.dim, rng)
-    encoder, losses = pretrain_encoder(
-        model.encoder, domain, args.epochs, args.batch_size, config.alpha,
-        rng.substream("pretrain"),
+    model, losses = pretrain_encoder(
+        build_model(config, domain.dim, rng), domain, args.epochs, args.batch_size,
+        config.alpha, rng.substream("pretrain"),
     )
-    save_checkpoint(ModelState(config.head, encoder, model.head, None),
+    save_checkpoint(ModelState(config.head, model.encoder, dict(model.trainable())),
                     format_config(config), args.out)
     print(f"pretrained {args.epochs} epochs, loss {losses[0]:.4f} -> {losses[-1]:.4f}, wrote {args.out}")
     return 0
 
 
-def _check_init_layout(loaded: ModelState, config: TrainConfig) -> None:
+def _check_init_layout(loaded: ModelState, config: TrainConfig, input_dim: int) -> None:
     """The new checkpoint carries the run config, so it must describe the
-    encoder layout that ``--init`` loads."""
-    enc = loaded.encoder.config
+    encoder layout that ``--init`` loads, and the seen domains must fit it."""
+    enc = loaded.encoder
+    if enc.input_dim != input_dim:
+        raise ConfigError(f"train: the --init checkpoint takes {enc.input_dim} input "
+                          f"features, but the seen domains have {input_dim}")
     if (enc.block_widths, enc.ft_blocks) != (config.encoder_widths, config.ft_blocks):
         raise ConfigError(
             f"train: the --init checkpoint has encoder widths {enc.block_widths} and FT "
@@ -205,13 +207,9 @@ def _cmd_train(args) -> int:
     init = None
     if args.init:
         loaded, _ = load_checkpoint(args.init)
-        _check_init_layout(loaded, config)
-        init = build_model(config, domains[0].dim, RngStream(config.seed),
-                           encoder=loaded.encoder)
-        if loaded.head is not None and config.head == "relation":
-            init = ModelState(config.head, init.encoder, loaded.head, init.ft)
-        if loaded.ft is not None and config.mode in ("ft", "lft"):
-            init = ModelState(config.head, init.encoder, init.head, loaded.ft)
+        _check_init_layout(loaded, config, domains[0].dim)
+        init = build_model(config, domains[0].dim, RngStream(config.seed))
+        init = init.with_values({n: t for n, t in loaded.params.items() if n in init.params})
     log_file = open(args.log, "w") if args.log else None
     try:
         model, rows = train_loop(config, domains, init=init, log_file=log_file)
@@ -255,10 +253,10 @@ def _cmd_cross_eval(args) -> int:
 
 def _cmd_stats_ft(args) -> int:
     model, _ = load_checkpoint(args.ckpt)
-    if model.ft is None:
+    if not model.ft_named():
         raise ConfigError("stats-ft: checkpoint has no modulation parameters")
-    write_quartile_csv(model.ft, args.out)
-    print(f"wrote quartiles for {model.ft.n_layers} modulated blocks to {args.out}")
+    write_quartile_csv(model, args.out)
+    print(f"wrote quartiles for {len(model.encoder.flagged_blocks)} modulated blocks to {args.out}")
     return 0
 
 

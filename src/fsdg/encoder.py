@@ -11,7 +11,8 @@ evaluation only; see ``fsdg.autodiff``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .autodiff import Tensor
 from .errors import ConfigError, ContractError
 # sample_modulation is not called here, but perfbench's traced run wraps it
 # under this module's name.
-from .ft import FTParams, modulate, sample_modulation, sample_modulations  # noqa: F401
+from .ft import modulate, sample_modulation, sample_modulations  # noqa: F401
 from .rng import RngStream
 
 BN_EPS = 1e-5
@@ -40,6 +41,11 @@ class EncoderConfig:
         self.ft_blocks = resolve_ft_blocks(self.ft_blocks, len(self.block_widths),
                                            "encoder: ft_blocks length must match block_widths")
 
+    @property
+    def flagged_blocks(self) -> list[int]:
+        """The indices of the blocks that modulation applies to."""
+        return [i for i, on in enumerate(self.ft_blocks) if on]
+
 
 def resolve_ft_blocks(ft_blocks, n_blocks: int, length_error: str) -> tuple[bool, ...]:
     """Per-block modulation flags, where empty means every block; flags of
@@ -52,33 +58,6 @@ def resolve_ft_blocks(ft_blocks, n_blocks: int, length_error: str) -> tuple[bool
     return flags
 
 
-@dataclass
-class BlockParams:
-    weight: Tensor
-    bias: Tensor
-    bn_scale: Tensor
-    bn_shift: Tensor
-
-
-@dataclass
-class EncoderState:
-    config: EncoderConfig
-    blocks: list[BlockParams] = field(default_factory=list)
-
-    @property
-    def output_dim(self) -> int:
-        return self.config.block_widths[-1]
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for i, blk in enumerate(self.blocks):
-            out.append((f"enc.block{i}.weight", blk.weight))
-            out.append((f"enc.block{i}.bias", blk.bias))
-            out.append((f"enc.block{i}.bn_scale", blk.bn_scale))
-            out.append((f"enc.block{i}.bn_shift", blk.bn_shift))
-        return out
-
-
 def glorot_uniform(rng: RngStream, fan_in: int, fan_out: int) -> np.ndarray:
     """Weights uniform on (-a, a) with a = sqrt(6 / (fan_in + fan_out))."""
     bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -86,18 +65,20 @@ def glorot_uniform(rng: RngStream, fan_in: int, fan_out: int) -> np.ndarray:
     return (u * 2.0 - 1.0).reshape(fan_in, fan_out) * bound
 
 
-def build_encoder(config: EncoderConfig, rng: RngStream) -> EncoderState:
-    """Fresh encoder: random affine weights, neutral normalization params."""
-    blocks = []
+def build_encoder(config: EncoderConfig, rng: RngStream) -> dict[str, Tensor]:
+    """Fresh encoder parameters ``enc.block<i>.weight``, ``.bias``,
+    ``.bn_scale`` and ``.bn_shift``: random affine weights, neutral
+    normalization params."""
+    params = {}
     fan_in = config.input_dim
     for i, width in enumerate(config.block_widths):
-        weight = ad.leaf(glorot_uniform(rng.substream("enc-weight", i), fan_in, width))
-        bias = ad.leaf(np.zeros(width))
-        bn_scale = ad.leaf(np.ones(width))
-        bn_shift = ad.leaf(np.zeros(width))
-        blocks.append(BlockParams(weight, bias, bn_scale, bn_shift))
+        params[f"enc.block{i}.weight"] = ad.leaf(
+            glorot_uniform(rng.substream("enc-weight", i), fan_in, width))
+        params[f"enc.block{i}.bias"] = ad.leaf(np.zeros(width))
+        params[f"enc.block{i}.bn_scale"] = ad.leaf(np.ones(width))
+        params[f"enc.block{i}.bn_shift"] = ad.leaf(np.zeros(width))
         fan_in = width
-    return EncoderState(config, blocks)
+    return params
 
 
 def batch_norm(x: Tensor, bn_scale: Tensor, bn_shift: Tensor) -> Tensor:
@@ -114,38 +95,33 @@ def batch_norm(x: Tensor, bn_scale: Tensor, bn_shift: Tensor) -> Tensor:
     return ad.affine(ad.standardize(x, BN_EPS), bn_scale, bn_shift)
 
 
-def encode(state: EncoderState, ft: FTParams | None, batch: Tensor, mode: str,
+def encode(config: EncoderConfig, params: Mapping[str, Tensor], batch: Tensor, mode: str,
            rng: RngStream | None = None) -> Tensor:
-    """Run the block stack over one batch.
+    """Run the block stack over one batch, reading its tensors by name.
 
     mode "train" applies feature modulation on the flagged blocks (fresh
-    noise from rng); mode "eval" bypasses modulation so the pass is a
-    deterministic function of the parameters and the batch.
+    noise from rng) if ``params`` holds ``ft.*`` tensors; mode "eval"
+    bypasses modulation so the pass is a deterministic function of the
+    parameters and the batch.
     """
     if mode not in ("train", "eval"):
         raise ContractError(f"encode: unknown mode {mode!r}")
-    if batch.ndim < 2 or batch.shape[-1] != state.config.input_dim:
+    if batch.ndim < 2 or batch.shape[-1] != config.input_dim:
         raise ContractError(
-            f"encode: batch shape {batch.shape} does not match input_dim {state.config.input_dim}"
+            f"encode: batch shape {batch.shape} does not match input_dim {config.input_dim}"
         )
-    use_ft = mode == "train" and ft is not None
-    if use_ft:
-        flagged = [i for i, on in enumerate(state.config.ft_blocks) if on]
-        if ft.n_layers != len(flagged):
-            raise ContractError(
-                f"encode: {ft.n_layers} modulation layers for {len(flagged)} flagged blocks"
-            )
+    mods = {}
+    if mode == "train" and any(name.startswith("ft.") for name in params):
         if rng is None:
             raise ContractError("encode: training with modulation needs an rng stream")
-        mods = sample_modulations(ft, rng)
+        blocks = config.flagged_blocks
+        mods = dict(zip(blocks, sample_modulations(params, blocks, rng)))
 
     h = batch
-    ft_index = 0
-    for i, blk in enumerate(state.blocks):
-        h = ad.linear(h, blk.weight, blk.bias)
-        h = batch_norm(h, blk.bn_scale, blk.bn_shift)
-        if use_ft and state.config.ft_blocks[i]:
-            h = modulate(h, mods[ft_index])
-            ft_index += 1
+    for i in range(len(config.block_widths)):
+        h = ad.linear(h, params[f"enc.block{i}.weight"], params[f"enc.block{i}.bias"])
+        h = batch_norm(h, params[f"enc.block{i}.bn_scale"], params[f"enc.block{i}.bn_shift"])
+        if i in mods:
+            h = modulate(h, mods[i])
         h = ad.relu(h)
     return h

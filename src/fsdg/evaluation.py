@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ContractError, NumericError
-from .ft import FTParams, quartile_stats
+from .ft import quartile_stats
 from .heads import predict_episode
 from .rng import RngStream, derive_seed, label_hash
 from .tasks import Domain, Episode, sample_episode
@@ -68,7 +68,7 @@ def summarize(accuracies: Sequence[float]) -> tuple[float, float]:
 def _score(model: ModelState, block: Episode) -> list[float]:
     """Accuracy of each task of a block, from one pass over its batches."""
     with ad.no_grad(), ad.trap_non_finite():
-        preds = predict_episode(episode_forward(model, block, "eval", use_ft=False))
+        preds = predict_episode(episode_forward(model, block, "eval"))
     return np.mean(preds == np.asarray(block.query_y), axis=-1).tolist()
 
 
@@ -196,7 +196,7 @@ def emit_feature_projection(model: ModelState, domains: Sequence[Domain],
         batch = np.stack([domain.classes[cid][i] for cid, i in chosen])
         with ad.no_grad(), ad.trap_non_finite():
             try:
-                emb = encode(model.encoder, None, ad.constant(batch), "eval")
+                emb = encode(model.encoder, model.params, ad.constant(batch), "eval")
             except NumericError as err:
                 raise NumericError(f"feature projection of domain {domain.name!r}: {err}") from err
         embeddings.append(emb.data)
@@ -232,8 +232,9 @@ def write_matrix_csv(reports: Sequence[EvalReport], path: str) -> None:
             fh.write(f"{r.domain},{r.n_way},{r.n_shot},{r.trials},{r.mean:.6f},{r.ci95:.6f}\n")
 
 
-def write_quartile_csv(params: FTParams, path: str) -> None:
-    rows = quartile_stats(params)
+def write_quartile_csv(model: ModelState, path: str) -> None:
+    """Quartiles of the spreads of every modulated block of the model."""
+    rows = quartile_stats(model.params, model.encoder.flagged_blocks)
     with open(path, "w") as fh:
         fh.write("layer,gamma_q1,gamma_med,gamma_q3,beta_q1,beta_med,beta_q3\n")
         for r in rows:

@@ -1,8 +1,9 @@
 """Stochastic feature-wise modulation layers.
 
-Each modulated block owns two per-channel hyper-parameter vectors.  During
-a training forward pass the layer draws one multiplicative and one additive
-perturbation per channel,
+Each modulated block i owns two per-channel hyper-parameter vectors,
+``ft.block<i>.gamma`` and ``ft.block<i>.beta``.  During a training forward
+pass the layer draws one multiplicative and one additive perturbation per
+channel,
 
     gamma = 1 + softplus(theta_gamma) * eps_gamma
     beta  =     softplus(theta_beta)  * eps_beta
@@ -18,6 +19,7 @@ Evaluation bypasses the layer entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -26,30 +28,8 @@ from .autodiff import Tensor
 from .errors import ContractError
 from .rng import RngStream
 
-
-@dataclass
-class FTParams:
-    """Hyper-parameter tensors for every modulated block, in block order."""
-
-    gammas: list[Tensor]
-    betas: list[Tensor]
-
-    def __post_init__(self):
-        if len(self.gammas) != len(self.betas):
-            raise ContractError("FTParams: gamma and beta lists differ in length")
-        for g, b in zip(self.gammas, self.betas):
-            if g.ndim != 1 or b.ndim != 1 or g.shape != b.shape:
-                raise ContractError("FTParams: per-block vectors must be 1-d and equal length")
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.gammas)
-
-    def tensors(self) -> list[Tensor]:
-        out = []
-        for g, b in zip(self.gammas, self.betas):
-            out.extend((g, b))
-        return out
+if TYPE_CHECKING:
+    from .encoder import EncoderConfig
 
 
 @dataclass
@@ -62,11 +42,16 @@ class Modulation:
     eps_beta: np.ndarray
 
 
-def init_ft_params(channels: list[int], init_gamma: float = 0.3, init_beta: float = 0.5) -> FTParams:
-    """Constant-initialized hyper-parameters for the given channel widths."""
-    gammas = [ad.leaf(np.full(c, float(init_gamma))) for c in channels]
-    betas = [ad.leaf(np.full(c, float(init_beta))) for c in channels]
-    return FTParams(gammas, betas)
+def init_ft_params(config: EncoderConfig, init_gamma: float = 0.3,
+                   init_beta: float = 0.5) -> dict[str, Tensor]:
+    """Constant-initialized hyper-parameters ``ft.block<i>.gamma`` and
+    ``ft.block<i>.beta`` for each flagged block i of the encoder layout."""
+    params = {}
+    for i in config.flagged_blocks:
+        width = config.block_widths[i]
+        params[f"ft.block{i}.gamma"] = ad.leaf(np.full(width, float(init_gamma)))
+        params[f"ft.block{i}.beta"] = ad.leaf(np.full(width, float(init_beta)))
+    return params
 
 
 def modulation_from_noise(theta_gamma: Tensor, theta_beta: Tensor,
@@ -79,18 +64,24 @@ def modulation_from_noise(theta_gamma: Tensor, theta_beta: Tensor,
     return Modulation(gamma, beta, eps_gamma, eps_beta)
 
 
-def sample_modulations(params: FTParams, rng: RngStream) -> list[Modulation]:
-    """Fresh per-channel noise for every layer from one draw: layer by
-    layer, gamma noise first, then beta noise, as successive
-    ``sample_modulation`` calls would draw it."""
-    noise = rng.normals_each([t.shape[0] for t in params.tensors()])
+def sample_modulations(params: Mapping[str, Tensor], blocks: Sequence[int],
+                       rng: RngStream) -> list[Modulation]:
+    """Fresh per-channel noise for the given blocks' hyper-parameters, read
+    by name, from one draw: block by block, gamma noise first, then beta
+    noise, as successive ``sample_modulation`` calls would draw it."""
+    try:
+        thetas = [params[f"ft.block{b}.{part}"] for b in blocks for part in ("gamma", "beta")]
+    except KeyError as err:
+        raise ContractError(f"sample_modulations: missing modulation tensor {err}") from None
+    noise = rng.normals_each([t.shape[0] for t in thetas])
     return [modulation_from_noise(g, b, eg, eb)
-            for g, b, eg, eb in zip(params.gammas, params.betas, noise[0::2], noise[1::2])]
+            for g, b, eg, eb in zip(thetas[0::2], thetas[1::2], noise[0::2], noise[1::2])]
 
 
 def sample_modulation(theta_gamma: Tensor, theta_beta: Tensor, rng: RngStream) -> Modulation:
     """Draw fresh per-channel noise (gamma noise first, then beta noise)."""
-    return sample_modulations(FTParams([theta_gamma], [theta_beta]), rng)[0]
+    return sample_modulations({"ft.block0.gamma": theta_gamma, "ft.block0.beta": theta_beta},
+                              [0], rng)[0]
 
 
 def modulate(z: Tensor, modulation: Modulation) -> Tensor:
@@ -117,13 +108,14 @@ class QuartileRow:
     beta_q3: float
 
 
-def quartile_stats(params: FTParams) -> list[QuartileRow]:
-    """Quartiles (linear interpolation between order statistics) per layer."""
+def quartile_stats(params: Mapping[str, Tensor], blocks: Sequence[int]) -> list[QuartileRow]:
+    """Quartiles (linear interpolation between order statistics) of each
+    given block's hyper-parameters, as layers 0, 1, ... in that order."""
     rows = []
-    for i, (g, b) in enumerate(zip(params.gammas, params.betas)):
-        gv = np.logaddexp(0.0, g.data)
-        bv = np.logaddexp(0.0, b.data)
+    for layer, block in enumerate(blocks):
+        gv = np.logaddexp(0.0, params[f"ft.block{block}.gamma"].data)
+        bv = np.logaddexp(0.0, params[f"ft.block{block}.beta"].data)
         gq = np.percentile(gv, [25.0, 50.0, 75.0], method="linear")
         bq = np.percentile(bv, [25.0, 50.0, 75.0], method="linear")
-        rows.append(QuartileRow(i, gq[0], gq[1], gq[2], bq[0], bq[1], bq[2]))
+        rows.append(QuartileRow(layer, gq[0], gq[1], gq[2], bq[0], bq[1], bq[2]))
     return rows

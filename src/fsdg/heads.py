@@ -18,8 +18,7 @@ then carry the same leading axes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -95,44 +94,31 @@ def matching_logits(support_emb: Tensor, support_labels: Sequence[int],
     return ad.log(ad.add(class_mass, MATCH_LOGIT_FLOOR))
 
 
-@dataclass
-class RelationHeadState:
-    """Two-layer scoring perceptron over concatenated (query, prototype)."""
-
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        return [
-            ("head.rel.w1", self.w1),
-            ("head.rel.b1", self.b1),
-            ("head.rel.w2", self.w2),
-            ("head.rel.b2", self.b2),
-        ]
-
-
-def build_relation_head(emb_dim: int, hidden: int, rng: RngStream) -> RelationHeadState:
+def build_relation_head(emb_dim: int, hidden: int, rng: RngStream) -> dict[str, Tensor]:
+    """Fresh parameters of the two-layer scoring perceptron over concatenated
+    (query, prototype) pairs: ``head.rel.w1``, ``.b1``, ``.w2`` and ``.b2``."""
     if hidden < 1:
         raise ConfigError("relation head: hidden width must be positive")
     from .encoder import glorot_uniform
 
-    w1 = ad.leaf(glorot_uniform(rng.substream("rel-w1"), 2 * emb_dim, hidden))
-    b1 = ad.leaf(np.zeros(hidden))
-    w2 = ad.leaf(glorot_uniform(rng.substream("rel-w2"), hidden, 1))
-    b2 = ad.leaf(np.zeros(1))
-    return RelationHeadState(w1, b1, w2, b2)
+    return {
+        "head.rel.w1": ad.leaf(glorot_uniform(rng.substream("rel-w1"), 2 * emb_dim, hidden)),
+        "head.rel.b1": ad.leaf(np.zeros(hidden)),
+        "head.rel.w2": ad.leaf(glorot_uniform(rng.substream("rel-w2"), hidden, 1)),
+        "head.rel.b2": ad.leaf(np.zeros(1)),
+    }
 
 
 def relation_logits(support_emb: Tensor, support_labels: Sequence[int],
-                    query_emb: Tensor, n_way: int, head: RelationHeadState) -> Tensor:
-    """Perceptron scores for all (query, prototype) pairs, shaped (Q, n_way)."""
+                    query_emb: Tensor, n_way: int, params: Mapping[str, Tensor]) -> Tensor:
+    """Perceptron scores for all (query, prototype) pairs, shaped (Q, n_way),
+    from the ``head.rel.*`` tensors of ``params``."""
     protos = class_prototypes(support_emb, support_labels, n_way)
     lead, (n_query, emb_dim) = query_emb.shape[:-2], query_emb.shape[-2:]
-    if head.w1.shape[0] != 2 * emb_dim:
+    w1 = params["head.rel.w1"]
+    if w1.shape[0] != 2 * emb_dim:
         raise ContractError(
-            f"relation_logits: head expects pair width {head.w1.shape[0]}, embeddings give {2 * emb_dim}"
+            f"relation_logits: head expects pair width {w1.shape[0]}, embeddings give {2 * emb_dim}"
         )
     grid, rows = lead + (n_query, n_way, emb_dim), lead + (n_query * n_way, emb_dim)
     # Left unnamed, the repeated halves and the pair rows are freed as soon as
@@ -141,22 +127,24 @@ def relation_logits(support_emb: Tensor, support_labels: Sequence[int],
     h = ad.linear(ad.concat([
         ad.reshape(ad.broadcast_to(ad.reshape(query_emb, lead + (n_query, 1, emb_dim)), grid), rows),
         ad.reshape(ad.broadcast_to(ad.reshape(protos, lead + (1, n_way, emb_dim)), grid), rows),
-    ], axis=-1), head.w1, head.b1)
-    scores = ad.linear(ad.relu(h), head.w2, head.b2)
+    ], axis=-1), w1, params["head.rel.b1"])
+    scores = ad.linear(ad.relu(h), params["head.rel.w2"], params["head.rel.b2"])
     return ad.reshape(scores, lead + (n_query, n_way))
 
 
 def episode_logits(head_kind: str, support_emb: Tensor, support_labels: Sequence[int],
                    query_emb: Tensor, n_way: int,
-                   head: RelationHeadState | None = None) -> Tensor:
+                   params: Mapping[str, Tensor] | None = None) -> Tensor:
+    """Logits of the given head kind; the relation head reads its tensors
+    from ``params``."""
     if head_kind == "proto":
         return proto_logits(support_emb, support_labels, query_emb, n_way)
     if head_kind == "matching":
         return matching_logits(support_emb, support_labels, query_emb, n_way)
     if head_kind == "relation":
-        if head is None:
-            raise ContractError("episode_logits: relation head state missing")
-        return relation_logits(support_emb, support_labels, query_emb, n_way, head)
+        if params is None or "head.rel.w1" not in params:
+            raise ContractError("episode_logits: relation head parameters missing")
+        return relation_logits(support_emb, support_labels, query_emb, n_way, params)
     raise ConfigError(f"episode_logits: unknown head {head_kind!r}")
 
 

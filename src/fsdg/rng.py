@@ -143,21 +143,10 @@ class RngStream:
         return (self._raw(n) % np.uint64(bound)).astype(np.int64)
 
     def permutation(self, n: int) -> list[int]:
-        """Fisher-Yates shuffle of range(n)."""
-        return self.permutations((n,))[0]
-
-    def permutations(self, ns) -> list[list[int]]:
-        """One shuffle of range(n) per n in ``ns``, from one bulk draw.
-
-        Equal to successive ``permutation(n)`` calls, and leaves the stream
-        where they would: a shuffle of n items consumes n - 1 draws.
-        """
-        ranges = []
-        for n in ns:
-            if n < 0:
-                raise ValueError(f"permutation: n={n} is negative")
-            ranges.append(range(n))
-        return shuffles([self], [ranges])[0]
+        """Fisher-Yates shuffle of range(n); it consumes n - 1 draws."""
+        if n < 0:
+            raise ValueError(f"permutation: n={n} is negative")
+        return shuffles([self], [[range(n)]])[0][0]
 
     def sample_without_replacement(self, n: int, k: int) -> list[int]:
         """k distinct indices from range(n), order given by the shuffle."""

@@ -215,27 +215,28 @@ def save_domain(domain: Domain, path: str) -> None:
         save_domain_binary(domain, path)
 
 
-def _claim(fh: io.BufferedReader, n: int, what: str) -> None:
+def claim(fh: io.BufferedReader, n: int, what: str, kind: str) -> None:
     """Check that the file holds its next ``n`` bytes: a corrupt size in a
-    header must not make a read allocate the payload it declares."""
+    header must not make a read allocate the payload it declares.  The
+    error names the file as ``<kind> <path>``."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     if n > left:
-        raise LengthError(f"dataset file {fh.name}: truncated while reading {what}: "
+        raise LengthError(f"{kind} {fh.name}: truncated while reading {what}: "
                           f"{n} bytes declared, {left} left")
 
 
-def _read_exact(fh: io.BufferedReader, n: int, what: str) -> bytes:
+def read_exact(fh: io.BufferedReader, n: int, what: str, kind: str) -> bytes:
     """The next ``n`` bytes, once the file is known to hold them."""
-    _claim(fh, n, what)
+    claim(fh, n, what, kind)
     return fh.read(n)
 
 
 def load_domain_binary(path: str) -> Domain:
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
+        magic = read_exact(fh, 4, "magic", "dataset file")
         if magic != DATASET_MAGIC:
             raise FormatError(f"dataset file {path}: bad magic {magic!r}")
-        version, n_classes, dim = struct.unpack("<III", _read_exact(fh, 12, "header"))
+        version, n_classes, dim = struct.unpack("<III", read_exact(fh, 12, "header", "dataset file"))
         if version > DATASET_VERSION:
             raise VersionError(f"dataset file {path}: version {version} not supported")
         # First pass: the class headers, skipping each payload; second pass:
@@ -243,10 +244,10 @@ def load_domain_binary(path: str) -> Domain:
         counts: dict[int, int] = {}
         payloads = []
         for _ in range(n_classes):
-            cid, count = struct.unpack("<II", _read_exact(fh, 8, "class header"))
+            cid, count = struct.unpack("<II", read_exact(fh, 8, "class header", "dataset file"))
             if cid in counts:
                 raise FormatError(f"dataset file {path}: class {cid} appears twice")
-            _claim(fh, count * dim * 8, f"class {cid} samples")
+            claim(fh, count * dim * 8, f"class {cid} samples", "dataset file")
             counts[cid] = count
             payloads.append(fh.tell())
             fh.seek(count * dim * 8, os.SEEK_CUR)

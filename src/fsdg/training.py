@@ -24,29 +24,16 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import IO, Mapping, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import (
-    BlockParams,
-    EncoderConfig,
-    EncoderState,
-    build_encoder,
-    encode,
-    resolve_ft_blocks,
-)
+from .encoder import EncoderConfig, build_encoder, encode, glorot_uniform, resolve_ft_blocks
 from .errors import ConfigError, ContractError, NumericError
-from .ft import FTParams, init_ft_params
-from .heads import (
-    HEAD_KINDS,
-    RelationHeadState,
-    build_relation_head,
-    episode_logits,
-    episode_loss,
-)
+from .ft import init_ft_params
+from .heads import HEAD_KINDS, build_relation_head, episode_logits, episode_loss
 from .rng import RngStream
 from .tasks import Domain, Episode, sample_episode
 
@@ -92,120 +79,76 @@ class TrainConfig:
             raise ConfigError("config: encoder_widths must be positive and non-empty")
         self.ft_blocks = resolve_ft_blocks(self.ft_blocks, len(self.encoder_widths),
                                            "config: ft_blocks length must match encoder_widths")
+        if self.mode in ("ft", "lft") and not any(self.ft_blocks):
+            raise ConfigError(f"config: mode {self.mode!r} needs ft_blocks to flag a block")
 
 
 @dataclass
 class ModelState:
-    """Everything the episodic model owns; modulation only in ft/lft mode."""
+    """A model: its head kind, its encoder layout and every parameter by
+    name, ``enc.*``, the relation head's ``head.rel.*`` and, in ft/lft
+    mode, the modulation hyper-parameters ``ft.*``."""
 
     head_kind: str
-    encoder: EncoderState
-    head: RelationHeadState | None = None
-    ft: FTParams | None = None
+    encoder: EncoderConfig
+    params: dict[str, Tensor]
 
     def trainable(self) -> list[tuple[str, Tensor]]:
         """The parameters the inner episodic update touches (not ft)."""
-        items = list(self.encoder.parameters())
-        if self.head is not None:
-            items.extend(self.head.parameters())
-        return items
+        return [(n, t) for n, t in self.params.items() if not n.startswith("ft.")]
 
     def ft_named(self) -> list[tuple[str, Tensor]]:
-        if self.ft is None:
-            return []
-        flagged = [i for i, on in enumerate(self.encoder.config.ft_blocks) if on]
-        items = []
-        for layer, block in enumerate(flagged):
-            items.append((f"ft.block{block}.gamma", self.ft.gammas[layer]))
-            items.append((f"ft.block{block}.beta", self.ft.betas[layer]))
-        return items
+        return [(n, t) for n, t in self.params.items() if n.startswith("ft.")]
 
     def param_store(self) -> dict[str, Tensor]:
         """Every named parameter, in lexicographic name order."""
-        return dict(sorted(self.trainable() + self.ft_named()))
+        return dict(sorted(self.params.items()))
 
     def with_values(self, values: dict[str, Tensor]) -> "ModelState":
-        """Rebuild the state with some parameters replaced (by name)."""
-        current = dict(self.trainable() + self.ft_named())
-        return assemble_model(self.encoder.config, self.head_kind, {**current, **values},
-                              with_ft=self.ft is not None)
+        """The same model with some parameters replaced (by name)."""
+        return ModelState(self.head_kind, self.encoder, {**self.params, **values})
 
 
-def assemble_model(config: EncoderConfig, head_kind: str, values: Mapping[str, Tensor],
-                   with_ft: bool) -> ModelState:
-    """Place named tensors into a model with the given encoder layout.
-
-    The relation head exists if its names do; the modulation part exists
-    if ``with_ft``, one gamma and beta per flagged block (a layout that
-    flags no block owns no modulation tensor, so names alone cannot tell).
-    Names of no part are ignored; a missing name raises KeyError.
-    """
-    blocks = [
-        BlockParams(
-            values[f"enc.block{i}.weight"],
-            values[f"enc.block{i}.bias"],
-            values[f"enc.block{i}.bn_scale"],
-            values[f"enc.block{i}.bn_shift"],
-        )
-        for i in range(len(config.block_widths))
-    ]
-    head = None
-    if "head.rel.w1" in values:
-        head = RelationHeadState(values["head.rel.w1"], values["head.rel.b1"],
-                                 values["head.rel.w2"], values["head.rel.b2"])
-    ft = None
-    if with_ft:
-        flagged = [i for i, on in enumerate(config.ft_blocks) if on]
-        ft = FTParams([values[f"ft.block{b}.gamma"] for b in flagged],
-                      [values[f"ft.block{b}.beta"] for b in flagged])
-    return ModelState(head_kind, EncoderState(config, blocks), head, ft)
-
-
-def build_model(config: TrainConfig, input_dim: int, rng: RngStream,
-                encoder: EncoderState | None = None) -> ModelState:
-    """Assemble a model for the configured mode, head, and widths."""
-    if encoder is None:
-        enc_config = EncoderConfig(input_dim, config.encoder_widths, config.ft_blocks)
-        encoder = build_encoder(enc_config, rng.substream("build-encoder"))
-    head = None
+def build_model(config: TrainConfig, input_dim: int, rng: RngStream) -> ModelState:
+    """A fresh model for the configured mode, head, and widths."""
+    encoder = EncoderConfig(input_dim, config.encoder_widths, config.ft_blocks)
+    params = build_encoder(encoder, rng.substream("build-encoder"))
     if config.head == "relation":
-        emb = encoder.output_dim
-        head = build_relation_head(emb, emb, rng.substream("build-head"))
-    ft = None
+        emb = encoder.block_widths[-1]
+        params.update(build_relation_head(emb, emb, rng.substream("build-head")))
     if config.mode in ("ft", "lft"):
-        channels = [w for w, on in zip(encoder.config.block_widths, encoder.config.ft_blocks) if on]
-        ft = init_ft_params(channels, config.ft_init_gamma, config.ft_init_beta)
-    return ModelState(config.head, encoder, head, ft)
+        params.update(init_ft_params(encoder, config.ft_init_gamma, config.ft_init_beta))
+    return ModelState(config.head, encoder, params)
 
 
-def episode_forward(model: ModelState, episode: Episode, mode: str, use_ft: bool,
+def episode_forward(model: ModelState, episode: Episode, mode: str,
                     rng: RngStream | None = None) -> Tensor:
     """Encode the episode's batch, then score its queries with the head.
+    Modulation runs in mode "train" if the model holds ``ft.*`` tensors.
 
     ``episode.x`` may be a no-grad stack of batches of episodes that share
     the episode's labels; the logits then stack the same way."""
-    ft = model.ft if use_ft else None
-    emb = encode(model.encoder, ft, episode.x, mode, rng)
+    emb = encode(model.encoder, model.params, episode.x, mode, rng)
     n_support = episode.n_way * episode.n_shot
     support = ad.narrow(emb, -2, 0, n_support)
     query = ad.narrow(emb, -2, n_support, emb.shape[-2])
     return episode_logits(model.head_kind, support, episode.support_y, query,
-                          episode.n_way, model.head)
+                          episode.n_way, model.params)
 
 
-def episode_gradients(model: ModelState, episode: Episode, ft_enabled: bool,
-                      rng: RngStream | None = None, create_graph: bool = False,
+def episode_gradients(model: ModelState, episode: Episode, rng: RngStream | None = None,
+                      create_graph: bool = False,
                       ) -> tuple[float, dict[str, tuple[Tensor, Tensor]]]:
     """Training-mode loss of one episode and, by name, each trainable
     parameter with its gradient (the input of an optimizer step)."""
-    logits = episode_forward(model, episode, "train", ft_enabled, rng)
+    logits = episode_forward(model, episode, "train", rng)
     loss = episode_loss(logits, episode.query_y)
     trainable = model.trainable()
     grads = ad.backward(loss, [t for _, t in trainable], create_graph=create_graph)
     return loss.item(), {n: (t, g) for (n, t), g in zip(trainable, grads)}
 
 
-def inner_update(model: ModelState, episode: Episode, ft_enabled: bool, alpha: float,
+def inner_update(model: ModelState, episode: Episode, alpha: float,
                  rng: RngStream | None = None,
                  ) -> tuple[ModelState, float, dict[str, tuple[Tensor, Tensor]]]:
     """One graph-attached episodic SGD step on encoder and head parameters.
@@ -216,24 +159,23 @@ def inner_update(model: ModelState, episode: Episode, ft_enabled: bool, alpha: f
     to those hyper-parameters.  Returns the stepped model, the episode
     loss, and the named parameters with the gradients the step used.
     """
-    loss, grads = episode_gradients(model, episode, ft_enabled, rng, create_graph=True)
+    loss, grads = episode_gradients(model, episode, rng, create_graph=True)
     stepped = {n: ad.sub(t, ad.scale(g, alpha)) for n, (t, g) in grads.items()}
     return model.with_values(stepped), loss, grads
 
 
 def pseudo_unseen_loss(model: ModelState, episode: Episode) -> Tensor:
     """Episode loss with modulation off (evaluation-style forward pass)."""
-    logits = episode_forward(model, episode, "eval", use_ft=False)
+    logits = episode_forward(model, episode, "eval")
     return episode_loss(logits, episode.query_y)
 
 
 def ft_regularizer(model: ModelState, weight: float) -> Tensor:
     """weight * sum of squared modulation hyper-parameters."""
-    if model.ft is None or not model.ft.tensors():
-        return ad.constant(0.0)
     # One sum over the joined vectors: each gradient is weight * (theta * 2.0),
     # the same bits as a sum per tensor gives, from fewer nodes.
-    return ad.scale(ad.tensor_sum(ad.square(ad.concat(model.ft.tensors()))), weight)
+    thetas = [t for _, t in model.ft_named()]
+    return ad.scale(ad.tensor_sum(ad.square(ad.concat(thetas))), weight)
 
 
 def lft_outer_loss(model: ModelState, pseudo_seen: Episode, pseudo_unseen: Episode,
@@ -248,15 +190,13 @@ def lft_outer_loss(model: ModelState, pseudo_seen: Episode, pseudo_unseen: Episo
     ``model``; gradients flow through the kept inner step(s), which is
     where the second-order term comes from.
     """
-    if model.ft is None:
+    if not model.ft_named():
         raise ContractError("lft_outer_loss: model has no modulation hyper-parameters")
     stepped = model
     loss_ps = 0.0
     for step in range(config.inner_steps):
         stepped, loss_ps, grads = inner_update(
-            stepped, pseudo_seen, ft_enabled=True, alpha=config.alpha,
-            rng=rng.substream("inner-noise", step),
-        )
+            stepped, pseudo_seen, config.alpha, rng.substream("inner-noise", step))
         if step == 0:
             first_grads = grads
     loss_pu_t = pseudo_unseen_loss(stepped, pseudo_unseen)
@@ -278,7 +218,7 @@ def lft_train_step(model: ModelState, pseudo_seen: Episode, pseudo_unseen: Episo
     total, loss_ps, loss_pu, stepped, inner_grads = lft_outer_loss(
         model, pseudo_seen, pseudo_unseen, config, rng)
     ft_items = model.ft_named()
-    meta_grads = ad.backward(total, [t for _, t in ft_items]) if ft_items else []
+    meta_grads = ad.backward(total, [t for _, t in ft_items])
 
     if isinstance(optimizer, SGD):
         new_values = {n: ad.adopt_leaf(t.data) for n, t in stepped.trainable()}
@@ -384,7 +324,7 @@ def _train_iteration(model: ModelState, config: TrainConfig, domains: Sequence[D
         episode = sample_episode(domains[int(pick)], config.way, config.shot,
                                  config.query, root.substream("ps-episode", it))
         noise = root.substream("ft-noise", it)
-        loss_ps, grads = episode_gradients(model, episode, config.mode == "ft", noise)
+        loss_ps, grads = episode_gradients(model, episode, noise)
         return model.with_values(optimizer.step(grads)), LogRow(it, config.mode, loss_ps)
     if len(domains) >= 2:
         pair = root.substream("loop-domain", it).sample_without_replacement(len(domains), 2)
@@ -419,9 +359,9 @@ def train_loop(config: TrainConfig, domains: Sequence[Domain],
 
     root = RngStream(config.seed)
     model = init if init is not None else build_model(config, domains[0].dim, root)
-    if config.mode in ("ft", "lft") and model.ft is None:
+    if config.mode in ("ft", "lft") and not model.ft_named():
         raise ConfigError(f"train_loop: mode {config.mode!r} needs modulation parameters")
-    if config.mode == "baseline" and model.ft is not None:
+    if config.mode == "baseline" and model.ft_named():
         raise ConfigError("train_loop: baseline mode must not carry modulation parameters")
     if config.mode == "lft" and len(domains) < 2:
         log.warning(
@@ -450,14 +390,15 @@ def train_loop(config: TrainConfig, domains: Sequence[Domain],
     return model, rows
 
 
-def pretrain_encoder(encoder: EncoderState, domain: Domain, epochs: int,
+def pretrain_encoder(model: ModelState, domain: Domain, epochs: int,
                      batch_size: int, alpha: float,
-                     rng: RngStream) -> tuple[EncoderState, list[float]]:
-    """Supervised warm start: classify all base classes with a throwaway
-    linear layer, mini-batch SGD, modulation inactive throughout.
+                     rng: RngStream) -> tuple[ModelState, list[float]]:
+    """Supervised warm start of the model's encoder: classify all base
+    classes with a throwaway linear layer, mini-batch SGD, modulation
+    inactive throughout.
 
-    Returns the updated encoder and the mean loss per epoch; the linear
-    classifier is dropped on return.
+    Returns the model with its ``enc.*`` tensors updated and the mean loss
+    per epoch; the linear classifier is dropped on return.
     """
     if epochs < 1:
         raise ContractError("pretrain_encoder: epochs must be positive")
@@ -471,11 +412,10 @@ def pretrain_encoder(encoder: EncoderState, domain: Domain, epochs: int,
     n, k_classes = xs.shape[0], len(ids)
 
     head_rng = rng.substream("pretrain-head")
-    from .encoder import glorot_uniform
-
-    weight = ad.leaf(glorot_uniform(head_rng, encoder.output_dim, k_classes))
+    weight = ad.leaf(glorot_uniform(head_rng, model.encoder.block_widths[-1], k_classes))
     bias = ad.leaf(np.zeros(k_classes))
 
+    params = {name: t for name, t in model.params.items() if name.startswith("enc.")}
     sgd = SGD(alpha)
     epoch_losses = []
     with ad.trap_non_finite():
@@ -488,15 +428,13 @@ def pretrain_encoder(encoder: EncoderState, domain: Domain, epochs: int,
                     continue  # batch norm cannot use a single row
                 batch = ad.constant(xs[chunk])
                 labels = [int(ys[i]) for i in chunk]
-                emb = encode(encoder, None, batch, "train")
+                emb = encode(model.encoder, params, batch, "train")
                 logits = ad.linear(emb, weight, bias)
                 loss = episode_loss(logits, labels)
-                named = encoder.parameters() + [("pretrain.weight", weight),
-                                                ("pretrain.bias", bias)]
-                grads = ad.backward(loss, [t for _, t in named])
-                stepped = sgd.step({n: (t, g) for (n, t), g in zip(named, grads)})
-                encoder = assemble_model(encoder.config, "proto", stepped, with_ft=False).encoder
-                weight, bias = stepped["pretrain.weight"], stepped["pretrain.bias"]
+                named = {**params, "pretrain.weight": weight, "pretrain.bias": bias}
+                grads = ad.backward(loss, list(named.values()))
+                params = sgd.step({name: (t, g) for (name, t), g in zip(named.items(), grads)})
+                weight, bias = params.pop("pretrain.weight"), params.pop("pretrain.bias")
                 batch_losses.append(loss.item())
             epoch_losses.append(float(np.mean(batch_losses)))
-    return encoder, epoch_losses
+    return model.with_values(params), epoch_losses

@@ -13,6 +13,7 @@ import pytest
 from fsdg import autodiff as ad
 from fsdg.checkpoint import load_checkpoint, save_checkpoint
 from fsdg.config import format_config
+from fsdg.encoder import EncoderConfig
 from fsdg.evaluation import evaluate
 from fsdg.ft import init_ft_params, sample_modulation
 from fsdg.heads import episode_loss
@@ -57,10 +58,11 @@ def _testbed_domains(master: int):
 
 def test_criterion_1_modulation_parameter_count():
     t0 = time.perf_counter()
-    count = sum(t.size for t in init_ft_params([64, 128, 256, 512]).tensors())
+    params = init_ft_params(EncoderConfig(8, (64, 128, 256, 512)))
+    count = sum(t.size for t in params.values())
     elapsed = time.perf_counter() - t0
     ok = count == 1920 and elapsed < 1e-3
-    _report(1, ok, f"init_ft_params([64,128,256,512]) holds {count} scalars in {elapsed * 1e6:.0f}us")
+    _report(1, ok, f"init_ft_params, blocks 64,128,256,512: {count} scalars in {elapsed * 1e6:.0f}us")
     assert count == 1920
     assert elapsed < 1e-3
 
@@ -89,8 +91,7 @@ def test_criterion_2_episode_loss_gradients_match_finite_differences():
             def run(m):
                 # a fresh stream per pass gives every pass the same noise
                 # draws, applied to whatever theta the probe installs
-                logits = episode_forward(m, episode, mode="train", use_ft=True,
-                                         rng=RngStream(400 + seed))
+                logits = episode_forward(m, episode, mode="train", rng=RngStream(400 + seed))
                 return episode_loss(logits, episode.query_y)
 
             loss = run(model)
@@ -129,7 +130,7 @@ def test_criterion_3_meta_gradient_matches_finite_differences():
         model = build_model(cfg, d0.dim, RngStream(seed))
         ps = sample_episode(d0, cfg.way, cfg.shot, cfg.query, RngStream(700 + seed))
         pu = sample_episode(d1, cfg.way, cfg.shot, cfg.query, RngStream(800 + seed))
-        assert model.ft.n_layers == 2
+        assert len(model.ft_named()) == 4
 
         stepped, _, _ = lft_train_step(model, ps, pu, cfg, RngStream(900 + seed), SGD(cfg.alpha))
         got = {
@@ -162,8 +163,8 @@ def test_criterion_3_meta_gradient_matches_finite_differences():
 def test_criterion_4_modulation_distribution_moments():
     t0 = time.perf_counter()
     m = 200_000
-    params = init_ft_params([m], init_gamma=0.3, init_beta=0.5)
-    mod = sample_modulation(params.gammas[0], params.betas[0], RngStream(4))
+    params = init_ft_params(EncoderConfig(1, (m,)), init_gamma=0.3, init_beta=0.5)
+    mod = sample_modulation(params["ft.block0.gamma"], params["ft.block0.beta"], RngStream(4))
     gamma, beta = mod.gamma.data, mod.beta.data
 
     sp_g = float(np.logaddexp(0.0, 0.3))  # 0.85435524...
@@ -210,7 +211,7 @@ def test_criterion_5_untrained_models_sit_at_chance():
         vals = []
         for t in range(100):
             ep = sample_episode(domain, 5, 5, 16, RngStream(1000 + t))
-            logits = episode_forward(model, ep, mode="eval", use_ft=False)
+            logits = episode_forward(model, ep, mode="eval")
             vals.append(episode_loss(logits, ep.query_y).item())
         losses[head] = float(np.mean(vals))
         assert band[0] <= losses[head] <= band[1], f"{head}: loss {losses[head]:.3f}"
@@ -327,9 +328,9 @@ def test_criterion_8_evaluation_invariant_to_modulation_and_rng(tmp_path):
     theta_invariant = base.accuracies == after.accuracies
 
     ep = sample_episode(domain, 2, 2, 3, RngStream(9))
-    l0 = episode_forward(model, ep, mode="eval", use_ft=False)
-    l1 = episode_forward(model, ep, mode="eval", use_ft=False, rng=RngStream(1))
-    l2 = episode_forward(perturbed, ep, mode="eval", use_ft=False, rng=RngStream(2))
+    l0 = episode_forward(model, ep, mode="eval")
+    l1 = episode_forward(model, ep, mode="eval", rng=RngStream(1))
+    l2 = episode_forward(perturbed, ep, mode="eval", rng=RngStream(2))
     rng_invariant = (np.array_equal(l0.data, l1.data)
                      and np.array_equal(l0.data, l2.data))
 

@@ -1,6 +1,7 @@
-import logging
+import io
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from fsdg import evaluation as ev
 from fsdg import training as tr
 from fsdg.config import format_config
 from fsdg.errors import FormatError, LengthError, VersionError
+from fsdg.heads import HEAD_KINDS
 from fsdg.rng import RngStream
 from fsdg.tasks import SyntheticDomainSpec, generate_synthetic_domain
 
@@ -207,7 +209,7 @@ def test_missing_encoder_tensor_rejected(tmp_path):
     cfg, model = toy_model()
     partial = {n: t for n, t in model.param_store().items() if n != "enc.block1.bias"}
     with pytest.raises(FormatError):
-        ck.model_from_store(partial, "proto")
+        ck.model_from_store(partial, cfg)
 
 
 def test_non_contiguous_blocks_rejected():
@@ -220,7 +222,7 @@ def test_non_contiguous_blocks_rejected():
         store[f"enc.block{i}.bn_scale"] = ad.leaf(np.ones(3))
         store[f"enc.block{i}.bn_shift"] = ad.leaf(np.zeros(3))
     with pytest.raises(FormatError):
-        ck.model_from_store(store, "proto")
+        ck.model_from_store(store, tr.TrainConfig())
 
 
 def test_load_names_the_file_of_a_checkpoint_missing_a_tensor(tmp_path):
@@ -308,28 +310,21 @@ def test_ft_flags_recovered_from_names(tmp_path):
     path = str(tmp_path / "model.ckpt")
     ck.save_checkpoint(model, format_config(cfg), path)
     loaded, _ = ck.load_checkpoint(path)
-    assert loaded.encoder.config.ft_blocks == (False, True)
-    assert loaded.ft is not None and loaded.ft.n_layers == 1
-    assert loaded.ft.gammas[0].shape == (4,)
+    assert loaded.encoder.ft_blocks == (False, True)
+    assert [(n, t.shape) for n, t in loaded.ft_named()] == [
+        ("ft.block1.gamma", (4,)), ("ft.block1.beta", (4,))]
 
 
-def test_lft_model_flagging_no_block_round_trips(tmp_path):
-    # Such a model owns no ft tensor; the config text says it still modulates.
-    cfg = tr.TrainConfig(mode="lft", encoder_widths=(8, 4), ft_blocks=(False, False),
-                         iterations=0)
-    model = tr.build_model(cfg, 6, RngStream(4))
-    path = str(tmp_path / "model.ckpt")
-    ck.save_checkpoint(model, format_config(cfg), path)
-    loaded, _ = ck.load_checkpoint(path)
-    assert loaded.encoder.config.ft_blocks == (False, False)
-    assert loaded.ft is not None and loaded.ft.n_layers == 0
-    assert list(loaded.param_store()) == list(model.param_store())
-
-    domain = toy_domain()
-    trained, rows = tr.train_loop(tr.TrainConfig(
-        mode="lft", encoder_widths=(8, 4), ft_blocks=(False, False), iterations=2,
-        way=3, shot=2, query=3, alpha=0.01), [domain], init=loaded)
-    assert len(rows) == 2 and trained.ft.n_layers == 0
+def test_lft_config_flagging_no_block_rejected_naming_file(tmp_path):
+    # Such a model would own no ft tensor, so it could only train as baseline.
+    cfg, model = toy_model(mode="baseline")
+    text = format_config(replace(cfg, ft_blocks=(False, False))).replace(
+        "mode = baseline", "mode = lft")
+    path = str(tmp_path / "noflag.ckpt")
+    ck.save_checkpoint(model, text, path)
+    message = r"noflag\.ckpt: config: mode 'lft' needs ft_blocks to flag a block$"
+    with pytest.raises(FormatError, match=message):
+        ck.load_checkpoint(path)
 
 
 def test_encoder_saved_without_modulation_takes_flags_from_config(tmp_path):
@@ -337,11 +332,11 @@ def test_encoder_saved_without_modulation_takes_flags_from_config(tmp_path):
                          iterations=0)
     model = tr.build_model(cfg, 6, RngStream(4))
     path = str(tmp_path / "model.ckpt")
-    ck.save_checkpoint(tr.ModelState(model.head_kind, model.encoder, None, None),
+    ck.save_checkpoint(tr.ModelState(model.head_kind, model.encoder, dict(model.trainable())),
                        format_config(cfg), path)
     loaded, _ = ck.load_checkpoint(path)
-    assert loaded.ft is None
-    assert loaded.encoder.config.ft_blocks == (False, True)
+    assert not loaded.ft_named()
+    assert loaded.encoder.ft_blocks == (False, True)
 
 
 def test_baseline_checkpoint_has_no_ft(tmp_path):
@@ -349,26 +344,48 @@ def test_baseline_checkpoint_has_no_ft(tmp_path):
     path = str(tmp_path / "model.ckpt")
     ck.save_checkpoint(model, format_config(cfg), path)
     loaded, _ = ck.load_checkpoint(path)
-    assert loaded.ft is None
-    assert loaded.head is None
+    assert all(n.startswith("enc.") for n in loaded.params)
 
 
-def test_head_kind_falls_back_to_structure_for_foreign_config(tmp_path, caplog):
+@pytest.mark.parametrize("text,problem", [
+    ("not a config at all", "config line 1: expected 'key = value', got 'not a config at all'"),
+    ("head = cosine", "config: unknown head 'cosine'"),
+], ids=["unparsed", "invalid"])
+def test_foreign_config_text_rejected_naming_file(tmp_path, text, problem):
+    # The head kind and the modulated blocks come from the config text, so a
+    # relation model under text that does not parse is not loaded as proto.
     cfg, model = toy_model(head="relation")
-    path = str(tmp_path / "model.ckpt")
-    ck.save_checkpoint(model, "not a config at all", path)
-    with caplog.at_level(logging.WARNING, logger="fsdg.checkpoint"):
-        loaded, text = ck.load_checkpoint(path)
-    assert path in caplog.text and "not a config at all" in caplog.text
-    assert text == "not a config at all"
-    assert loaded.head_kind == "relation"
-    assert loaded.head is not None
+    path = str(tmp_path / "foreign.ckpt")
+    ck.save_checkpoint(model, text, path)
+    with pytest.raises(FormatError, match=re.escape(f"foreign.ckpt: {problem}") + "$"):
+        ck.load_checkpoint(path)
 
-    cfg2, model2 = toy_model(head="proto")
-    path2 = str(tmp_path / "model2.ckpt")
-    ck.save_checkpoint(model2, "???", path2)
-    loaded2, _ = ck.load_checkpoint(path2)
-    assert loaded2.head_kind == "proto"
+
+@pytest.mark.parametrize("ft_blocks", [(), (False, True)], ids=["every-block", "last-block"])
+@pytest.mark.parametrize("optimizer", tr.OPTIMIZERS)
+@pytest.mark.parametrize("head", HEAD_KINDS)
+def test_lft_run_resumed_from_a_reloaded_checkpoint_equals_the_in_memory_one(
+        tmp_path, head, optimizer, ft_blocks):
+    # A checkpoint stores its tensors in name order, ft.block0.beta before
+    # ft.block0.gamma; the modulation noise of the resumed run must still be
+    # drawn block by block, gamma first, as for the model that was saved.
+    domains = [toy_domain(60), toy_domain(61)]
+    cfg = tr.TrainConfig(mode="lft", head=head, optimizer=optimizer, ft_blocks=ft_blocks,
+                         alpha=0.01, iterations=3, way=3, shot=2, query=3, seed=5,
+                         encoder_widths=(8, 4))
+    first, _ = tr.train_loop(cfg, domains)
+    path = str(tmp_path / "first.ckpt")
+    ck.save_checkpoint(first, format_config(cfg), path)
+    loaded, _ = ck.load_checkpoint(path)
+    resumed = replace(cfg, seed=6)
+    outputs = []
+    for init in (first, loaded):
+        log = io.StringIO()
+        model, _ = tr.train_loop(resumed, domains, init=init, log_file=log)
+        out = str(tmp_path / "resumed.ckpt")
+        ck.save_checkpoint(model, format_config(resumed), out)
+        outputs.append((log.getvalue(), open(out, "rb").read()))
+    assert outputs[0] == outputs[1]
 
 
 def test_unexpected_config_parse_failure_propagates(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,8 @@ from fsdg import tasks
 from fsdg.checkpoint import load_checkpoint
 from fsdg.cli import run_cli
 from fsdg.errors import ConfigError, ParseError
-from fsdg.training import TrainConfig
+from fsdg.rng import RngStream
+from fsdg.training import TrainConfig, build_model
 
 TINY_CONFIG = """\
 # episodic run, small sizes for tests
@@ -220,7 +221,7 @@ def test_train_writes_checkpoint_and_log(workspace, capsys):
     stdout = capsys.readouterr().out
     assert "trained mode=baseline" in stdout
     model, text = load_checkpoint(str(out))
-    assert model.ft is None
+    assert not model.ft_named()
     assert "mode = baseline" in text
     lines = log.read_text().splitlines()
     assert lines[0] == "iter,mode,loss_ps,loss_pu"
@@ -231,7 +232,7 @@ def test_train_each_mode_round_trips(workspace):
     for mode in ("ft", "lft"):
         out = train_ckpt(workspace, mode=mode)
         model, text = load_checkpoint(str(out))
-        assert model.ft is not None
+        assert model.ft_named()
         assert f"mode = {mode}" in text
 
 
@@ -254,8 +255,8 @@ def test_train_seed_flag_overrides_config(workspace):
     assert run_cli(base + ["--out", str(b), "--seed", "2"]) == 0
     ma, _ = load_checkpoint(str(a))
     mb, _ = load_checkpoint(str(b))
-    assert not np.array_equal(ma.encoder.blocks[0].weight.data,
-                              mb.encoder.blocks[0].weight.data)
+    assert not np.array_equal(ma.params["enc.block0.weight"].data,
+                              mb.params["enc.block0.weight"].data)
 
 
 def test_eval_command_writes_per_trial_csv(workspace, capsys):
@@ -321,7 +322,7 @@ def test_pretrain_then_train_with_init(workspace, capsys):
     assert code == 0
     assert "pretrained 2 epochs" in capsys.readouterr().out
     model, _ = load_checkpoint(str(pre))
-    assert model.ft is None
+    assert not model.ft_named()
 
     out = workspace / "warm.ckpt"
     code = run_cli(["train", "--config", str(workspace / "run.cfg"),
@@ -329,22 +330,41 @@ def test_pretrain_then_train_with_init(workspace, capsys):
                     "--out", str(out), "--mode", "ft", "--init", str(pre)])
     assert code == 0
     warm, _ = load_checkpoint(str(out))
-    assert warm.ft is not None
+    assert warm.ft_named()
 
 
-def test_train_with_init_from_lft_model_flagging_no_block(workspace):
+def test_train_rejects_lft_mode_flagging_no_block(workspace, capsys):
     cfg = workspace / "noft.cfg"
     cfg.write_text(TINY_CONFIG + "ft_blocks = 0,0\n")
+    out = workspace / "noft.ckpt"
+    code = run_cli(["train", "--config", str(cfg), "--mode", "lft", "--out", str(out),
+                    "--seen", str(workspace / "dom_a.bin"), str(workspace / "dom_b.bin")])
+    assert code == 2
+    assert "config: mode 'lft' needs ft_blocks to flag a block" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_with_init_carries_head_and_modulation_tensors(workspace):
+    cfg = workspace / "rel.cfg"
+    cfg.write_text(TINY_CONFIG.replace("head = proto", "head = relation"))
+    seen = ["--seen", str(workspace / "dom_a.bin"), str(workspace / "dom_b.bin")]
     first = workspace / "first.ckpt"
-    args = ["train", "--config", str(cfg), "--mode", "lft",
-            "--seen", str(workspace / "dom_a.bin"), str(workspace / "dom_b.bin")]
-    assert run_cli([*args, "--out", str(first)]) == 0
+    assert run_cli(["train", "--config", str(cfg), "--mode", "lft", *seen,
+                    "--out", str(first)]) == 0
     second = workspace / "second.ckpt"
-    assert run_cli([*args, "--out", str(second), "--init", str(first)]) == 0
-    model, _ = load_checkpoint(str(second))
-    assert model.encoder.config.ft_blocks == (False, False)
-    assert model.ft is not None and model.ft.n_layers == 0
-    assert not [n for n in model.param_store() if n.startswith("ft.")]
+    assert run_cli(["train", "--config", str(cfg), "--mode", "lft", "--iterations", "0",
+                    *seen, "--init", str(first), "--out", str(second)]) == 0
+    a, _ = load_checkpoint(str(first))
+    b, _ = load_checkpoint(str(second))
+    assert list(b.params) == list(a.params)
+    config = replace(cfgmod.load_config(str(cfg)), mode="lft")
+    fresh = build_model(config, 5, RngStream(config.seed))  # what --init overlays
+    assert any(n.startswith("head.rel.") for n in a.params) and a.ft_named()
+    for name, t in a.params.items():
+        # A bias added to every logit gets no gradient under softmax.
+        if name != "head.rel.b2":
+            assert not np.array_equal(fresh.params[name].data, t.data), name
+        assert np.array_equal(b.params[name].data, t.data), name
 
 
 def test_train_rejects_init_with_another_encoder_layout(workspace, capsys):
@@ -362,6 +382,21 @@ def test_train_rejects_init_with_another_encoder_layout(workspace, capsys):
     assert "encoder widths (32, 16) and FT blocks (True, True)" in err
     assert "encoder widths (8, 4) and FT blocks (False, True)" in err
     assert not out.exists()
+
+
+def test_train_rejects_init_of_another_input_width(workspace, capsys):
+    wide = workspace / "wide.bin"
+    assert run_cli(["gen-domain", "--out", str(wide), "--seed", "5", "--classes", "6",
+                    "--dim", "7", "--per-class", "20", "--latent", "3"]) == 0
+    pre = workspace / "wide.ckpt"
+    assert run_cli(["pretrain", str(wide), "--config", str(workspace / "run.cfg"),
+                    "--out", str(pre), "--epochs", "1", "--batch-size", "8"]) == 0
+    capsys.readouterr()
+    code = run_cli(["train", "--config", str(workspace / "run.cfg"), "--init", str(pre),
+                    "--seen", str(workspace / "dom_a.bin"), "--out", str(workspace / "x.ckpt")])
+    assert code == 2
+    assert ("the --init checkpoint takes 7 input features, but the seen domains have 5"
+            in capsys.readouterr().err)
 
 
 def test_train_missing_init_checkpoint_exits_two(workspace, capsys):

@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 from fsdg import autodiff as ad
 from fsdg import encoder as enc
 from fsdg.errors import ConfigError, ContractError
-from fsdg.ft import FTParams, init_ft_params
+from fsdg.ft import init_ft_params
 from fsdg.rng import RngStream
 from helpers import finite_difference_grad, max_rel_err
 
 
 def small_encoder(seed=0, input_dim=5, widths=(6, 4), ft_blocks=()):
     cfg = enc.EncoderConfig(input_dim, tuple(widths), tuple(ft_blocks))
-    return enc.build_encoder(cfg, RngStream(seed))
+    return cfg, enc.build_encoder(cfg, RngStream(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -37,14 +37,14 @@ def test_config_rejects_bad_values():
 
 
 def test_build_encoder_shapes_and_init():
-    state = small_encoder(input_dim=5, widths=(6, 4))
-    assert state.output_dim == 4
-    assert state.blocks[0].weight.shape == (5, 6)
-    assert state.blocks[1].weight.shape == (6, 4)
-    for blk in state.blocks:
-        assert np.all(blk.bias.data == 0.0)
-        assert np.all(blk.bn_scale.data == 1.0)
-        assert np.all(blk.bn_shift.data == 0.0)
+    _, params = small_encoder(input_dim=5, widths=(6, 4))
+    assert params["enc.block0.weight"].shape == (5, 6)
+    assert params["enc.block1.weight"].shape == (6, 4)
+    for i, width in enumerate((6, 4)):
+        assert params[f"enc.block{i}.bias"].shape == (width,)
+        assert np.all(params[f"enc.block{i}.bias"].data == 0.0)
+        assert np.all(params[f"enc.block{i}.bn_scale"].data == 1.0)
+        assert np.all(params[f"enc.block{i}.bn_shift"].data == 0.0)
 
 
 def test_glorot_bound_and_coverage():
@@ -55,9 +55,8 @@ def test_glorot_bound_and_coverage():
 
 
 def test_parameter_names_are_per_block():
-    state = small_encoder(widths=(6, 4))
-    names = [name for name, _ in state.parameters()]
-    assert names == [
+    _, params = small_encoder(widths=(6, 4))
+    assert list(params) == [
         "enc.block0.weight", "enc.block0.bias", "enc.block0.bn_scale", "enc.block0.bn_shift",
         "enc.block1.weight", "enc.block1.bias", "enc.block1.bn_scale", "enc.block1.bn_shift",
     ]
@@ -131,85 +130,84 @@ def test_batch_norm_gradients_match_fd():
 
 
 def test_eval_mode_ignores_rng_and_ft_params():
-    state = small_encoder(seed=4)
-    ft = init_ft_params(list(state.config.block_widths))
+    cfg, params = small_encoder(seed=4)
+    model = {**params, **init_ft_params(cfg)}
     batch = ad.constant(RngStream(5).normals(20).reshape(4, 5))
-    a = enc.encode(state, ft, batch, "eval", rng=RngStream(1)).data
-    b = enc.encode(state, ft, batch, "eval", rng=RngStream(999)).data
-    c = enc.encode(state, None, batch, "eval").data
+    a = enc.encode(cfg, model, batch, "eval", rng=RngStream(1)).data
+    b = enc.encode(cfg, model, batch, "eval", rng=RngStream(999)).data
+    c = enc.encode(cfg, params, batch, "eval").data
     assert np.array_equal(a, b)
     assert np.array_equal(a, c)
 
 
 def test_train_without_ft_equals_eval_bitwise():
-    state = small_encoder(seed=6)
+    cfg, params = small_encoder(seed=6)
     batch = ad.constant(RngStream(7).normals(20).reshape(4, 5))
-    train = enc.encode(state, None, batch, "train").data
-    ev = enc.encode(state, None, batch, "eval").data
+    train = enc.encode(cfg, params, batch, "train").data
+    ev = enc.encode(cfg, params, batch, "eval").data
     assert np.array_equal(train, ev)
 
 
 def test_train_with_ft_is_deterministic_per_stream_and_varies_across():
-    state = small_encoder(seed=8)
-    ft = init_ft_params(list(state.config.block_widths))
+    cfg, params = small_encoder(seed=8)
+    model = {**params, **init_ft_params(cfg)}
     batch = ad.constant(RngStream(9).normals(20).reshape(4, 5))
-    a = enc.encode(state, ft, batch, "train", rng=RngStream(3)).data
-    b = enc.encode(state, ft, batch, "train", rng=RngStream(3)).data
-    c = enc.encode(state, ft, batch, "train", rng=RngStream(4)).data
+    a = enc.encode(cfg, model, batch, "train", rng=RngStream(3)).data
+    b = enc.encode(cfg, model, batch, "train", rng=RngStream(3)).data
+    c = enc.encode(cfg, model, batch, "train", rng=RngStream(4)).data
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_ft_applies_only_on_flagged_blocks():
-    # modulation off everywhere via flags behaves exactly like no modulation
-    cfg = enc.EncoderConfig(5, (6, 4), (False, False))
-    state = enc.build_encoder(cfg, RngStream(1))
-    ft = init_ft_params([])
+    # modulation off everywhere via flags behaves exactly like no modulation,
+    # even with modulation tensors for every block at hand
+    cfg, params = small_encoder(seed=1, ft_blocks=(False, False))
+    model = {**params, **init_ft_params(enc.EncoderConfig(5, (6, 4)))}
     batch = ad.constant(RngStream(2).normals(20).reshape(4, 5))
-    with_ft = enc.encode(state, ft, batch, "train", rng=RngStream(5)).data
-    without = enc.encode(state, None, batch, "eval").data
+    with_ft = enc.encode(cfg, model, batch, "train", rng=RngStream(5)).data
+    without = enc.encode(cfg, params, batch, "eval").data
     assert np.array_equal(with_ft, without)
 
 
 def test_layout_that_flags_no_block_draws_no_noise():
-    cfg = enc.EncoderConfig(5, (6, 4), (False, False))
-    state = enc.build_encoder(cfg, RngStream(1))
+    cfg, params = small_encoder(seed=1, ft_blocks=(False, False))
+    model = {**params, **init_ft_params(enc.EncoderConfig(5, (6, 4)))}
     rng = RngStream(5)
-    enc.encode(state, init_ft_params([]), ad.constant(np.ones((4, 5))), "train", rng=rng)
+    enc.encode(cfg, model, ad.constant(np.ones((4, 5))), "train", rng=rng)
     assert rng._pos == 0
 
 
 def test_ft_layer_count_must_match_flagged_blocks():
-    cfg = enc.EncoderConfig(5, (6, 4), (True, False))
-    state = enc.build_encoder(cfg, RngStream(1))
-    ft = init_ft_params([6, 4])  # two layers, one flagged block
+    # block 0 is flagged, but the modulation tensors are block 1's
+    cfg, params = small_encoder(seed=1, ft_blocks=(True, False))
+    model = {**params, **init_ft_params(enc.EncoderConfig(5, (6, 4), (False, True)))}
     batch = ad.constant(np.ones((4, 5)))
-    with pytest.raises(ContractError):
-        enc.encode(state, ft, batch, "train", rng=RngStream(0))
+    with pytest.raises(ContractError, match="missing modulation tensor 'ft.block0.gamma'"):
+        enc.encode(cfg, model, batch, "train", rng=RngStream(0))
 
 
 def test_encode_error_contracts():
-    state = small_encoder()
+    cfg, params = small_encoder()
     batch = ad.constant(np.ones((4, 5)))
     with pytest.raises(ContractError):
-        enc.encode(state, None, batch, "predict")
+        enc.encode(cfg, params, batch, "predict")
     with pytest.raises(ContractError):
-        enc.encode(state, None, ad.constant(np.ones((4, 3))), "eval")
-    ft = init_ft_params(list(state.config.block_widths))
+        enc.encode(cfg, params, ad.constant(np.ones((4, 3))), "eval")
     with pytest.raises(ContractError):
-        enc.encode(state, ft, batch, "train")  # no rng
+        enc.encode(cfg, {**params, **init_ft_params(cfg)}, batch, "train")  # no rng
 
 
 def test_single_row_batch_fails_inside_batch_norm():
-    state = small_encoder()
+    cfg, params = small_encoder()
     with pytest.raises(ContractError):
-        enc.encode(state, None, ad.constant(np.ones((1, 5))), "eval")
+        enc.encode(cfg, params, ad.constant(np.ones((1, 5))), "eval")
 
 
 def test_output_is_nonnegative_from_final_relu():
-    state = small_encoder(seed=20)
+    cfg, params = small_encoder(seed=20)
     batch = ad.constant(RngStream(21).normals(40).reshape(8, 5))
-    out = enc.encode(state, None, batch, "eval").data
+    out = enc.encode(cfg, params, batch, "eval").data
     assert np.all(out >= 0.0)
     assert np.any(out > 0.0)
 
@@ -219,20 +217,11 @@ def test_output_is_nonnegative_from_final_relu():
 
 
 def test_encoder_parameter_gradients_match_fd():
-    state = small_encoder(seed=30, input_dim=4, widths=(5, 3))
+    cfg, params = small_encoder(seed=30, input_dim=4, widths=(5, 3))
     batch = ad.constant(RngStream(31).normals(24).reshape(6, 4))
-    params = dict(state.parameters())
-
-    def rebuild(store):
-        blocks = []
-        for i in range(2):
-            blocks.append(enc.BlockParams(
-                store[f"enc.block{i}.weight"], store[f"enc.block{i}.bias"],
-                store[f"enc.block{i}.bn_scale"], store[f"enc.block{i}.bn_shift"]))
-        return enc.EncoderState(state.config, blocks)
 
     def build(store):
-        out = enc.encode(rebuild(store), None, batch, "eval")
+        out = enc.encode(cfg, store, batch, "eval")
         return ad.tensor_mean(ad.square(out))
 
     grads = ad.backward(build(params), list(params.values()))
@@ -242,16 +231,13 @@ def test_encoder_parameter_gradients_match_fd():
 
 
 def test_ft_gradients_through_encoder_match_fd():
-    state = small_encoder(seed=40, input_dim=4, widths=(5, 3))
+    cfg, enc_params = small_encoder(seed=40, input_dim=4, widths=(5, 3))
     batch = ad.constant(RngStream(41).normals(24).reshape(6, 4))
-    base = init_ft_params([5, 3])
-    names = ["ft0.g", "ft0.b", "ft1.g", "ft1.b"]
-    params = dict(zip(names, base.tensors()))
+    params = init_ft_params(cfg)
 
     def build(store):
-        ftp = FTParams([store["ft0.g"], store["ft1.g"]], [store["ft0.b"], store["ft1.b"]])
         # a fresh stream per pass gives every pass the same noise draws
-        out = enc.encode(state, ftp, batch, "train", rng=RngStream(42))
+        out = enc.encode(cfg, {**enc_params, **store}, batch, "train", rng=RngStream(42))
         return ad.tensor_mean(ad.square(out))
 
     grads = ad.backward(build(params), list(params.values()))
@@ -276,8 +262,8 @@ def test_batch_norm_output_columns_standardized(seed, rows):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_encode_deterministic_for_fixed_seed(seed):
-    state = small_encoder(seed=seed % 1000)
+    cfg, params = small_encoder(seed=seed % 1000)
     batch = ad.constant(RngStream(seed).normals(15).reshape(3, 5))
-    a = enc.encode(state, None, batch, "eval").data
-    b = enc.encode(state, None, batch, "eval").data
+    a = enc.encode(cfg, params, batch, "eval").data
+    b = enc.encode(cfg, params, batch, "eval").data
     assert np.array_equal(a, b)

@@ -8,7 +8,6 @@ from fsdg import autodiff as ad
 from fsdg import evaluation as ev
 from fsdg import training as tr
 from fsdg.errors import ContractError, NumericError
-from fsdg.ft import FTParams, init_ft_params
 from fsdg.rng import RngStream, derive_seed
 from fsdg.tasks import Domain, SyntheticDomainSpec, generate_synthetic_domain, sample_episode
 from helpers import noise_domain, overflow_nth_episode
@@ -123,8 +122,8 @@ def test_block_logits_equal_single_episode_logits(head, seed):
     block = sample_episode(domain, 5, 5, 16, [RngStream(derive_seed(seed, "eval-trial", t))
                                               for t in range(ev.TRIALS_PER_BLOCK)])
     with ad.no_grad(), ad.trap_non_finite():
-        single = [tr.episode_forward(model, e, "eval", use_ft=False).data for e in episodes]
-        stacked = tr.episode_forward(model, block, "eval", use_ft=False).data
+        single = [tr.episode_forward(model, e, "eval").data for e in episodes]
+        stacked = tr.episode_forward(model, block, "eval").data
     assert stacked.shape == (ev.TRIALS_PER_BLOCK, 5 * 16, 5)
     for t in range(ev.TRIALS_PER_BLOCK):
         assert np.array_equal(stacked[t], single[t]), f"trial {t}"
@@ -194,8 +193,8 @@ def test_evaluation_ignores_modulation_state():
     domain = toy_domain()
     model = toy_model(mode="ft")
     shifted = model.with_values({
-        "ft.block0.gamma": ad.leaf(model.ft.gammas[0].data + 4.0),
-        "ft.block1.beta": ad.leaf(model.ft.betas[1].data - 2.0),
+        "ft.block0.gamma": ad.leaf(model.params["ft.block0.gamma"].data + 4.0),
+        "ft.block1.beta": ad.leaf(model.params["ft.block1.beta"].data - 2.0),
     })
     a = ev.evaluate(model, domain, 3, 2, trials=10, seed=3, n_query=4)
     b = ev.evaluate(shifted, domain, 3, 2, trials=10, seed=3, n_query=4)
@@ -370,9 +369,9 @@ def test_write_matrix_csv_layout(tmp_path):
 
 
 def test_write_quartile_csv_layout(tmp_path):
-    params = init_ft_params([4, 8])
+    model = toy_model(mode="ft", widths=(4, 8))
     path = str(tmp_path / "quartiles.csv")
-    ev.write_quartile_csv(params, path)
+    ev.write_quartile_csv(model, path)
     lines = open(path).read().splitlines()
     assert lines[0] == "layer,gamma_q1,gamma_med,gamma_q3,beta_q1,beta_med,beta_q3"
     assert len(lines) == 3

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fsdg import autodiff as ad
 from fsdg import ft
+from fsdg.encoder import EncoderConfig
 from fsdg.errors import ContractError
 from fsdg.rng import RngStream
 from helpers import finite_difference_grad, max_rel_err
@@ -19,12 +20,11 @@ def softplus(x):
 
 
 def test_default_init_values():
-    params = ft.init_ft_params([4, 8])
-    for g in params.gammas:
-        assert np.all(g.data == 0.3)
-    for b in params.betas:
-        assert np.all(b.data == 0.5)
-    assert [g.shape for g in params.gammas] == [(4,), (8,)]
+    params = ft.init_ft_params(EncoderConfig(3, (4, 8)))
+    for block, width in enumerate((4, 8)):
+        assert params[f"ft.block{block}.gamma"].shape == (width,)
+        assert np.all(params[f"ft.block{block}.gamma"].data == 0.3)
+        assert np.all(params[f"ft.block{block}.beta"].data == 0.5)
 
 
 def test_init_spread_magnitudes():
@@ -34,22 +34,21 @@ def test_init_spread_magnitudes():
 
 
 def test_tensors_interleave_gamma_beta_per_block():
-    params = ft.init_ft_params([2, 3])
-    ts = params.tensors()
-    assert [t.shape for t in ts] == [(2,), (2,), (3,), (3,)]
-    assert ts[0] is params.gammas[0]
-    assert ts[1] is params.betas[0]
-    assert ts[2] is params.gammas[1]
+    params = ft.init_ft_params(EncoderConfig(3, (2, 5, 3), (True, False, True)))
+    assert list(params) == ["ft.block0.gamma", "ft.block0.beta",
+                            "ft.block2.gamma", "ft.block2.beta"]
+    assert [t.shape for t in params.values()] == [(2,), (2,), (3,), (3,)]
 
 
 def test_mismatched_block_lists_rejected():
-    g = [ad.leaf(np.zeros(3))]
+    g = ad.leaf(np.zeros(3))
+    with pytest.raises(ContractError, match="missing modulation tensor 'ft.block0.beta'"):
+        ft.sample_modulations({"ft.block0.gamma": g}, [0], RngStream(0))
+    with pytest.raises(ContractError, match="missing modulation tensor 'ft.block1.gamma'"):
+        ft.sample_modulations({"ft.block0.gamma": g, "ft.block0.beta": g}, [1], RngStream(0))
     with pytest.raises(ContractError):
-        ft.FTParams(g, [])
-    with pytest.raises(ContractError):
-        ft.FTParams(g, [ad.leaf(np.zeros(4))])
-    with pytest.raises(ContractError):
-        ft.FTParams([ad.leaf(np.zeros((3, 1)))], [ad.leaf(np.zeros(3))])
+        ft.sample_modulations({"ft.block0.gamma": ad.leaf(np.zeros((3, 1))),
+                               "ft.block0.beta": g}, [0], RngStream(0))
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +80,19 @@ def test_sample_draws_gamma_noise_before_beta_noise():
 
 @pytest.mark.parametrize("widths", [[5], [4, 3], [8, 1, 6], []])
 def test_sample_modulations_equal_per_layer_sample_modulation_calls(widths):
-    params = ft.init_ft_params(widths)
+    params = {f"ft.block{i}.{part}": ad.leaf(np.full(w, value)) for i, w in enumerate(widths)
+              for part, value in (("gamma", 0.3), ("beta", 0.5))}
+    blocks = range(len(widths))
     bulk, single = RngStream(19), RngStream(19)
-    mods = ft.sample_modulations(params, bulk)
-    want = [ft.sample_modulation(g, b, single) for g, b in zip(params.gammas, params.betas)]
-    assert len(mods) == len(want) == len(widths)
-    for got, ref in zip(mods, want):
+    mods = ft.sample_modulations(params, blocks, bulk)
+    want = [ft.sample_modulation(params[f"ft.block{i}.gamma"], params[f"ft.block{i}.beta"], single)
+            for i in blocks]
+    # The draw follows the blocks, gamma first, however the names are ordered.
+    resorted = ft.sample_modulations(dict(sorted(params.items())), blocks, RngStream(19))
+    assert len(mods) == len(want) == len(resorted) == len(widths)
+    for got, ref, other in zip(mods, want, resorted):
+        assert other.eps_gamma.tobytes() == got.eps_gamma.tobytes()
+        assert other.eps_beta.tobytes() == got.eps_beta.tobytes()
         for a, b in ((got.eps_gamma, ref.eps_gamma), (got.eps_beta, ref.eps_beta),
                      (got.gamma.data, ref.gamma.data), (got.beta.data, ref.beta.data)):
             assert a.tobytes() == b.tobytes()
@@ -204,8 +210,8 @@ def test_modulate_rejects_bad_shapes():
 def test_quartile_stats_against_hand_sorted_values():
     raw_g = np.array([0.0, 1.0, 2.0, 3.0])
     raw_b = np.array([-1.0, 0.0, 1.0, 2.0])
-    params = ft.FTParams([ad.leaf(raw_g)], [ad.leaf(raw_b)])
-    (row,) = ft.quartile_stats(params)
+    params = {"ft.block1.gamma": ad.leaf(raw_g), "ft.block1.beta": ad.leaf(raw_b)}
+    (row,) = ft.quartile_stats(params, [1])
     gv = np.sort(softplus(raw_g))
     bv = np.sort(softplus(raw_b))
 
@@ -225,8 +231,8 @@ def test_quartile_stats_against_hand_sorted_values():
 
 
 def test_quartile_stats_constant_params_collapse():
-    params = ft.init_ft_params([8, 16])
-    rows = ft.quartile_stats(params)
+    params = ft.init_ft_params(EncoderConfig(3, (8, 16)))
+    rows = ft.quartile_stats(params, [0, 1])
     assert [r.layer for r in rows] == [0, 1]
     for row in rows:
         assert row.gamma_q1 == row.gamma_med == row.gamma_q3 == pytest.approx(softplus(0.3))
@@ -234,8 +240,9 @@ def test_quartile_stats_constant_params_collapse():
 
 
 def test_quartile_values_are_positive_even_for_very_negative_theta():
-    params = ft.FTParams([ad.leaf(np.full(4, -50.0))], [ad.leaf(np.full(4, -50.0))])
-    (row,) = ft.quartile_stats(params)
+    params = {"ft.block0.gamma": ad.leaf(np.full(4, -50.0)),
+              "ft.block0.beta": ad.leaf(np.full(4, -50.0))}
+    (row,) = ft.quartile_stats(params, [0])
     assert 0.0 < row.gamma_med < 1e-20
     assert 0.0 < row.beta_med < 1e-20
 

@@ -218,12 +218,9 @@ def test_matching_gradients_match_fd():
 
 def test_relation_head_shapes_and_param_names():
     head = heads.build_relation_head(6, 8, RngStream(2))
-    assert head.w1.shape == (12, 8)
-    assert head.b1.shape == (8,)
-    assert head.w2.shape == (8, 1)
-    assert head.b2.shape == (1,)
-    assert [n for n, _ in head.parameters()] == [
-        "head.rel.w1", "head.rel.b1", "head.rel.w2", "head.rel.b2"]
+    assert {n: t.shape for n, t in head.items()} == {
+        "head.rel.w1": (12, 8), "head.rel.b1": (8,), "head.rel.w2": (8, 1), "head.rel.b2": (1,)}
+    assert list(head) == ["head.rel.w1", "head.rel.b1", "head.rel.w2", "head.rel.b2"]
 
 
 def test_relation_head_rejects_nonpositive_hidden():
@@ -243,8 +240,7 @@ def test_relation_logits_shape_and_determinism():
 
 def test_relation_zero_output_layer_gives_uniform_logits():
     head = heads.build_relation_head(3, 5, RngStream(14))
-    head = heads.RelationHeadState(head.w1, head.b1,
-                                   ad.leaf(np.zeros((5, 1))), ad.leaf(np.zeros(1)))
+    head = {**head, "head.rel.w2": ad.leaf(np.zeros((5, 1))), "head.rel.b2": ad.leaf(np.zeros(1))}
     sup = embeddings(15, 4, 3)
     q = embeddings(16, 3, 3)
     logits = heads.relation_logits(sup, [0, 0, 1, 1], q, 2, head).data
@@ -275,15 +271,12 @@ def test_relation_pair_width_mismatch_rejected():
 
 def test_relation_gradients_match_fd():
     stream = RngStream(23)
-    head = heads.build_relation_head(2, 4, stream.substream("head"))
+    params = heads.build_relation_head(2, 4, stream.substream("head"))
     sup = ad.constant(stream.normals(8).reshape(4, 2))
     q = ad.constant(stream.normals(6).reshape(3, 2))
-    params = dict(head.parameters())
 
     def build(s):
-        h = heads.RelationHeadState(s["head.rel.w1"], s["head.rel.b1"],
-                                    s["head.rel.w2"], s["head.rel.b2"])
-        logits = heads.relation_logits(sup, [0, 0, 1, 1], q, 2, h)
+        logits = heads.relation_logits(sup, [0, 0, 1, 1], q, 2, s)
         return heads.episode_loss(logits, [0, 1, 0])
 
     grads = ad.backward(build(params), list(params.values()))
@@ -307,6 +300,8 @@ def test_episode_logits_dispatch():
         heads.episode_logits("nearest", sup, [0, 0, 1, 1], q, 2)
     with pytest.raises(ContractError):
         heads.episode_logits("relation", sup, [0, 0, 1, 1], q, 2, None)
+    with pytest.raises(ContractError, match="relation head parameters missing"):
+        heads.episode_logits("relation", sup, [0, 0, 1, 1], q, 2, {})
 
 
 def test_predict_episode_picks_argmax():

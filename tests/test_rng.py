@@ -170,14 +170,16 @@ def test_permutation_golden_values_advance_the_stream():
 
 def test_permutations_equal_successive_permutation_calls():
     bulk, single = RngStream(41), RngStream(41)
-    assert bulk.permutations([20, 50, 50]) == [single.permutation(n) for n in (20, 50, 50)]
+    ns = (20, 50, 50)
+    assert shuffles([bulk], [[range(n) for n in ns]])[0] == [single.permutation(n) for n in ns]
     # Both streams stand at the same position: their next draws agree.
     assert bulk.uniforms(3).tolist() == single.uniforms(3).tolist()
 
 
 def test_permutations_of_fewer_than_two_items_take_no_draws():
     bulk, single = RngStream(8), RngStream(8)
-    assert bulk.permutations([0, 1, 3, 1]) == [[], [0], single.permutation(3), [0]]
+    got = shuffles([bulk], [[range(n) for n in (0, 1, 3, 1)]])[0]
+    assert got == [[], [0], single.permutation(3), [0]]
     assert bulk.uniforms(2).tolist() == single.uniforms(2).tolist()
 
 
@@ -198,7 +200,8 @@ def reference_permutations(seed: int, ns: list[int]) -> list[list[int]]:
 @pytest.mark.parametrize("ns", [[], [0], [1], [2, 1, 0, 7], [20], [50] * 5])
 def test_permutations_match_the_scalar_reference(ns):
     for seed in (0, 41, MASK - 4):
-        assert RngStream(seed).permutations(ns) == reference_permutations(seed, ns)
+        stream = RngStream(seed)
+        assert [stream.permutation(n) for n in ns] == reference_permutations(seed, ns)
 
 
 @settings(max_examples=50)
@@ -224,8 +227,6 @@ def test_sample_without_replacement_rejects_a_negative_count():
 def test_permutation_rejects_a_negative_size():
     with pytest.raises(ValueError, match=r"^permutation: n=-1 is negative$"):
         RngStream(0).permutation(-1)
-    with pytest.raises(ValueError, match=r"^permutation: n=-3 is negative$"):
-        RngStream(0).permutations([4, -3])
 
 
 @settings(max_examples=50, deadline=None)
@@ -242,7 +243,7 @@ def test_shuffles_equal_each_streams_own_permutations(specs):
     ranges_each = [[range(3 * k, 4 * k) for k in ns] for _, _, ns in specs]
     got = shuffles(streams, ranges_each)
     for g, a, ranges, s in zip(got, alone, ranges_each, streams):
-        want = a.permutations([len(r) for r in ranges])
+        want = [a.permutation(len(r)) for r in ranges]
         assert g == [[r.start + i for i in p] for r, p in zip(ranges, want)]
         assert s._pos == a._pos
 

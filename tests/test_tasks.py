@@ -393,7 +393,7 @@ def test_episode_batch_is_its_rows_adopted_without_a_scan(monkeypatch):
     rng = RngStream(11)
     ids = d.class_ids()
     picked = [ids[i] for i in rng.sample_without_replacement(len(ids), 3)]
-    perms = rng.permutations([d.classes[cid].shape[0] for cid in picked])
+    perms = [rng.permutation(d.classes[cid].shape[0]) for cid in picked]
     drawn = [d.classes[cid][rows[:6]] for cid, rows in zip(picked, perms)]
     want = np.concatenate([rows[:2] for rows in drawn] + [rows[2:] for rows in drawn])
     assert ep.x.data.dtype == np.float64

@@ -57,24 +57,32 @@ def test_config_validation():
         toy_config(optimizer="rmsprop")
 
 
+@pytest.mark.parametrize("mode", ["ft", "lft"])
+def test_config_rejects_modulation_mode_flagging_no_block(mode):
+    # Such a model would own no modulation tensor and train as baseline.
+    with pytest.raises(ConfigError, match=f"^config: mode '{mode}' needs ft_blocks to flag a block$"):
+        toy_config(mode=mode, ft_blocks=(False, False))
+    assert toy_config(mode="baseline", ft_blocks=(False, False)).ft_blocks == (False, False)
+
+
 def test_build_model_per_mode():
     rng = RngStream(1)
     base = tr.build_model(toy_config(mode="baseline"), 6, rng)
-    assert base.ft is None and base.head is None
+    assert all(n.startswith("enc.") for n in base.params) and len(base.params) == 8
     ft = tr.build_model(toy_config(mode="ft"), 6, rng)
-    assert ft.ft is not None and ft.ft.n_layers == 2
+    assert [n for n, _ in ft.ft_named()] == ["ft.block0.gamma", "ft.block0.beta",
+                                            "ft.block1.gamma", "ft.block1.beta"]
     lft = tr.build_model(toy_config(mode="lft"), 6, rng)
-    assert lft.ft is not None
+    assert lft.ft_named()
     rel = tr.build_model(toy_config(head="relation"), 6, rng)
-    assert rel.head is not None
-    assert rel.head.w1.shape == (2 * 4, 4)  # hidden width = embedding width
+    assert rel.params["head.rel.w1"].shape == (2 * 4, 4)  # hidden width = embedding width
+    assert list(rel.params)[-4:] == ["head.rel.w1", "head.rel.b1", "head.rel.w2", "head.rel.b2"]
 
 
 def test_ft_layers_follow_block_flags():
     cfg = toy_config(mode="lft", encoder_widths=(8, 4), ft_blocks=(False, True))
     model = tr.build_model(cfg, 6, RngStream(2))
-    assert model.ft.n_layers == 1
-    assert model.ft.gammas[0].shape == (4,)
+    assert model.params["ft.block1.gamma"].shape == (4,)
     assert [n for n, _ in model.ft_named()] == ["ft.block1.gamma", "ft.block1.beta"]
 
 
@@ -89,12 +97,13 @@ def test_param_store_contains_all_named_parameters():
 
 def test_with_values_replaces_only_named_entries():
     model = tr.build_model(toy_config(mode="lft"), 6, RngStream(4))
-    new_w = ad.leaf(np.zeros_like(model.encoder.blocks[0].weight.data))
+    new_w = ad.leaf(np.zeros_like(model.params["enc.block0.weight"].data))
     out = model.with_values({"enc.block0.weight": new_w})
-    assert out.encoder.blocks[0].weight is new_w
-    assert out.encoder.blocks[1].weight is model.encoder.blocks[1].weight
-    assert out.ft.gammas[0] is model.ft.gammas[0]
-    assert model.encoder.blocks[0].weight is not new_w  # original untouched
+    assert out.params["enc.block0.weight"] is new_w
+    assert out.params["enc.block1.weight"] is model.params["enc.block1.weight"]
+    assert out.params["ft.block0.gamma"] is model.params["ft.block0.gamma"]
+    assert model.params["enc.block0.weight"] is not new_w  # original untouched
+    assert list(out.params) == list(model.params)  # a replaced name keeps its place
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +115,7 @@ def test_inner_update_zero_alpha_is_identity():
     domain = toy_domains(n=1)[0]
     model = tr.build_model(cfg, domain.dim, RngStream(5))
     ep = toy_episode(domain, cfg)
-    loss, grads = tr.episode_gradients(model, ep, ft_enabled=False)
+    loss, grads = tr.episode_gradients(model, ep)
     stepped = model.with_values(tr.SGD(0.0).step(grads))
     for (_, a), (_, b) in zip(model.trainable(), stepped.trainable()):
         assert np.array_equal(a.data, b.data)
@@ -119,12 +128,12 @@ def test_inner_update_is_one_sgd_step():
     model = tr.build_model(cfg, domain.dim, RngStream(6))
     ep = toy_episode(domain, cfg)
 
-    logits = tr.episode_forward(model, ep, "train", use_ft=False)
+    logits = tr.episode_forward(model, ep, "train")
     loss = episode_loss(logits, ep.query_y)
     tensors = [t for _, t in model.trainable()]
     grads = ad.backward(loss, tensors)
 
-    _, named = tr.episode_gradients(model, ep, ft_enabled=False)
+    _, named = tr.episode_gradients(model, ep)
     stepped = model.with_values(tr.SGD(0.07).step(named))
     for (_, old), g, (_, new) in zip(model.trainable(), grads, stepped.trainable()):
         assert np.allclose(new.data, old.data - 0.07 * g.data, atol=1e-15)
@@ -135,15 +144,15 @@ def test_inner_update_with_create_graph_stays_attached():
     domain = toy_domains(n=1)[0]
     model = tr.build_model(cfg, domain.dim, RngStream(7))
     ep = toy_episode(domain, cfg)
-    stepped, _, _ = tr.inner_update(model, ep, ft_enabled=True, alpha=cfg.alpha,
-                                    rng=RngStream(8))
-    w = stepped.encoder.blocks[0].weight
+    stepped, _, _ = tr.inner_update(model, ep, alpha=cfg.alpha, rng=RngStream(8))
+    w = stepped.params["enc.block0.weight"]
     assert w.requires_grad and w.parents
     # a scalar of the stepped model differentiates back to the modulation
     # hyper-parameters through the kept step
     probe = ad.tensor_sum(ad.square(w))
-    g = ad.backward(probe, [model.ft.gammas[0]])[0]
-    assert g.shape == model.ft.gammas[0].shape
+    gamma = model.params["ft.block0.gamma"]
+    g = ad.backward(probe, [gamma])[0]
+    assert g.shape == gamma.shape
     assert np.any(g.data != 0.0)
 
 
@@ -152,23 +161,28 @@ def test_inner_update_without_graph_returns_leaves():
     domain = toy_domains(n=1)[0]
     model = tr.build_model(cfg, domain.dim, RngStream(9))
     ep = toy_episode(domain, cfg)
-    _, grads = tr.episode_gradients(model, ep, ft_enabled=False)
+    _, grads = tr.episode_gradients(model, ep)
     stepped = model.with_values(tr.SGD(cfg.alpha).step(grads))
     for _, t in stepped.trainable():
         assert t.requires_grad and t.parents == ()
 
 
 def test_ft_disabled_step_is_independent_of_ft_values():
+    # A step from the evaluation-mode loss, where modulation is off.
     cfg = toy_config(mode="lft")
     domain = toy_domains(n=1)[0]
     model = tr.build_model(cfg, domain.dim, RngStream(10))
     ep = toy_episode(domain, cfg)
-    _, grads = tr.episode_gradients(model, ep, ft_enabled=False)
-    a = model.with_values(tr.SGD(cfg.alpha).step(grads))
-    shifted = model.with_values({
-        "ft.block0.gamma": ad.leaf(model.ft.gammas[0].data + 3.0)})
-    _, grads = tr.episode_gradients(shifted, ep, ft_enabled=False)
-    b = shifted.with_values(tr.SGD(cfg.alpha).step(grads))
+
+    def step(m):
+        trainable = m.trainable()
+        grads = ad.backward(tr.pseudo_unseen_loss(m, ep), [t for _, t in trainable])
+        return m.with_values(tr.SGD(cfg.alpha).step(
+            {n: (t, g) for (n, t), g in zip(trainable, grads)}))
+
+    a = step(model)
+    b = step(model.with_values({
+        "ft.block0.gamma": ad.leaf(model.params["ft.block0.gamma"].data + 3.0)}))
     for (_, ta), (_, tb) in zip(a.trainable(), b.trainable()):
         assert np.array_equal(ta.data, tb.data)
 
@@ -211,17 +225,15 @@ def test_regularizer_contributes_exactly():
     ps, pu = toy_episode(d0, cfg0, 3), toy_episode(d1, cfg0, 4)
     t0 = pinned_outer_total(model, ps, pu, cfg0, 5).item()
     t1 = pinned_outer_total(model, ps, pu, cfg1, 5).item()
-    sq = sum(float(np.sum(t.data**2)) for t in model.ft.tensors())
+    sq = sum(float(np.sum(t.data**2)) for _, t in model.ft_named())
     assert t1 - t0 == pytest.approx(0.25 * sq, rel=1e-9)
 
 
 def test_ft_regularizer_values():
     cfg = toy_config(mode="lft")
     model = tr.build_model(cfg, 6, RngStream(14))
-    sq = sum(float(np.sum(t.data**2)) for t in model.ft.tensors())
+    sq = sum(float(np.sum(t.data**2)) for _, t in model.ft_named())
     assert tr.ft_regularizer(model, 2.0).item() == pytest.approx(2.0 * sq, rel=1e-12)
-    base = tr.build_model(toy_config(mode="baseline"), 6, RngStream(14))
-    assert tr.ft_regularizer(base, 2.0).item() == 0.0
 
 
 def test_ft_regularizer_gradient_is_weight_times_twice_theta_bit_for_bit():
@@ -230,7 +242,7 @@ def test_ft_regularizer_gradient_is_weight_times_twice_theta_bit_for_bit():
     stream = RngStream(15)
     model = model.with_values({n: ad.leaf(stream.normals(t.size).reshape(t.shape))
                                for n, t in model.ft_named()})
-    thetas = model.ft.tensors()
+    thetas = [t for _, t in model.ft_named()]
     grads = ad.backward(tr.ft_regularizer(model, 0.37), thetas)
     for theta, g in zip(thetas, grads):
         assert np.array_equal(g.data, 0.37 * (theta.data * 2.0))
@@ -282,7 +294,8 @@ def test_unflagged_blocks_carry_no_modulation_gradient():
     ps, pu = toy_episode(d0, cfg, 8), toy_episode(d1, cfg, 9)
     new_model, _, _ = tr.lft_train_step(model, ps, pu, cfg, RngStream(10), tr.SGD(cfg.alpha))
     # only block-0 hyper-parameters exist and they moved
-    assert not np.array_equal(new_model.ft.gammas[0].data, model.ft.gammas[0].data)
+    assert not np.array_equal(new_model.params["ft.block0.gamma"].data,
+                              model.params["ft.block0.gamma"].data)
 
 
 def test_lft_train_step_keeps_inner_parameters_and_steps_ft():
@@ -321,12 +334,12 @@ def test_lft_adam_step_uses_first_inner_gradients():
     new_model, _, _ = tr.lft_train_step(model, ps, pu, cfg, RngStream(23), tr.Adam(cfg.alpha))
 
     replay = RngStream(23).substream("inner-noise", 0)
-    logits = tr.episode_forward(model, ps, "train", True, replay)
+    logits = tr.episode_forward(model, ps, "train", replay)
     loss = episode_loss(logits, ps.query_y)
     trainable = model.trainable()
     grads = ad.backward(loss, [t for _, t in trainable])
     expected = tr.Adam(cfg.alpha).step({n: (t, g) for (n, t), g in zip(trainable, grads)})
-    assert new_model.head is not None
+    assert "head.rel.w1" in expected
     for name, t in new_model.trainable():
         assert np.array_equal(t.data, expected[name].data)
 
@@ -342,7 +355,7 @@ def test_pseudo_unseen_loss_ignores_modulation():
     ep = toy_episode(domain, cfg, 14)
     a = tr.pseudo_unseen_loss(model, ep).item()
     shifted = model.with_values({
-        "ft.block0.gamma": ad.leaf(model.ft.gammas[0].data + 5.0)})
+        "ft.block0.gamma": ad.leaf(model.params["ft.block0.gamma"].data + 5.0)})
     b = tr.pseudo_unseen_loss(shifted, ep).item()
     assert a == b
 
@@ -353,7 +366,7 @@ def test_pseudo_unseen_loss_composition():
     model = tr.build_model(cfg, domain.dim, RngStream(19))
     ep = toy_episode(domain, cfg, 15)
     direct = tr.pseudo_unseen_loss(model, ep).item()
-    logits = tr.episode_forward(model, ep, "eval", use_ft=False)
+    logits = tr.episode_forward(model, ep, "eval")
     assert direct == episode_loss(logits, ep.query_y).item()
 
 
@@ -364,12 +377,12 @@ def test_episode_forward_encodes_the_episode_batch_itself(monkeypatch):
     ep = toy_episode(domain, cfg)
     batches = []
 
-    def recorder(encoder, ft, batch, *args):
+    def recorder(encoder, params, batch, *args):
         batches.append(batch)
-        return encode(encoder, ft, batch, *args)
+        return encode(encoder, params, batch, *args)
 
     monkeypatch.setattr(tr, "encode", recorder)
-    tr.episode_forward(model, ep, "train", use_ft=False)
+    tr.episode_forward(model, ep, "train")
     assert len(batches) == 1 and batches[0] is ep.x
 
 
@@ -422,8 +435,8 @@ def test_train_loop_seed_changes_trajectory():
     domains = toy_domains(n=2)
     m1, _ = tr.train_loop(toy_config(iterations=8, seed=1), domains)
     m2, _ = tr.train_loop(toy_config(iterations=8, seed=2), domains)
-    w1 = m1.encoder.blocks[0].weight.data
-    w2 = m2.encoder.blocks[0].weight.data
+    w1 = m1.params["enc.block0.weight"].data
+    w2 = m2.params["enc.block0.weight"].data
     assert not np.array_equal(w1, w2)
 
 
@@ -431,17 +444,17 @@ def test_ft_mode_keeps_hyper_parameters_fixed():
     domains = toy_domains(n=2)
     cfg = toy_config(mode="ft", iterations=12)
     model, _ = tr.train_loop(cfg, domains)
-    for g in model.ft.gammas:
-        assert np.all(g.data == cfg.ft_init_gamma)
-    for b in model.ft.betas:
-        assert np.all(b.data == cfg.ft_init_beta)
+    for name, t in model.ft_named():
+        init = cfg.ft_init_gamma if name.endswith("gamma") else cfg.ft_init_beta
+        assert np.all(t.data == init)
 
 
 def test_lft_mode_moves_hyper_parameters():
     domains = toy_domains(n=2)
     cfg = toy_config(mode="lft", iterations=12)
     model, rows = tr.train_loop(cfg, domains)
-    moved = any(np.any(g.data != cfg.ft_init_gamma) for g in model.ft.gammas)
+    moved = any(np.any(t.data != cfg.ft_init_gamma)
+                for name, t in model.ft_named() if name.endswith("gamma"))
     assert moved
     assert all(r.loss_pu is not None for r in rows)
 
@@ -527,8 +540,8 @@ def test_adam_optimizer_runs_and_differs_from_sgd():
     domains = toy_domains(n=2)
     sgd_model, _ = tr.train_loop(toy_config(iterations=10), domains)
     adam_model, _ = tr.train_loop(toy_config(iterations=10, optimizer="adam"), domains)
-    w_sgd = sgd_model.encoder.blocks[0].weight.data
-    w_adam = adam_model.encoder.blocks[0].weight.data
+    w_sgd = sgd_model.params["enc.block0.weight"].data
+    w_adam = adam_model.params["enc.block0.weight"].data
     assert not np.array_equal(w_sgd, w_adam)
 
 
@@ -537,9 +550,8 @@ def test_adam_lft_mode_moves_both_groups():
     cfg = toy_config(mode="lft", iterations=6, optimizer="adam")
     model, _ = tr.train_loop(cfg, domains)
     fresh = tr.build_model(cfg, domains[0].dim, RngStream(cfg.seed))
-    assert not np.array_equal(model.encoder.blocks[0].weight.data,
-                              fresh.encoder.blocks[0].weight.data)
-    assert not np.array_equal(model.ft.gammas[0].data, fresh.ft.gammas[0].data)
+    for name in ("enc.block0.weight", "ft.block0.gamma"):
+        assert not np.array_equal(model.params[name].data, fresh.params[name].data), name
 
 
 def test_adam_update_rule_single_step():
@@ -629,20 +641,20 @@ def test_pretrain_reduces_loss_and_returns_epoch_means():
     domain = toy_domains(n=1, sigma=0.3, warp=1.0)[0]
     cfg = toy_config()
     model = tr.build_model(cfg, domain.dim, RngStream(30))
-    new_enc, losses = tr.pretrain_encoder(model.encoder, domain, epochs=4,
-                                          batch_size=16, alpha=0.1, rng=RngStream(31))
+    new_model, losses = tr.pretrain_encoder(model, domain, epochs=4,
+                                            batch_size=16, alpha=0.1, rng=RngStream(31))
     assert len(losses) == 4
     assert losses[-1] < losses[0]
-    assert new_enc.config is model.encoder.config
+    assert new_model.encoder is model.encoder
+    assert list(new_model.params) == list(model.params)
 
 
 def test_pretrained_encoder_beats_chance_on_episodes():
     domain = toy_domains(n=1, sigma=0.3, warp=1.0)[0]
     cfg = toy_config()
     model = tr.build_model(cfg, domain.dim, RngStream(32))
-    new_enc, _ = tr.pretrain_encoder(model.encoder, domain, epochs=6,
-                                     batch_size=16, alpha=0.1, rng=RngStream(33))
-    probe = tr.ModelState("proto", new_enc)
+    probe, _ = tr.pretrain_encoder(model, domain, epochs=6,
+                                   batch_size=16, alpha=0.1, rng=RngStream(33))
     report = evaluate(probe, domain, n_way=4, n_shot=3, trials=100, seed=34, n_query=8)
     assert report.mean > 0.25 + 0.2
 
@@ -651,24 +663,24 @@ def test_pretrain_error_contracts():
     domain = toy_domains(n=1)[0]
     model = tr.build_model(toy_config(), domain.dim, RngStream(35))
     with pytest.raises(ContractError):
-        tr.pretrain_encoder(model.encoder, domain, epochs=0, batch_size=8,
+        tr.pretrain_encoder(model, domain, epochs=0, batch_size=8,
                             alpha=0.1, rng=RngStream(0))
     with pytest.raises(ContractError):
-        tr.pretrain_encoder(model.encoder, domain, epochs=1, batch_size=1,
+        tr.pretrain_encoder(model, domain, epochs=1, batch_size=1,
                             alpha=0.1, rng=RngStream(0))
     single = noise_domain(seed=36, n_classes=1, dim=domain.dim, per_class=8)
     with pytest.raises(ContractError):
-        tr.pretrain_encoder(model.encoder, single, epochs=1, batch_size=4,
+        tr.pretrain_encoder(model, single, epochs=1, batch_size=4,
                             alpha=0.1, rng=RngStream(0))
 
 
 def test_pretrain_is_deterministic():
     domain = toy_domains(n=1)[0]
     model = tr.build_model(toy_config(), domain.dim, RngStream(37))
-    a, la = tr.pretrain_encoder(model.encoder, domain, epochs=2, batch_size=8,
+    a, la = tr.pretrain_encoder(model, domain, epochs=2, batch_size=8,
                                 alpha=0.05, rng=RngStream(38))
-    b, lb = tr.pretrain_encoder(model.encoder, domain, epochs=2, batch_size=8,
+    b, lb = tr.pretrain_encoder(model, domain, epochs=2, batch_size=8,
                                 alpha=0.05, rng=RngStream(38))
     assert la == lb
-    for (_, ta), (_, tb) in zip(a.parameters(), b.parameters()):
+    for (_, ta), (_, tb) in zip(a.trainable(), b.trainable()):
         assert np.array_equal(ta.data, tb.data)
