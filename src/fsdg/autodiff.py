@@ -12,12 +12,15 @@ Conventions:
   * elementwise ops broadcast with trailing-dimension alignment,
   * every result is checked exactly: an operation whose result holds a NaN
     or an infinity raises NumericError naming it instead of propagating it.
-    Outside ``trap_non_finite()`` each result is scanned.  Inside it the
-    IEEE overflow, invalid and divide-by-zero flags catch the value as the
-    ufunc makes it: every Tensor is finite, and arithmetic on finite
-    operands only gives a NaN or an infinity by raising one of those flags.
-    ``matmul`` scans in both modes, because BLAS worker threads may set
-    flags that never reach NumPy,
+    Every Tensor is finite, and arithmetic on finite operands only gives a
+    NaN or an infinity by raising the IEEE overflow, invalid or
+    divide-by-zero flag, so each primitive whose arithmetic can do that
+    runs it with those flags raising (``_raising``), inside
+    ``trap_non_finite()`` or not.  The others (``relu``, ``softplus``,
+    ``log`` and ``sqrt`` past their domain checks, and the structural
+    primitives) cannot make such a value and check nothing.  ``matmul``,
+    ``linear`` and ``neg_sq_distances`` also scan their results, because
+    BLAS worker threads may set flags that never reach NumPy,
   * results may share memory with their inputs; every array is write-locked,
     so updates always build new leaves.
 
@@ -132,19 +135,20 @@ def no_grad() -> contextlib.AbstractContextManager[None]:
 
 # NumPy's error state belongs to one thread (a thread started inside an
 # errstate block sees the defaults), and so does a context variable, so a
-# thread that gets no trap keeps scanning its results.
+# thread that gets no trap enters the error state at each primitive.
 _trapping: contextvars.ContextVar[bool] = contextvars.ContextVar("fsdg_trapping", default=False)
 
 
 @contextlib.contextmanager
 def trap_non_finite() -> Iterator[None]:
-    """Catch non-finite results by IEEE flags instead of a scan of each one.
+    """One ``np.errstate`` entry over a whole pass.
 
-    Inside the block, overflow, invalid operations and division by zero
-    raise FloatingPointError, which each primitive re-raises as the
-    NumericError that the scan would have raised.  A nested entry does
-    nothing.  Plain NumPy arithmetic of the caller inside the block raises
-    FloatingPointError as well.
+    Primitives raise NumericError on a non-finite result inside the block
+    or not; outside it, each one enters the raising error state for its own
+    call, and inside it none does.  The block also makes overflow, invalid
+    operations and division by zero in the caller's own NumPy arithmetic
+    (an optimizer's update) raise FloatingPointError.  A nested entry does
+    nothing.
     """
     if _trapping.get():
         yield
@@ -241,7 +245,8 @@ def _all_finite(data: np.ndarray) -> bool:
 
 
 def _non_finite(op: str) -> NumericError:
-    return NumericError(f"{op}: non-finite values in result")
+    # exp makes a non-finite value from a finite argument only by overflowing.
+    return NumericError("exp: overflow" if op == "exp" else f"{op}: non-finite values in result")
 
 
 def _kept(data) -> np.ndarray:
@@ -257,9 +262,23 @@ def _kept(data) -> np.ndarray:
     return data
 
 
+def _raising(op: str, fn: Callable, *args):
+    """fn(*args) with the IEEE overflow, invalid and divide-by-zero flags
+    raising, by the trap's error state or else by an entry of its own; a
+    flag raises a NumericError that names ``op``."""
+    try:
+        if _trapping.get():
+            return fn(*args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return fn(*args)
+    except FloatingPointError:
+        raise _non_finite(op) from None
+
+
 def _fresh(op: str, data: np.ndarray, scan: bool = False) -> Tensor:
-    """Wrap an op's result, scanned for NaN and inf outside the trap or if ``scan``."""
-    if (scan or not _trapping.get()) and not _all_finite(data):
+    """Wrap an op's result, scanned for NaN and inf if ``scan``: the result
+    of BLAS, whose worker threads may set flags that NumPy never sees."""
+    if scan and not _all_finite(data):
         raise _non_finite(op)
     data = _kept(data)
     data.setflags(write=False)
@@ -297,11 +316,9 @@ def _link(out: Tensor, parents: Sequence[tuple[Tensor, Callable]]) -> Tensor:
 def _elementwise(op: str, ufunc: np.ufunc, a: Tensor, b: Tensor) -> Tensor:
     """Result of a broadcasting binary ufunc; NumPy itself rejects bad shapes."""
     try:
-        data = ufunc(a.data, b.data)
+        data = _raising(op, ufunc, a.data, b.data)
     except ValueError:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
-    except FloatingPointError:
-        raise _non_finite(op) from None
     return _fresh(op, data)
 
 
@@ -358,11 +375,7 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
-    if _trapping.get():
-        out = _elementwise("div", np.divide, a, b)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = _elementwise("div", np.divide, a, b)
+    out = _elementwise("div", np.divide, a, b)
     if not _records(a, b):
         return out
     return _link(out, (
@@ -375,11 +388,7 @@ def scale(a, c: float) -> Tensor:
     """Multiply by a python constant; the constant is not a graph node."""
     a = _wrap(a)
     c = float(c)
-    try:
-        data = a.data * c
-    except FloatingPointError:
-        raise _non_finite("scale") from None
-    out = _fresh("scale", data)
+    out = _fresh("scale", _raising("scale", np.multiply, a.data, c))
     if not _records(a):
         return out
     return _link(out, ((a, lambda g: scale(g, c)),))
@@ -410,15 +419,7 @@ def relu(a) -> Tensor:
 
 def exp(a) -> Tensor:
     a = _wrap(a)
-    try:
-        if _trapping.get():
-            data = np.exp(a.data)
-        else:
-            with np.errstate(over="raise"):
-                data = np.exp(a.data)
-    except FloatingPointError:
-        raise NumericError("exp: overflow") from None
-    out = _fresh("exp", data)
+    out = _fresh("exp", _raising("exp", np.exp, a.data))
     if not _records(a):
         return out
     ref = weakref.ref(out)
@@ -448,11 +449,7 @@ def softplus(a) -> Tensor:
 
 def square(a) -> Tensor:
     a = _wrap(a)
-    try:
-        data = np.square(a.data)
-    except FloatingPointError:
-        raise _non_finite("square") from None
-    out = _fresh("square", data)
+    out = _fresh("square", _raising("square", np.square, a.data))
     if not _records(a):
         return out
     return _link(out, ((a, lambda g: mul(g, scale(a, 2.0))),))
@@ -479,11 +476,8 @@ def tensor_sum(a, axis: int | None = None, keepdims: bool = False) -> Tensor:
         if not -a.ndim <= axis < a.ndim:
             raise ShapeError(f"sum: axis {axis} out of range for shape {a.shape}")
         axis = axis % a.ndim
-    try:
-        data = np.add.reduce(a.data, axis=axis, keepdims=keepdims)
-    except FloatingPointError:
-        raise _non_finite("sum") from None
-    out = _fresh("sum", data)
+    # np.add.reduce(array, axis, dtype, out, keepdims)
+    out = _fresh("sum", _raising("sum", np.add.reduce, a.data, axis, None, None, keepdims))
     if not _records(a):
         return out
     mid = (1,) * a.ndim if axis is None else a.shape[:axis] + (1,) + a.shape[axis + 1:]
@@ -519,12 +513,10 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} vs {b.shape}")
     try:
-        data = a.data @ b.data
+        data = _raising("matmul", np.matmul, a.data, b.data)
     except ValueError:
         raise ShapeError(
             f"matmul: leading axes of {a.shape} and {b.shape} do not broadcast") from None
-    except FloatingPointError:
-        raise _non_finite("matmul") from None
     out = _fresh("matmul", data, scan=True)
     if not _records(a, b):
         return out
@@ -634,33 +626,18 @@ def _embed(g: Tensor, axis: int, start: int, full_shape: tuple[int, ...]) -> Ten
 # ---------------------------------------------------------------------------
 # fused composites
 #
-# Outside the trap, their arithmetic raises on overflow, invalid operations
-# and division by zero all the same, so an intermediate value that the scans
-# of the composite would have caught raises here too, in both modes.
-
-
-def _raising(op: str, fn: Callable, *args):
-    """fn(*args) with the trap's IEEE flags raising; a flag raises a
-    NumericError that names ``op``."""
-    try:
-        if _trapping.get():
-            return fn(*args)
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return fn(*args)
-    except FloatingPointError:
-        raise _non_finite(op) from None
+# Each runs the NumPy arithmetic of its composite through ``_raising``, so a
+# non-finite intermediate value raises here wherever a primitive of the
+# composite would have raised on it.
 
 
 def _add_into(op: str, data: np.ndarray, b: Tensor) -> np.ndarray:
     """``data + b`` written into ``data``, a fresh result of ``op``; a ``b``
     that would grow ``data``'s shape raises ShapeError."""
     try:
-        np.add(data, b.data, out=data)
+        return _raising(op, np.add, data, b.data, data)
     except ValueError:
         raise ShapeError(f"{op}: bias {b.shape} does not fit result {data.shape}") from None
-    except FloatingPointError:
-        raise _non_finite(op) from None
-    return data
 
 
 def linear(x, w, b) -> Tensor:
@@ -670,12 +647,9 @@ def linear(x, w, b) -> Tensor:
         raise ShapeError(f"linear: expected 2-d operands, got {x.shape} and {w.shape}")
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear: inner dimensions differ, {x.shape} vs {w.shape}")
-    try:
-        data = x.data @ w.data
-    except FloatingPointError:
-        raise _non_finite("linear") from None
-    # Scanned in both modes, as matmul is; a non-finite product stays
-    # non-finite once a finite b is added, so one scan of the sum covers both.
+    data = _raising("linear", np.matmul, x.data, w.data)
+    # Scanned as matmul is; a non-finite product stays non-finite once a
+    # finite b is added, so one scan of the sum covers both.
     out = _fresh("linear", _add_into("linear", data, b), scan=True)
     if not _records(x, w, b):
         return out
@@ -692,11 +666,9 @@ def affine(x, s, b) -> Tensor:
     """``add(mul(x, s), b)`` as one node: b is added into the product."""
     x, s, b = _wrap(x), _wrap(s), _wrap(b)
     try:
-        data = np.multiply(x.data, s.data)
+        data = _raising("affine", np.multiply, x.data, s.data)
     except ValueError:
         raise ShapeError(f"affine: shapes {x.shape} and {s.shape} do not broadcast") from None
-    except FloatingPointError:
-        raise _non_finite("affine") from None
     # _kept turns the NumPy scalar of a 0-d product into an array to add into.
     out = _fresh("affine", _add_into("affine", _kept(data), b))
     if not _records(x, s, b):

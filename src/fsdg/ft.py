@@ -34,12 +34,10 @@ if TYPE_CHECKING:
 
 @dataclass
 class Modulation:
-    """One sampled perturbation: scale and shift plus the raw noise."""
+    """One sampled perturbation: per-channel scale and shift."""
 
     gamma: Tensor
     beta: Tensor
-    eps_gamma: np.ndarray
-    eps_beta: np.ndarray
 
 
 def init_ft_params(config: EncoderConfig, init_gamma: float = 0.3,
@@ -61,7 +59,7 @@ def modulation_from_noise(theta_gamma: Tensor, theta_beta: Tensor,
         raise ContractError("modulation_from_noise: noise shape must match theta shape")
     gamma = ad.affine(ad.softplus(theta_gamma), ad.constant(eps_gamma), 1.0)
     beta = ad.mul(ad.softplus(theta_beta), ad.constant(eps_beta))
-    return Modulation(gamma, beta, eps_gamma, eps_beta)
+    return Modulation(gamma, beta)
 
 
 def sample_modulations(params: Mapping[str, Tensor], blocks: Sequence[int],

@@ -410,6 +410,9 @@ def pretrain_encoder(model: ModelState, domain: Domain, epochs: int,
     xs = np.concatenate([domain.classes[cid] for cid in ids])
     ys = np.concatenate([np.full(domain.classes[cid].shape[0], k) for k, cid in enumerate(ids)])
     n, k_classes = xs.shape[0], len(ids)
+    if n < 2:
+        # A class may hold no rows; with batch_size >= 2, two rows make a batch.
+        raise ContractError(f"pretrain_encoder: need at least 2 rows, domain has {n}")
 
     head_rng = rng.substream("pretrain-head")
     weight = ad.leaf(glorot_uniform(head_rng, model.encoder.block_widths[-1], k_classes))

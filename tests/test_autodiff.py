@@ -376,7 +376,7 @@ def test_sqrt_rejects_negative():
 
 
 def _scopes():
-    """The scan path (warnings silenced) and the IEEE-trap path."""
+    """Outside the trap (warnings silenced) and inside it."""
     return (np.errstate(over="ignore", invalid="ignore"), ad.trap_non_finite())
 
 
@@ -425,12 +425,31 @@ _NAMED = {"sum": ad.tensor_sum,
     pytest.param("affine", HUGE, ([1.0], [1e308]), id="affine-bias"),
 ])
 def test_non_finite_result_raises_numeric_error_naming_op(op, a, b):
-    # The same error with every result scanned and inside the IEEE trap.
+    # The same error outside the trap and inside it.
     fn = _NAMED.get(op) or getattr(ad, op)
     args = (ad.constant(a),) if b is None else (ad.constant(a), b)
     for scope in _scopes():
         with scope, pytest.raises(NumericError, match=rf"^{op}: non-finite values in result$"):
             fn(*args)
+
+
+@pytest.mark.parametrize("state", [{}, {"all": "ignore"}, {"all": "raise"},
+                                   {"over": "ignore", "invalid": "ignore"}])
+@pytest.mark.parametrize("fn,fine,bad", [
+    (lambda x: ad.mul(x, x), [[2.0]], BIG),
+    (ad.exp, [[1.0]], [[1000.0]]),
+    (ad.tensor_sum, [[1.0, 2.0]], HUGE),
+    (lambda x: ad.matmul(x, ad.transpose(x)), [[1.0, 2.0]], BIG),
+    (ad.softmax_rows, [[1.0, 2.0]], [[1e308, -1e308]]),
+])
+def test_primitive_outside_the_trap_leaves_the_error_state_as_it_found_it(state, fn, fine, bad):
+    with np.errstate(**state):
+        before = np.geterr()
+        fn(ad.constant(fine))
+        assert np.geterr() == before
+        with pytest.raises(NumericError):
+            fn(ad.constant(bad))
+        assert np.geterr() == before
 
 
 def test_large_finite_values_pass_without_warning():
@@ -449,7 +468,7 @@ def test_large_finite_values_pass_without_warning():
 
 def test_trap_is_per_thread():
     # A thread started inside the trap gets NumPy's default error state, so
-    # it must keep scanning its results rather than trust flags it cannot see.
+    # its primitives must enter the raising state themselves.
     errors = []
 
     def work():

@@ -74,8 +74,10 @@ def test_sample_draws_gamma_noise_before_beta_noise():
     theta_b = ad.leaf(np.zeros(5))
     mod = ft.sample_modulation(theta_g, theta_b, RngStream(7))
     fresh = RngStream(7)
-    assert np.array_equal(mod.eps_gamma, fresh.normals(5))
-    assert np.array_equal(mod.eps_beta, fresh.normals(5))
+    spread = ad.softplus(theta_g).data  # softplus(0), theta_b's as well
+    eps_gamma, eps_beta = fresh.normals(5), fresh.normals(5)
+    assert mod.gamma.data.tobytes() == (spread * eps_gamma + 1.0).tobytes()
+    assert mod.beta.data.tobytes() == (spread * eps_beta).tobytes()
 
 
 @pytest.mark.parametrize("widths", [[5], [4, 3], [8, 1, 6], []])
@@ -91,11 +93,8 @@ def test_sample_modulations_equal_per_layer_sample_modulation_calls(widths):
     resorted = ft.sample_modulations(dict(sorted(params.items())), blocks, RngStream(19))
     assert len(mods) == len(want) == len(resorted) == len(widths)
     for got, ref, other in zip(mods, want, resorted):
-        assert other.eps_gamma.tobytes() == got.eps_gamma.tobytes()
-        assert other.eps_beta.tobytes() == got.eps_beta.tobytes()
-        for a, b in ((got.eps_gamma, ref.eps_gamma), (got.eps_beta, ref.eps_beta),
-                     (got.gamma.data, ref.gamma.data), (got.beta.data, ref.beta.data)):
-            assert a.tobytes() == b.tobytes()
+        for a, b, c in ((got.gamma, ref.gamma, other.gamma), (got.beta, ref.beta, other.beta)):
+            assert a.data.tobytes() == b.data.tobytes() == c.data.tobytes()
         assert got.gamma.requires_grad and got.beta.requires_grad
     # Equal stream positions; no layer at all draws nothing.
     assert bulk.uniforms(2).tolist() == single.uniforms(2).tolist()
@@ -178,8 +177,6 @@ def test_modulate_worked_example():
     mod = ft.Modulation(
         gamma=ad.constant([2.0, 0.5]),
         beta=ad.constant([1.0, -1.0]),
-        eps_gamma=np.zeros(2),
-        eps_beta=np.zeros(2),
     )
     z = ad.constant([[1.0, 4.0], [0.0, -2.0]])
     out = ft.modulate(z, mod)
@@ -195,8 +192,7 @@ def test_modulate_shares_one_draw_across_the_batch():
 
 
 def test_modulate_rejects_bad_shapes():
-    mod = ft.Modulation(ad.constant(np.ones(3)), ad.constant(np.zeros(3)),
-                        np.zeros(3), np.zeros(3))
+    mod = ft.Modulation(ad.constant(np.ones(3)), ad.constant(np.zeros(3)))
     with pytest.raises(ContractError):
         ft.modulate(ad.constant(np.ones(3)), mod)  # 1-d activations
     with pytest.raises(ContractError):

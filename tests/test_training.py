@@ -8,10 +8,10 @@ from fsdg import autodiff as ad
 from fsdg import training as tr
 from fsdg.encoder import encode
 from fsdg.errors import ConfigError, ContractError, NumericError
-from fsdg.evaluation import evaluate
+from fsdg.evaluation import emit_feature_projection, evaluate
 from fsdg.heads import episode_loss
 from fsdg.rng import RngStream
-from fsdg.tasks import SyntheticDomainSpec, generate_synthetic_domain, sample_episode
+from fsdg.tasks import Domain, SyntheticDomainSpec, generate_synthetic_domain, sample_episode
 from helpers import finite_difference_grad, max_rel_err, noise_domain, overflow_nth_episode
 
 
@@ -625,6 +625,33 @@ def test_sgd_overflow_outside_the_trap_is_a_numeric_error():
         tr.SGD(1.0).step({"w": (ad.leaf([-1e308]), ad.constant([1e308]))})
 
 
+def test_program_paths_run_every_primitive_inside_the_trap(monkeypatch):
+    # Outside the trap each primitive enters np.errstate for its own call;
+    # a program path enters it once, for the whole pass.
+    real, trapped = ad._raising, []
+
+    def spy(op, fn, *args):
+        trapped.append(ad._trapping.get())
+        return real(op, fn, *args)
+
+    def check(name, run):
+        trapped.clear()
+        result = run()
+        assert trapped and all(trapped), name
+        return result
+
+    monkeypatch.setattr(ad, "_raising", spy)
+    domains = toy_domains()
+    for mode in ("baseline", "ft", "lft"):
+        for opt in ("sgd", "adam"):
+            cfg = toy_config(mode=mode, optimizer=opt, iterations=2)
+            model, _ = check(f"train_loop {mode} {opt}", lambda: tr.train_loop(cfg, domains[:2]))
+    check("pretrain_encoder", lambda: tr.pretrain_encoder(
+        model, domains[0], epochs=1, batch_size=8, alpha=0.05, rng=RngStream(0)))
+    check("evaluate", lambda: evaluate(model, domains[2], 2, 2, trials=3, seed=1, n_query=3))
+    check("emit_feature_projection", lambda: emit_feature_projection(model, domains, 4))
+
+
 # ---------------------------------------------------------------------------
 # supervised warm start
 
@@ -672,6 +699,16 @@ def test_pretrain_error_contracts():
     with pytest.raises(ContractError):
         tr.pretrain_encoder(model, single, epochs=1, batch_size=4,
                             alpha=0.1, rng=RngStream(0))
+
+
+@pytest.mark.parametrize("sizes", [(1, 0), (0, 0)])
+def test_pretrain_rejects_a_domain_of_fewer_than_two_rows(sizes):
+    # Two classes, but no batch of two rows for batch norm to use.
+    model = tr.build_model(toy_config(), 6, RngStream(35))
+    tiny = Domain.from_classes("tiny", 6, {cid: np.ones((n, 6)) for cid, n in enumerate(sizes)})
+    with pytest.raises(ContractError, match=rf"^pretrain_encoder: need at least 2 rows, "
+                                            rf"domain has {sum(sizes)}$"):
+        tr.pretrain_encoder(model, tiny, epochs=1, batch_size=4, alpha=0.1, rng=RngStream(0))
 
 
 def test_pretrain_is_deterministic():
