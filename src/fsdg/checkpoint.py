@@ -7,23 +7,26 @@ Layout (all integers little-endian u32, all floats little-endian f64):
 
 Tensors are written in lexicographic name order, so two models with equal
 parameters serialize to byte-identical files.  The config text is carried
-verbatim and parsed on load: the head kind and the modulated blocks come
-from it, so config text that does not parse makes the file unreadable.
+verbatim and parsed on load: the whole layout (encoder widths, head and
+modulated blocks) comes from it, and only the input width from the
+tensors, so config text that does not parse, or that describes other
+tensors than the file holds, makes the file unreadable.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from dataclasses import replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .encoder import EncoderConfig
 from .errors import ConfigError, FormatError, NumericError, ParseError, VersionError
+from .rng import RngStream
 from .tasks import read_exact
-from .training import ModelState, TrainConfig
+from .training import ModelState, TrainConfig, build_model
 
 CHECKPOINT_MAGIC = b"FTCP"
 CHECKPOINT_VERSION = 1
@@ -90,78 +93,36 @@ def read_checkpoint(path: str) -> tuple[dict[str, Tensor], str]:
     return store, config_text
 
 
-def _block_id(name: str) -> int:
-    try:
-        return int(name.split(".")[1][len("block"):])
-    except ValueError:
-        raise FormatError(f"tensor {name!r} names no encoder block number") from None
-
-
-def _check_shape(store: dict[str, Tensor], name: str,
-                 want: tuple[int | None, ...]) -> tuple[int, ...]:
-    """``name``'s shape, which must be ``want``, where None matches any size."""
-    shape = store[name].shape
-    if len(shape) != len(want) or any(w is not None and s != w for s, w in zip(shape, want)):
-        expected = str(want).replace("None", "*")
-        raise FormatError(f"tensor {name!r} has shape {shape}, expected {expected}")
-    return shape
-
-
-def _check_shapes(store: dict[str, Tensor], n_blocks: int) -> None:
-    """Every tensor's shape against the layout the block weights imply:
-    block i's weight maps block i-1's width to its own, and its per-channel
-    tensors, the modulation ones included, have that width."""
-    width = None
-    for i in range(n_blocks):
-        width = _check_shape(store, f"enc.block{i}.weight", (width, None))[1]
-        for field in ("bias", "bn_scale", "bn_shift"):
-            _check_shape(store, f"enc.block{i}.{field}", (width,))
-        for field in ("gamma", "beta"):
-            if f"ft.block{i}.{field}" in store:
-                _check_shape(store, f"ft.block{i}.{field}", (width,))
-    if "head.rel.w1" in store:
-        hidden = _check_shape(store, "head.rel.w1", (2 * width, None))[1]
-        _check_shape(store, "head.rel.b1", (hidden,))
-        _check_shape(store, "head.rel.w2", (hidden, 1))
-        _check_shape(store, "head.rel.b2", (1,))
-
-
 def model_from_store(store: dict[str, Tensor], config: TrainConfig) -> ModelState:
     """Rebuild a model from named tensors and the run configuration saved
     with them.
 
-    The encoder blocks and their widths come from the tensors, the head and
-    the modulated blocks from ``config``; the model modulates iff the store
+    The layout is the model that ``build_model`` makes for ``config`` and
+    the input width of ``enc.block0.weight``; it modulates iff the store
     holds ``ft.*`` tensors (an encoder saved without its modulation, as
     ``fsdg pretrain`` writes it, holds none).  A store that lacks a tensor
-    of that layout, holds one that no part of the model owns, whose encoder
-    blocks are not numbered 0, 1, ... or whose tensor shapes do not fit
-    together raises FormatError; ``load_checkpoint`` adds the file path.
+    of that layout, holds one of another shape or one that the layout does
+    not hold raises FormatError; ``load_checkpoint`` adds the file path.
     """
-    block_ids = sorted({_block_id(n) for n in store if n.startswith("enc.block")})
-    if block_ids != list(range(len(block_ids))) or not block_ids:
-        raise FormatError("encoder blocks are not a contiguous range")
-    names = [f"enc.block{i}.{field}" for i in block_ids
-             for field in ("weight", "bias", "bn_scale", "bn_shift")]
-    if config.head == "relation":
-        names += ["head.rel.w1", "head.rel.b1", "head.rel.w2", "head.rel.b2"]
-    try:
-        _check_shapes(store, len(block_ids))
-        weights = [store[f"enc.block{i}.weight"] for i in block_ids]
-        encoder = EncoderConfig(weights[0].shape[0], tuple(w.shape[1] for w in weights),
-                                config.ft_blocks)
-        if any(n.startswith("ft.") for n in store):
-            names += [f"ft.block{i}.{field}" for i in encoder.flagged_blocks
-                      for field in ("gamma", "beta")]
-        params = {name: store[name] for name in names}
-    except KeyError as err:
-        raise FormatError(f"missing tensor {err}") from None
-    except ConfigError as err:
-        raise FormatError(str(err)) from None
-    unowned = sorted(set(store) - set(names))
+    first = store.get("enc.block0.weight")
+    if first is None:
+        raise FormatError("missing tensor 'enc.block0.weight'")
+    if first.ndim != 2:
+        raise FormatError(
+            f"tensor 'enc.block0.weight' has shape {first.shape}, expected 2 dimensions")
+    if not any(name.startswith("ft.") for name in store):
+        config = replace(config, mode="baseline")
+    layout = build_model(config, first.shape[0], RngStream(0))
+    for name, tensor in layout.params.items():
+        if name not in store:
+            raise FormatError(f"missing tensor {name!r}")
+        if store[name].shape != tensor.shape:
+            raise FormatError(
+                f"tensor {name!r} has shape {store[name].shape}, expected {tensor.shape}")
+    unowned = sorted(set(store) - set(layout.params))
     if unowned:
         raise FormatError(f"tensor {unowned[0]!r} belongs to no part of the model")
-    return ModelState(config.head, encoder, params)
+    return layout.with_values({name: store[name] for name in layout.params})
 
 
 def load_checkpoint(path: str) -> tuple[ModelState, str]:

@@ -196,7 +196,7 @@ def emit_feature_projection(model: ModelState, domains: Sequence[Domain],
         batch = np.stack([domain.classes[cid][i] for cid, i in chosen])
         with ad.no_grad(), ad.trap_non_finite():
             try:
-                emb = encode(model.encoder, model.params, ad.constant(batch), "eval")
+                emb = encode(model.encoder, model.params, ad.adopt(batch), "eval")
             except NumericError as err:
                 raise NumericError(f"feature projection of domain {domain.name!r}: {err}") from err
         embeddings.append(emb.data)

@@ -54,11 +54,15 @@ def init_ft_params(config: EncoderConfig, init_gamma: float = 0.3,
 
 def modulation_from_noise(theta_gamma: Tensor, theta_beta: Tensor,
                           eps_gamma: np.ndarray, eps_beta: np.ndarray) -> Modulation:
-    """Build the modulation for fixed noise; gradients flow into theta."""
+    """Build the modulation for fixed noise; gradients flow into theta.
+
+    The noise arrays are adopted, write-locked in place and not scanned:
+    they must be finite float64 arrays that nothing else writes to, as
+    ``RngStream.normals_each`` makes them."""
     if eps_gamma.shape != theta_gamma.shape or eps_beta.shape != theta_beta.shape:
         raise ContractError("modulation_from_noise: noise shape must match theta shape")
-    gamma = ad.affine(ad.softplus(theta_gamma), ad.constant(eps_gamma), 1.0)
-    beta = ad.mul(ad.softplus(theta_beta), ad.constant(eps_beta))
+    gamma = ad.affine(ad.softplus(theta_gamma), ad.adopt(eps_gamma), 1.0)
+    beta = ad.mul(ad.softplus(theta_beta), ad.adopt(eps_beta))
     return Modulation(gamma, beta)
 
 

@@ -90,7 +90,7 @@ def matching_logits(support_emb: Tensor, support_labels: Sequence[int],
         ad.matmul(_row_norms(query_emb), ad.transpose(_row_norms(support_emb))),
     )
     attention = ad.softmax_rows(cos)
-    class_mass = ad.matmul(attention, ad.constant(np.eye(n_way).repeat(shot, axis=0)))
+    class_mass = ad.matmul(attention, ad.adopt(np.eye(n_way).repeat(shot, axis=0)))
     return ad.log(ad.add(class_mass, MATCH_LOGIT_FLOOR))
 
 

@@ -429,7 +429,7 @@ def pretrain_encoder(model: ModelState, domain: Domain, epochs: int,
                 chunk = order[start:start + batch_size]
                 if len(chunk) < 2:
                     continue  # batch norm cannot use a single row
-                batch = ad.constant(xs[chunk])
+                batch = ad.adopt(xs[chunk])  # a fresh copy of checked rows
                 labels = [int(ys[i]) for i in chunk]
                 emb = encode(model.encoder, params, batch, "train")
                 logits = ad.linear(emb, weight, bias)

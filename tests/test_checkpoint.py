@@ -11,7 +11,7 @@ from fsdg import evaluation as ev
 from fsdg import training as tr
 from fsdg.config import format_config
 from fsdg.errors import FormatError, LengthError, VersionError
-from fsdg.heads import HEAD_KINDS
+from fsdg.heads import HEAD_KINDS, build_relation_head
 from fsdg.rng import RngStream
 from fsdg.tasks import SyntheticDomainSpec, generate_synthetic_domain
 
@@ -221,8 +221,8 @@ def test_non_contiguous_blocks_rejected():
         store[f"enc.block{i}.bias"] = ad.leaf(np.zeros(3))
         store[f"enc.block{i}.bn_scale"] = ad.leaf(np.ones(3))
         store[f"enc.block{i}.bn_shift"] = ad.leaf(np.zeros(3))
-    with pytest.raises(FormatError):
-        ck.model_from_store(store, tr.TrainConfig())
+    with pytest.raises(FormatError, match=r"^missing tensor 'enc\.block1\.weight'$"):
+        ck.model_from_store(store, tr.TrainConfig(encoder_widths=(3, 3)))
 
 
 def test_load_names_the_file_of_a_checkpoint_missing_a_tensor(tmp_path):
@@ -259,32 +259,32 @@ def test_tensor_of_no_part_rejected_naming_file_and_tensor(tmp_path, extra):
 
 
 def test_load_names_the_file_of_non_contiguous_blocks(tmp_path):
+    cfg, model = toy_model(mode="baseline")
     path = str(tmp_path / "gap.ckpt")
-    _raw_checkpoint(path, b"", [(f"enc.block{i}.{p}".encode(), np.ones(3))
-                                for i in (0, 2) for p in ("weight", "bias")])
-    with pytest.raises(FormatError,
-                       match=r"gap\.ckpt: encoder blocks are not a contiguous range$"):
+    _raw_checkpoint(path, format_config(cfg).encode(),
+                    [(n.replace("block1", "block2").encode(), t.data)
+                     for n, t in model.param_store().items()])
+    with pytest.raises(FormatError, match=r"gap\.ckpt: missing tensor 'enc\.block1\.weight'$"):
         ck.load_checkpoint(path)
 
 
 # Each case changes one tensor of a relation-head lft model with input width
-# 6 and encoder widths (4, 3), then loads it.  The expected shape is None
-# for a block name without a number.
-@pytest.mark.parametrize("name,data,expected", [
-    ("enc.blockA.weight", np.ones((6, 4)), None),
-    ("enc.block", np.ones(4), None),
-    ("enc.block0.weight", np.ones(24), "(*, *)"),
-    ("enc.block1.bias", np.zeros(7), "(3,)"),
-    ("enc.block1.weight", np.ones((5, 3)), "(4, *)"),
-    ("enc.block0.bn_scale", np.ones(3), "(4,)"),
-    ("ft.block1.gamma", np.ones(4), "(3,)"),
-    ("head.rel.w1", np.ones((5, 3)), "(6, *)"),
-    ("head.rel.b1", np.ones(4), "(3,)"),
-    ("head.rel.w2", np.ones((3, 2)), "(3, 1)"),
-    ("head.rel.b2", np.ones((1, 1)), "(1,)"),
+# 6 and encoder widths (4, 3), then loads it.
+@pytest.mark.parametrize("name,data,problem", [
+    ("enc.blockA.weight", np.ones((6, 4)), "belongs to no part of the model"),
+    ("enc.block", np.ones(4), "belongs to no part of the model"),
+    ("enc.block0.weight", np.ones(24), "has shape (24,), expected 2 dimensions"),
+    ("enc.block1.bias", np.zeros(7), "has shape (7,), expected (3,)"),
+    ("enc.block1.weight", np.ones((5, 3)), "has shape (5, 3), expected (4, 3)"),
+    ("enc.block0.bn_scale", np.ones(3), "has shape (3,), expected (4,)"),
+    ("ft.block1.gamma", np.ones(4), "has shape (4,), expected (3,)"),
+    ("head.rel.w1", np.ones((5, 3)), "has shape (5, 3), expected (6, 3)"),
+    ("head.rel.b1", np.ones(4), "has shape (4,), expected (3,)"),
+    ("head.rel.w2", np.ones((3, 2)), "has shape (3, 2), expected (3, 1)"),
+    ("head.rel.b2", np.ones((1, 1)), "has shape (1, 1), expected (1,)"),
 ], ids=["block-letter", "block-no-number", "weight-1d", "bias-width", "weight-rows",
         "bn-width", "ft-width", "rel-w1-rows", "rel-b1", "rel-w2", "rel-b2"])
-def test_load_rejects_a_malformed_layout_naming_file_and_tensor(tmp_path, name, data, expected):
+def test_load_rejects_a_malformed_layout_naming_file_and_tensor(tmp_path, name, data, problem):
     cfg = tr.TrainConfig(mode="lft", head="relation", encoder_widths=(4, 3), iterations=0)
     model = tr.build_model(cfg, 6, RngStream(4))
     tensors = {n: t.data for n, t in model.param_store().items()}
@@ -293,9 +293,31 @@ def test_load_rejects_a_malformed_layout_naming_file_and_tensor(tmp_path, name, 
     path = str(tmp_path / "bad.ckpt")
     _raw_checkpoint(path, format_config(cfg).encode(),
                     [(n.encode(), tensors[n]) for n in sorted(tensors)])
-    problem = ("names no encoder block number" if expected is None
-               else f"has shape {data.shape}, expected {expected}")
     with pytest.raises(FormatError, match=re.escape(f"bad.ckpt: tensor {name!r} {problem}") + "$"):
+        ck.load_checkpoint(path)
+
+
+# The layout comes from the saved config alone, so tensors that would make a
+# consistent model of their own are still rejected when the config describes
+# another one.  None of these is a file that fsdg writes.
+@pytest.mark.parametrize("mode,head,hidden,text,problem", [
+    ("baseline", "proto", None, {"encoder_widths": (32, 16)},
+     "tensor 'enc.block0.weight' has shape (6, 8), expected (6, 32)"),
+    ("baseline", "proto", None, {"encoder_widths": (8, 5)},
+     "tensor 'enc.block1.weight' has shape (8, 4), expected (8, 5)"),
+    ("baseline", "relation", 5, {},
+     "tensor 'head.rel.w1' has shape (8, 5), expected (8, 4)"),
+    ("lft", "proto", None, {"mode": "baseline"},
+     "tensor 'ft.block0.beta' belongs to no part of the model"),
+], ids=["widths", "last-width", "relation-hidden", "ft-under-baseline"])
+def test_tensors_that_disagree_with_the_saved_config_rejected(tmp_path, mode, head, hidden,
+                                                              text, problem):
+    cfg, model = toy_model(mode=mode, head=head)
+    if hidden is not None:
+        model = model.with_values(build_relation_head(4, hidden, RngStream(3)))
+    path = str(tmp_path / "mismatch.ckpt")
+    ck.save_checkpoint(model, format_config(replace(cfg, **text)), path)
+    with pytest.raises(FormatError, match=re.escape(f"mismatch.ckpt: {problem}") + "$"):
         ck.load_checkpoint(path)
 
 

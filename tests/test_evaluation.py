@@ -168,8 +168,10 @@ def test_numeric_error_in_a_later_block_names_its_trial_and_redraws_nothing(monk
 @pytest.mark.parametrize("head", ["proto", "matching", "relation"])
 def test_trial_builds_no_tape(monkeypatch, head):
     # A pass that records nothing makes no relu mask (a _bare constant)
-    # and no weak reference to an output.  The one _bare constant of a
-    # pass is its block's stacked batch, which sample_episode adopts.
+    # and no weak reference to an output.  The _bare constants of a pass
+    # are its block's stacked batch, which sample_episode adopts, and for
+    # the matching head the one-hot class map, which matching_logits adopts.
+    per_pass = 2 if head == "matching" else 1
     calls = {"bare": 0, "ref": 0}
 
     def count(key, fn):
@@ -183,10 +185,10 @@ def test_trial_builds_no_tape(monkeypatch, head):
     model, domain = toy_model(head=head, mode="ft"), toy_domain()
     accs = [ev.trial_accuracy(model, domain, 3, 2, 4, seed=5, trial=t) for t in range(2)]
     assert all(0.0 <= acc <= 1.0 for acc in accs)
-    assert calls == {"bare": 2, "ref": 0}  # two one-trial blocks
+    assert calls == {"bare": 2 * per_pass, "ref": 0}  # two one-trial blocks
     trials = ev.TRIALS_PER_BLOCK + 1
     ev.evaluate(model, domain, 3, 2, trials=trials, seed=5, n_query=4)
-    assert calls == {"bare": 2 + 2, "ref": 0}  # two more blocks
+    assert calls == {"bare": (2 + 2) * per_pass, "ref": 0}  # two more blocks
 
 
 def test_evaluation_ignores_modulation_state():
