@@ -110,6 +110,9 @@ def model_from_store(store: dict[str, Tensor], config: TrainConfig) -> ModelStat
     if first.ndim != 2:
         raise FormatError(
             f"tensor 'enc.block0.weight' has shape {first.shape}, expected 2 dimensions")
+    if first.shape[0] < 1:
+        raise FormatError(
+            f"tensor 'enc.block0.weight' has shape {first.shape}, expected at least one row")
     if not any(name.startswith("ft.") for name in store):
         config = replace(config, mode="baseline")
     layout = build_model(config, first.shape[0], RngStream(0))

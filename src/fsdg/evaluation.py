@@ -86,7 +86,8 @@ def _block_accuracies(model: ModelState, domain: Domain, n_way: int, n_shot: int
     except NumericError:
         for i, trial in enumerate(trials):
             task = dataclasses.replace(block, x=ad.adopt(block.x.data[i:i + 1]),
-                                       class_ids=block.class_ids[i:i + 1])
+                                       class_ids=block.class_ids[i:i + 1],
+                                       domain_name=block.domain_name[i:i + 1])
             try:
                 _score(model, task)
             except NumericError as err:

@@ -138,9 +138,7 @@ class RngStream:
 
     def integers(self, n: int, bound: int) -> np.ndarray:
         """n ints uniform on [0, bound); bias is O(bound / 2^64), negligible."""
-        if bound <= 0:
-            raise ValueError("integers: bound must be positive")
-        return (self._raw(n) % np.uint64(bound)).astype(np.int64)
+        return stream_integers([self], n, bound)[0]
 
     def permutation(self, n: int) -> list[int]:
         """Fisher-Yates shuffle of range(n); it consumes n - 1 draws."""
@@ -155,6 +153,34 @@ class RngStream:
         if k > n:
             raise ValueError(f"sample_without_replacement: k={k} exceeds n={n}")
         return self.permutation(n)[:k]
+
+
+def _draws(streams, used) -> np.ndarray:
+    """The next ``used[t]`` raw draws of each stream t, stream after stream,
+    from one uint64 pass; each stream ends past its draws."""
+    # Draw g of the pass (from 1) is stream t's draw pos_t + g - start_t,
+    # so its counter word is g * GOLDEN plus a constant of stream t.
+    offsets = [((s._pos - start) * _GOLDEN + s.seed) & _MASK64
+               for s, start in zip(streams, itertools.accumulate(used, initial=0))]
+    z = np.arange(1, sum(used) + 1, dtype=np.uint64)
+    z *= _U_GOLDEN
+    z += np.repeat(np.array(offsets, dtype=np.uint64), used)
+    for stream, m in zip(streams, used):
+        stream._pos += m
+    return _finalize(z)
+
+
+def stream_integers(streams, n: int, bound: int) -> np.ndarray:
+    """Stream t's ``integers(n, bound)`` as row t of a (len(streams), n)
+    array, with the draws of every stream from one uint64 pass.
+
+    Each row equals that stream's own ``integers`` call, and each stream
+    ends where that call would leave it.
+    """
+    if bound <= 0:
+        raise ValueError("integers: bound must be positive")
+    draws = _draws(streams, [n] * len(streams)) % np.uint64(bound)
+    return draws.astype(np.int64).reshape(len(streams), n)
 
 
 @functools.lru_cache(maxsize=256)
@@ -179,17 +205,8 @@ def shuffles(streams, ranges_each) -> list[list[list[int]]]:
     lens = [[len(r) for r in ranges] for ranges in ranges_each]
     used = [sum(max(n - 1, 0) for n in ns) for ns in lens]
     moduli = np.concatenate([_moduli(n) for ns in lens for n in ns] or [_U_NONE])
-    # Draw g of the pass (from 1) is stream t's draw pos_t + g - start_t,
-    # so its counter word is g * GOLDEN plus a constant of stream t.
-    offsets = [((s._pos - start) * _GOLDEN + s.seed) & _MASK64
-               for s, start in zip(streams, itertools.accumulate(used, initial=0))]
-    z = np.arange(1, moduli.size + 1, dtype=np.uint64)
-    z *= _U_GOLDEN
-    z += np.repeat(np.array(offsets, dtype=np.uint64), used)
     # Python ints: indexing a uint64 array would cost more than the swaps.
-    picks = iter((_finalize(z) % moduli).tolist())
-    for stream, m in zip(streams, used):
-        stream._pos += m
+    picks = iter((_draws(streams, used) % moduli).tolist())
     out = []
     for ranges in ranges_each:
         shuffled = []

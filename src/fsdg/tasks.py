@@ -115,8 +115,9 @@ class Episode:
     then the query rows, each class-major in label order.
 
     An episode drawn from a sequence of T streams is a block of T tasks:
-    ``x`` stacks their batches as (T, rows, dim) and ``class_ids`` holds
-    one list per task; the labels are the same for every task.
+    ``x`` stacks their batches as (T, rows, dim), ``class_ids`` holds one
+    list per task and ``domain_name`` one name per task; the labels are
+    the same for every task.
     """
 
     n_way: int
@@ -125,7 +126,7 @@ class Episode:
     x: Tensor
     support_y: list[int]
     query_y: list[int]
-    domain_name: str
+    domain_name: str | list[str]
     class_ids: list  # original domain class id of each label (one list per task in a block)
 
 
@@ -304,48 +305,58 @@ def load_domain(path: str) -> Domain:
 # episodes and class splits
 
 
-def sample_episode(domain: Domain, n_way: int, n_shot: int, n_query: int,
+def sample_episode(domain: Domain | Sequence[Domain], n_way: int, n_shot: int, n_query: int,
                    rng: RngStream | Sequence[RngStream]) -> Episode:
     """Draw one task: n_way classes, then n_shot + n_query rows per class.
 
     Support and query rows are disjoint by construction.  Given a sequence
     of streams, draws one task from each, as one block (see ``Episode``);
     each task and each stream's end position equal those of a call with
-    that stream alone.
+    that stream alone.  ``domain`` may be one domain per stream, of one
+    feature width, so that a block mixes domains.
     """
     if min(n_way, n_shot, n_query) < 1:
         raise ContractError("sample_episode: way, shot, and query must be positive")
-    ids = domain.class_ids()
-    if len(ids) < n_way:
-        raise CapacityError(
-            f"domain {domain.name!r}: {len(ids)} classes available, episode needs {n_way}"
-        )
-    need = n_shot + n_query
-    # Any class may be picked, so the smallest must hold an episode's rows.
-    if len(domain.spans[domain.smallest]) < need:
-        raise CapacityError(
-            f"domain {domain.name!r}: class {domain.smallest} has "
-            f"{len(domain.spans[domain.smallest])} samples, episode needs {need}"
-        )
     single = isinstance(rng, RngStream)
     streams = [rng] if single else list(rng)
     if not streams:
         raise ContractError("sample_episode: no streams to draw from")
+    doms = [domain] * len(streams) if isinstance(domain, Domain) else list(domain)
+    if len(doms) != len(streams):
+        raise ContractError(f"sample_episode: {len(doms)} domains for {len(streams)} streams")
+    need = n_shot + n_query
+    ids: dict[int, list[int]] = {}  # class ids of each distinct domain, by id()
+    for d in doms:
+        if id(d) not in ids:
+            ids[id(d)] = _episode_classes(d, n_way, need)
+    if len({d.dim for d in doms}) != 1:
+        raise ContractError("sample_episode: the domains of a block differ in feature width")
     # Each task's classes, then the block rows of every picked class in
     # label order; the first `need` of a class's shuffle are its episode rows.
-    orders = shuffles(streams, [[range(len(ids))]] * len(streams))
-    picked = [[ids[i] for i in order[:n_way]] for (order,) in orders]
-    perms = shuffles(streams, [[domain.spans[cid] for cid in p] for p in picked])
+    orders = shuffles(streams, [[range(len(ids[id(d)]))] for d in doms])
+    picked = [[ids[id(d)][i] for i in order[:n_way]] for d, (order,) in zip(doms, orders)]
+    perms = shuffles(streams, [[d.spans[cid] for cid in p] for d, p in zip(doms, picked)])
     rows = []
     for task in perms:
         for block_rows in task:
             rows += block_rows[:n_shot]
         for block_rows in task:
             rows += block_rows[n_shot:need]
-    # A private float64 copy of rows that Domain proved finite.
-    x = np.take(domain.rows, rows, axis=0)
-    if not single:
-        x = x.reshape(len(streams), n_way * need, domain.dim)
+    # A private float64 copy of rows that each Domain proved finite, taken
+    # from each distinct row block at once.
+    sources: dict[int, tuple[np.ndarray, list[int]]] = {}
+    for t, d in enumerate(doms):
+        sources.setdefault(id(d.rows), (d.rows, []))[1].append(t)
+    shape = (len(streams), n_way * need, doms[0].dim)
+    if len(sources) == 1:
+        x = np.take(doms[0].rows, rows, axis=0)
+        if not single:
+            x = x.reshape(shape)
+    else:
+        at = np.asarray(rows).reshape(shape[:2])
+        x = np.empty(shape)
+        for block, tasks in sources.values():
+            x[tasks] = np.take(block, at[tasks], axis=0)
     return Episode(
         n_way=n_way,
         n_shot=n_shot,
@@ -353,9 +364,26 @@ def sample_episode(domain: Domain, n_way: int, n_shot: int, n_query: int,
         x=ad.adopt(x),
         support_y=[label for label in range(n_way) for _ in range(n_shot)],
         query_y=[label for label in range(n_way) for _ in range(n_query)],
-        domain_name=domain.name,
+        domain_name=doms[0].name if single else [d.name for d in doms],
         class_ids=picked[0] if single else picked,
     )
+
+
+def _episode_classes(domain: Domain, n_way: int, need: int) -> list[int]:
+    """The class ids of a domain that holds an episode of n_way classes
+    and ``need`` rows per class; CapacityError if it holds none."""
+    ids = domain.class_ids()
+    if len(ids) < n_way:
+        raise CapacityError(
+            f"domain {domain.name!r}: {len(ids)} classes available, episode needs {n_way}"
+        )
+    # Any class may be picked, so the smallest must hold an episode's rows.
+    if len(domain.spans[domain.smallest]) < need:
+        raise CapacityError(
+            f"domain {domain.name!r}: class {domain.smallest} has "
+            f"{len(domain.spans[domain.smallest])} samples, episode needs {need}"
+        )
+    return ids
 
 
 def split_classes(domain: Domain, fractions: tuple[float, float, float],

@@ -274,6 +274,7 @@ def test_load_names_the_file_of_non_contiguous_blocks(tmp_path):
     ("enc.blockA.weight", np.ones((6, 4)), "belongs to no part of the model"),
     ("enc.block", np.ones(4), "belongs to no part of the model"),
     ("enc.block0.weight", np.ones(24), "has shape (24,), expected 2 dimensions"),
+    ("enc.block0.weight", np.ones((0, 4)), "has shape (0, 4), expected at least one row"),
     ("enc.block1.bias", np.zeros(7), "has shape (7,), expected (3,)"),
     ("enc.block1.weight", np.ones((5, 3)), "has shape (5, 3), expected (4, 3)"),
     ("enc.block0.bn_scale", np.ones(3), "has shape (3,), expected (4,)"),
@@ -282,8 +283,8 @@ def test_load_names_the_file_of_non_contiguous_blocks(tmp_path):
     ("head.rel.b1", np.ones(4), "has shape (4,), expected (3,)"),
     ("head.rel.w2", np.ones((3, 2)), "has shape (3, 2), expected (3, 1)"),
     ("head.rel.b2", np.ones((1, 1)), "has shape (1, 1), expected (1,)"),
-], ids=["block-letter", "block-no-number", "weight-1d", "bias-width", "weight-rows",
-        "bn-width", "ft-width", "rel-w1-rows", "rel-b1", "rel-w2", "rel-b2"])
+], ids=["block-letter", "block-no-number", "weight-1d", "weight-no-rows", "bias-width",
+        "weight-rows", "bn-width", "ft-width", "rel-w1-rows", "rel-b1", "rel-w2", "rel-b2"])
 def test_load_rejects_a_malformed_layout_naming_file_and_tensor(tmp_path, name, data, problem):
     cfg = tr.TrainConfig(mode="lft", head="relation", encoder_widths=(4, 3), iterations=0)
     model = tr.build_model(cfg, 6, RngStream(4))

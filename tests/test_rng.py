@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsdg.rng import RngStream, derive_seed, label_hash, mix64, shuffles
+from fsdg.rng import RngStream, derive_seed, label_hash, mix64, shuffles, stream_integers
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -246,6 +246,30 @@ def test_shuffles_equal_each_streams_own_permutations(specs):
         want = [a.permutation(len(r)) for r in ranges]
         assert g == [[r.start + i for i in p] for r, p in zip(ranges, want)]
         assert s._pos == a._pos
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, MASK), st.integers(0, 40)), max_size=6),
+       st.integers(0, 5), st.integers(1, 1 << 63))
+def test_stream_integers_equal_each_streams_own_integers(specs, n, bound):
+    # One pass over several streams at arbitrary positions equals each
+    # stream's own integers and leaves each stream where they would.
+    streams = [RngStream(seed) for seed, _ in specs]
+    alone = [RngStream(seed) for seed, _ in specs]
+    for s, a, (_, skip) in zip(streams, alone, specs):
+        s.uniforms(skip)
+        a.uniforms(skip)
+    got = stream_integers(streams, n, bound)
+    assert got.shape == (len(specs), n)
+    for row, s, a, (seed, skip) in zip(got, streams, alone, specs):
+        assert row.tolist() == [v % bound for v in reference_splitmix64(seed, skip + n)[skip:]]
+        assert row.tolist() == a.integers(n, bound).tolist()
+        assert s._pos == a._pos == skip + n
+
+
+def test_stream_integers_reject_a_bound_below_one():
+    with pytest.raises(ValueError, match=r"^integers: bound must be positive$"):
+        stream_integers([RngStream(0)], 1, 0)
 
 
 def test_integers_bound_and_spread():

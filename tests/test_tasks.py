@@ -514,6 +514,41 @@ def test_block_equals_the_reference_sampler_task_by_task(case):
         assert block_streams[t]._pos == s._pos
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=9), st.integers(0, 2**64 - 1))
+def test_block_over_one_domain_per_stream_equals_each_streams_own_episode(picks, seed):
+    # Domains 0 and 1 are parts of one row block; 2 and 3 hold their own,
+    # with classes of unequal sizes.
+    parts = tasks.split_classes(noise_domain(seed=2, n_classes=10, dim=3, per_class=7,
+                                             name="src"), (0.5, 0.5, 0.0), RngStream(1))
+    domains = [parts["train"], parts["val"],
+               noise_domain(seed=3, n_classes=4, dim=3, per_class=6, name="own"),
+               tasks.Domain.from_classes("unequal", 3, {cid: np.full((5 + cid, 3), float(cid))
+                                                        for cid in range(5)})]
+    streams = [RngStream(seed + t) for t in range(len(picks))]
+    block = tasks.sample_episode([domains[p] for p in picks], 3, 2, 3, streams)
+    assert block.x.shape == (len(picks), 15, 3)
+    assert block.domain_name == [domains[p].name for p in picks]
+    for t, p in enumerate(picks):
+        alone = RngStream(seed + t)
+        want = tasks.sample_episode(domains[p], 3, 2, 3, alone)
+        assert block.x.data[t].tobytes() == want.x.data.tobytes()
+        assert block.class_ids[t] == want.class_ids
+        assert streams[t]._pos == alone._pos
+
+
+def test_block_over_domains_rejects_a_mismatch():
+    a = noise_domain(seed=1, n_classes=4, dim=3, per_class=6)
+    wide = noise_domain(seed=2, n_classes=4, dim=4, per_class=6)
+    short = noise_domain(seed=3, n_classes=4, dim=3, per_class=4, name="short")
+    with pytest.raises(ContractError, match=r"^sample_episode: 1 domains for 2 streams$"):
+        tasks.sample_episode([a], 2, 2, 2, [RngStream(0), RngStream(1)])
+    with pytest.raises(ContractError, match="differ in feature width"):
+        tasks.sample_episode([a, wide], 2, 2, 2, [RngStream(0), RngStream(1)])
+    with pytest.raises(CapacityError, match=r"^domain 'short': class \d+ has 4 samples"):
+        tasks.sample_episode([a, short, a], 2, 2, 3, [RngStream(t) for t in range(3)])
+
+
 def test_episode_class_frequency_is_near_uniform():
     # over many draws every class should be picked n_way/K of the time
     d = noise_domain(seed=9, n_classes=10, dim=2, per_class=6)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import logging
 
@@ -7,12 +8,12 @@ import pytest
 from fsdg import autodiff as ad
 from fsdg import training as tr
 from fsdg.encoder import encode
-from fsdg.errors import ConfigError, ContractError, NumericError
+from fsdg.errors import CapacityError, ConfigError, ContractError, NumericError
 from fsdg.evaluation import emit_feature_projection, evaluate
 from fsdg.heads import episode_loss
 from fsdg.rng import RngStream
 from fsdg.tasks import Domain, SyntheticDomainSpec, generate_synthetic_domain, sample_episode
-from helpers import finite_difference_grad, max_rel_err, noise_domain, overflow_nth_episode
+from helpers import finite_difference_grad, max_rel_err, noise_domain
 
 
 def toy_config(**kw):
@@ -440,6 +441,82 @@ def test_train_loop_seed_changes_trajectory():
     assert not np.array_equal(w1, w2)
 
 
+def unequal_domains(n: int) -> list[Domain]:
+    """toy_domains with their classes cut to unequal row counts, each at
+    least the 5 rows of a toy episode."""
+    return [Domain.from_classes(d.name, d.dim, {cid: rows[:5 + (3 * cid + k) % 9]
+                                                for cid, rows in d.classes.items()})
+            for k, d in enumerate(toy_domains(n=n))]
+
+
+def per_iteration_train_loop(cfg, domains):
+    """train_loop as it drew before it drew blocks: each iteration picks
+    its domains and draws its episodes on its own.  Returns the parameters
+    and each iteration's (pseudo-seen, pseudo-unseen) losses."""
+    root = RngStream(cfg.seed)
+    model = tr.build_model(cfg, domains[0].dim, root)
+    optimizer = tr.Adam(cfg.alpha) if cfg.optimizer == "adam" else tr.SGD(cfg.alpha)
+    losses = []
+    for it in range(cfg.iterations):
+        def draw(domain_index, label):
+            return sample_episode(domains[domain_index], cfg.way, cfg.shot, cfg.query,
+                                  root.substream(label, it))
+        noise = root.substream("ft-noise", it)
+        if cfg.mode != "lft":
+            pick = int(root.substream("loop-domain", it).integers(1, len(domains))[0])
+            loss_ps, grads = tr.episode_gradients(model, draw(pick, "ps-episode"), noise)
+            model, loss_pu = model.with_values(optimizer.step(grads)), None
+        else:
+            pair = (root.substream("loop-domain", it).sample_without_replacement(len(domains), 2)
+                    if len(domains) >= 2 else (0, 0))
+            model, loss_ps, loss_pu = tr.lft_train_step(
+                model, draw(pair[0], "ps-episode"), draw(pair[1], "pu-episode"), cfg, noise,
+                optimizer)
+        losses.append((loss_ps, loss_pu))
+    return model, losses
+
+
+@pytest.mark.parametrize("optimizer", tr.OPTIMIZERS)
+@pytest.mark.parametrize("mode,n_domains", [("baseline", 3), ("ft", 3), ("lft", 3), ("lft", 1)])
+def test_training_is_the_same_at_every_block_size(monkeypatch, mode, n_domains, optimizer):
+    # Every block size spans at least 3 blocks of the run, and each equals
+    # the per-iteration draw bit for bit.
+    default = tr.ITERATIONS_PER_BLOCK
+    cfg = toy_config(mode=mode, optimizer=optimizer, iterations=2 * default + 5)
+    domains = unequal_domains(n_domains)
+
+    def params_bytes(model):
+        return {n: (t.shape, t.data.tobytes()) for n, t in model.param_store().items()}
+
+    ref_model, ref_losses = per_iteration_train_loop(cfg, domains)
+    logs = []
+    for size in (1, 3, default):
+        monkeypatch.setattr(tr, "ITERATIONS_PER_BLOCK", size)
+        buf = io.StringIO()
+        model, rows = tr.train_loop(cfg, domains, log_file=buf)
+        assert params_bytes(model) == params_bytes(ref_model)
+        assert [(r.loss_ps, r.loss_pu) for r in rows] == ref_losses
+        logs.append(buf.getvalue())
+    assert logs[1] == logs[0] and logs[2] == logs[0]
+
+
+@pytest.mark.parametrize("mode", tr.MODES)
+def test_a_domain_too_small_for_an_episode_raises_when_its_block_is_drawn(mode):
+    good = toy_domains(n=1)[0]
+    # Class 3 keeps 4 rows; a toy episode takes 2 + 3 of each class.
+    tiny = Domain.from_classes("tiny", good.dim, {cid: rows[:4] if cid == 3 else rows
+                                                  for cid, rows in good.classes.items()})
+    with pytest.raises(CapacityError) as alone:
+        sample_episode(tiny, 2, 2, 3, RngStream(0))
+    buf = io.StringIO()
+    with pytest.raises(CapacityError) as info:
+        # At seed 3, baseline and ft first pick "tiny" at iteration 2.
+        tr.train_loop(toy_config(mode=mode, iterations=5, seed=3), [tiny, good], log_file=buf)
+    assert str(info.value) == str(alone.value)
+    # No iteration of the block ran.
+    assert buf.getvalue() == "iter,mode,loss_ps,loss_pu\n"
+
+
 def test_ft_mode_keeps_hyper_parameters_fixed():
     domains = toy_domains(n=2)
     cfg = toy_config(mode="ft", iterations=12)
@@ -461,30 +538,54 @@ def test_lft_mode_moves_hyper_parameters():
 
 def test_lft_draws_pseudo_pair_from_distinct_domains(monkeypatch):
     domains = toy_domains(n=3)
-    seen_names = []
-    real = tr.sample_episode
+    pairs = []
+    real = tr.lft_train_step
 
-    def recorder(domain, *args, **kwargs):
-        seen_names.append(domain.name)
-        return real(domain, *args, **kwargs)
+    def recorder(model, ps, pu, *args, **kwargs):
+        pairs.append((ps.domain_name, pu.domain_name))
+        return real(model, ps, pu, *args, **kwargs)
 
-    monkeypatch.setattr(tr, "sample_episode", recorder)
+    monkeypatch.setattr(tr, "lft_train_step", recorder)
     tr.train_loop(toy_config(mode="lft", iterations=6), domains)
-    pairs = [(seen_names[i], seen_names[i + 1]) for i in range(0, len(seen_names), 2)]
     assert len(pairs) == 6
     assert all(a != b for a, b in pairs)
     # different iterations eventually draw different pairs
     assert len(set(pairs)) > 1
 
 
+def overflow_episode_of_stream(monkeypatch, seed: int) -> list[int]:
+    """Scale by 1e200 the inputs of the task that training's sample_episode
+    draws from the stream of this seed, so that encoding it overflows.
+    Returns a list that counts the tasks drawn in each call."""
+    real = tr.sample_episode
+    drawn = []
+
+    def sampler(domain, n_way, n_shot, n_query, streams):
+        seeds = [s.seed for s in streams]
+        block = real(domain, n_way, n_shot, n_query, streams)
+        drawn.append(len(seeds))
+        if seed not in seeds:
+            return block
+        data = block.x.data.copy()
+        data[seeds.index(seed)] *= 1e200
+        return dataclasses.replace(block, x=ad.constant(data))
+
+    monkeypatch.setattr(tr, "sample_episode", sampler)
+    return drawn
+
+
 @pytest.mark.parametrize("mode,episodes_per_iter", [("baseline", 1), ("lft", 2)])
 def test_numeric_error_names_mode_and_iteration(monkeypatch, mode, episodes_per_iter):
-    overflow_nth_episode(monkeypatch, tr, 2 * episodes_per_iter)
+    cfg = toy_config(mode=mode, iterations=4)
+    drawn = overflow_episode_of_stream(
+        monkeypatch, RngStream(cfg.seed).substream("ps-episode", 2).seed)
     with pytest.raises(NumericError, match=rf"^{mode} iteration 2: \w+: non-finite") as info:
-        tr.train_loop(toy_config(mode=mode, iterations=4), toy_domains())
+        tr.train_loop(cfg, toy_domains())
     cause = info.value.__cause__
     assert isinstance(cause, NumericError)
     assert str(info.value) == f"{mode} iteration 2: {cause}"
+    # The block's episodes were all drawn before its iteration 2 ran.
+    assert sum(drawn) == cfg.iterations * episodes_per_iter
 
 
 def test_single_domain_lft_warns_once(caplog):
