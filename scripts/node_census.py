@@ -27,22 +27,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import os
 import sys
 import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
-# One BLAS/OpenMP thread, as perfbench pins it, set before NumPy loads; a
-# value already in the environment wins.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-
 _ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(_ROOT / "src"))
 sys.path.insert(0, str(_ROOT / "perfbench"))
+
+from fsdg.threads import pin_blas_threads  # noqa: E402
+
+pin_blas_threads()  # one BLAS thread, as perfbench pins it, before NumPy loads
 
 from fsdg import autodiff as ad  # noqa: E402
 from fsdg import training  # noqa: E402

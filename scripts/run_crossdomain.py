@@ -14,20 +14,17 @@ Example:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from pathlib import Path
 
-# One BLAS/OpenMP thread, as perfbench pins it, set before NumPy loads; a
-# value already in the environment wins.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from fsdg.threads import pin_blas_threads
+
+pin_blas_threads()  # one BLAS thread, as perfbench pins it, before NumPy loads
 
 import numpy as np
-
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from fsdg.evaluation import evaluate
 from fsdg.tasks import SyntheticDomainSpec, generate_synthetic_domain

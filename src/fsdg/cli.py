@@ -10,16 +10,12 @@ from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 from dataclasses import replace
 
-# One BLAS/OpenMP thread, set before the package loads NumPy: the arrays
-# are tiny, and BLAS threads only add overhead to them.  A value already
-# in the environment wins.
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+from .threads import pin_blas_threads
+
+pin_blas_threads()  # before the package loads NumPy
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import format_config, load_config

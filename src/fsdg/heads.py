@@ -7,6 +7,8 @@ Three interchangeable comparison rules over a shared embedding space:
     summed per class, log of the summed weight as logit,
   * relation: a two-layer ReLU perceptron scores (query, class mean)
     pairs; trained with the same softmax cross-entropy as the others.
+    Its output layer has no bias: softmax ignores a constant added to
+    every logit.
 
 All heads take an N-way K-shot support as ``tasks.sample_episode`` lays it
 out: class-major rows with equal shots, labels ``[0]*K + [1]*K + ...``;
@@ -95,41 +97,39 @@ def matching_logits(support_emb: Tensor, support_labels: Sequence[int],
 
 
 def build_relation_head(emb_dim: int, hidden: int, rng: RngStream) -> dict[str, Tensor]:
-    """Fresh parameters of the two-layer scoring perceptron over concatenated
-    (query, prototype) pairs: ``head.rel.w1``, ``.b1``, ``.w2`` and ``.b2``."""
+    """Fresh parameters of the two-layer scoring perceptron: ``head.rel.w1q``
+    and ``.w1p``, the query and prototype rows of one Glorot draw over the
+    pair width, then ``.b1`` and ``.w2``."""
     if hidden < 1:
         raise ConfigError("relation head: hidden width must be positive")
     from .encoder import glorot_uniform
 
+    w1 = glorot_uniform(rng.substream("rel-w1"), 2 * emb_dim, hidden)
     return {
-        "head.rel.w1": ad.leaf(glorot_uniform(rng.substream("rel-w1"), 2 * emb_dim, hidden)),
+        "head.rel.w1q": ad.leaf(w1[:emb_dim]),
+        "head.rel.w1p": ad.leaf(w1[emb_dim:]),
         "head.rel.b1": ad.leaf(np.zeros(hidden)),
         "head.rel.w2": ad.leaf(glorot_uniform(rng.substream("rel-w2"), hidden, 1)),
-        "head.rel.b2": ad.leaf(np.zeros(1)),
     }
 
 
 def relation_logits(support_emb: Tensor, support_labels: Sequence[int],
                     query_emb: Tensor, n_way: int, params: Mapping[str, Tensor]) -> Tensor:
     """Perceptron scores for all (query, prototype) pairs, shaped (Q, n_way),
-    from the ``head.rel.*`` tensors of ``params``."""
+    from the ``head.rel.*`` tensors of ``params``.  The first layer of a
+    pair is its query's term plus its prototype's, each computed once."""
     protos = class_prototypes(support_emb, support_labels, n_way)
     lead, (n_query, emb_dim) = query_emb.shape[:-2], query_emb.shape[-2:]
-    w1 = params["head.rel.w1"]
-    if w1.shape[0] != 2 * emb_dim:
-        raise ContractError(
-            f"relation_logits: head expects pair width {w1.shape[0]}, embeddings give {2 * emb_dim}"
-        )
-    grid, rows = lead + (n_query, n_way, emb_dim), lead + (n_query * n_way, emb_dim)
-    # Left unnamed, the repeated halves and the pair rows are freed as soon as
-    # the next array exists (without recording, nothing else holds them); on
-    # a stack of episodes they are the largest arrays of a pass.
-    h = ad.linear(ad.concat([
-        ad.reshape(ad.broadcast_to(ad.reshape(query_emb, lead + (n_query, 1, emb_dim)), grid), rows),
-        ad.reshape(ad.broadcast_to(ad.reshape(protos, lead + (1, n_way, emb_dim)), grid), rows),
-    ], axis=-1), w1, params["head.rel.b1"])
-    scores = ad.linear(ad.relu(h), params["head.rel.w2"], params["head.rel.b2"])
-    return ad.reshape(scores, lead + (n_query, n_way))
+    w1q = params["head.rel.w1q"]
+    if w1q.shape[0] != emb_dim:
+        raise ContractError(f"relation_logits: head expects embedding width {w1q.shape[0]}, "
+                            f"embeddings give {emb_dim}")
+    hidden = w1q.shape[1]
+    by_query = ad.reshape(ad.matmul(query_emb, w1q), lead + (n_query, 1, hidden))
+    by_proto = ad.reshape(ad.linear(protos, params["head.rel.w1p"], params["head.rel.b1"]),
+                          lead + (1, n_way, hidden))
+    h = ad.reshape(ad.relu(ad.add(by_query, by_proto)), lead + (n_query * n_way, hidden))
+    return ad.reshape(ad.matmul(h, params["head.rel.w2"]), lead + (n_query, n_way))
 
 
 def episode_logits(head_kind: str, support_emb: Tensor, support_labels: Sequence[int],
@@ -142,7 +142,7 @@ def episode_logits(head_kind: str, support_emb: Tensor, support_labels: Sequence
     if head_kind == "matching":
         return matching_logits(support_emb, support_labels, query_emb, n_way)
     if head_kind == "relation":
-        if params is None or "head.rel.w1" not in params:
+        if params is None or "head.rel.w1q" not in params:
             raise ContractError("episode_logits: relation head parameters missing")
         return relation_logits(support_emb, support_labels, query_emb, n_way, params)
     raise ConfigError(f"episode_logits: unknown head {head_kind!r}")

@@ -40,6 +40,7 @@ from .rng import RngStream, derive_seed, shuffles
 
 DATASET_MAGIC = b"FSDS"
 DATASET_VERSION = 1
+MAX_CLASS_ID = 2**32 - 1  # class ids are stored as little-endian uint32
 
 
 @dataclass
@@ -287,6 +288,9 @@ def load_domain_csv(path: str) -> Domain:
                 values = [float(v) for v in row[1:]]
             except ValueError as err:
                 raise ParseError(f"dataset csv {path}, line {lineno}: {err}") from None
+            if not 0 <= cid <= MAX_CLASS_ID:
+                raise ParseError(f"dataset csv {path}, line {lineno}: class id {cid} "
+                                 f"outside 0..{MAX_CLASS_ID}, the binary format's range")
             if not np.isfinite(values).all():
                 raise ParseError(f"dataset csv {path}, line {lineno}: non-finite feature value")
             rows.setdefault(cid, []).append(values)

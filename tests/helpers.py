@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 
 from fsdg import autodiff as ad
+from fsdg import heads
 from fsdg.errors import ContractError, NumericError
 from fsdg.rng import RngStream
 from fsdg.tasks import Domain, Episode, sample_episode
@@ -201,6 +202,23 @@ def ref_linear(x: ad.Tensor, w: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
 
 def ref_affine(x: ad.Tensor, s: ad.Tensor, b) -> ad.Tensor:
     return ad.add(ad.mul(x, s), b)
+
+
+def ref_relation_logits(support_emb: ad.Tensor, support_labels, query_emb: ad.Tensor,
+                        n_way: int, params) -> ad.Tensor:
+    """The relation head's scores from explicit pair rows: every (query,
+    prototype) pair concatenated into one row of width 2·emb, times the
+    first layer's halves stacked back into one weight."""
+    protos = heads.class_prototypes(support_emb, support_labels, n_way)
+    n_query, emb_dim = query_emb.shape
+    grid, rows = (n_query, n_way, emb_dim), (n_query * n_way, emb_dim)
+    pairs = ad.concat([
+        ad.reshape(ad.broadcast_to(ad.reshape(query_emb, (n_query, 1, emb_dim)), grid), rows),
+        ad.reshape(ad.broadcast_to(ad.reshape(protos, (1, n_way, emb_dim)), grid), rows),
+    ], axis=-1)
+    w1 = ad.concat([params["head.rel.w1q"], params["head.rel.w1p"]], axis=0)
+    h = ad.relu(ad.linear(pairs, w1, params["head.rel.b1"]))
+    return ad.reshape(ad.matmul(h, params["head.rel.w2"]), (n_query, n_way))
 
 
 # ---------------------------------------------------------------------------

@@ -241,7 +241,21 @@ def test_relation_config_without_head_tensors_rejected_naming_file(tmp_path):
     cfg, _ = toy_model(head="relation")
     path = str(tmp_path / "nohead.ckpt")
     ck.save_checkpoint(model, format_config(cfg), path)
-    with pytest.raises(FormatError, match=r"nohead\.ckpt: missing tensor 'head\.rel\.w1'$"):
+    with pytest.raises(FormatError, match=r"nohead\.ckpt: missing tensor 'head\.rel\.w1q'$"):
+        ck.load_checkpoint(path)
+
+
+def test_relation_checkpoint_in_the_pair_width_layout_rejected(tmp_path):
+    # The layout before the first layer was split and the output bias went:
+    # one (2 * emb, hidden) head.rel.w1 and a head.rel.b2.
+    cfg, model = toy_model(head="relation")
+    tensors = {n: t.data for n, t in model.param_store().items()}
+    tensors["head.rel.w1"] = np.vstack([tensors.pop("head.rel.w1q"), tensors.pop("head.rel.w1p")])
+    tensors["head.rel.b2"] = np.zeros(1)
+    path = str(tmp_path / "pairs.ckpt")
+    _raw_checkpoint(path, format_config(cfg).encode(),
+                    [(n.encode(), tensors[n]) for n in sorted(tensors)])
+    with pytest.raises(FormatError, match=r"pairs\.ckpt: missing tensor 'head\.rel\.w1q'$"):
         ck.load_checkpoint(path)
 
 
@@ -279,12 +293,13 @@ def test_load_names_the_file_of_non_contiguous_blocks(tmp_path):
     ("enc.block1.weight", np.ones((5, 3)), "has shape (5, 3), expected (4, 3)"),
     ("enc.block0.bn_scale", np.ones(3), "has shape (3,), expected (4,)"),
     ("ft.block1.gamma", np.ones(4), "has shape (4,), expected (3,)"),
-    ("head.rel.w1", np.ones((5, 3)), "has shape (5, 3), expected (6, 3)"),
+    ("head.rel.w1q", np.ones((5, 3)), "has shape (5, 3), expected (3, 3)"),
+    ("head.rel.w1p", np.ones((6, 3)), "has shape (6, 3), expected (3, 3)"),
     ("head.rel.b1", np.ones(4), "has shape (4,), expected (3,)"),
     ("head.rel.w2", np.ones((3, 2)), "has shape (3, 2), expected (3, 1)"),
-    ("head.rel.b2", np.ones((1, 1)), "has shape (1, 1), expected (1,)"),
 ], ids=["block-letter", "block-no-number", "weight-1d", "weight-no-rows", "bias-width",
-        "weight-rows", "bn-width", "ft-width", "rel-w1-rows", "rel-b1", "rel-w2", "rel-b2"])
+        "weight-rows", "bn-width", "ft-width", "rel-w1q-rows", "rel-w1p-rows", "rel-b1",
+        "rel-w2"])
 def test_load_rejects_a_malformed_layout_naming_file_and_tensor(tmp_path, name, data, problem):
     cfg = tr.TrainConfig(mode="lft", head="relation", encoder_widths=(4, 3), iterations=0)
     model = tr.build_model(cfg, 6, RngStream(4))
@@ -307,7 +322,7 @@ def test_load_rejects_a_malformed_layout_naming_file_and_tensor(tmp_path, name, 
     ("baseline", "proto", None, {"encoder_widths": (8, 5)},
      "tensor 'enc.block1.weight' has shape (8, 4), expected (8, 5)"),
     ("baseline", "relation", 5, {},
-     "tensor 'head.rel.w1' has shape (8, 5), expected (8, 4)"),
+     "tensor 'head.rel.w1q' has shape (4, 5), expected (4, 4)"),
     ("lft", "proto", None, {"mode": "baseline"},
      "tensor 'ft.block0.beta' belongs to no part of the model"),
 ], ids=["widths", "last-width", "relation-hidden", "ft-under-baseline"])

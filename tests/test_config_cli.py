@@ -361,11 +361,7 @@ def test_train_with_init_carries_head_and_modulation_tensors(workspace):
     fresh = build_model(config, 5, RngStream(config.seed))  # what --init overlays
     assert any(n.startswith("head.rel.") for n in a.params) and a.ft_named()
     for name, t in a.params.items():
-        # Softmax ignores a bias added to every logit, so head.rel.b2's
-        # gradient is only rounding residue (softmax rows do not sum to 1
-        # exactly): b2 may leave zero or not, so it is not compared.
-        if name != "head.rel.b2":
-            assert not np.array_equal(fresh.params[name].data, t.data), name
+        assert not np.array_equal(fresh.params[name].data, t.data), name
         assert np.array_equal(b.params[name].data, t.data), name
 
 
@@ -461,3 +457,20 @@ def test_cli_pins_blas_threads_unless_set():
     assert _fresh_python(code).split() == ["1"] * 6
     got = dict(zip(THREAD_VARS, _fresh_python(code, OPENBLAS_NUM_THREADS="3").split()))
     assert got == {v: "3" if v == "OPENBLAS_NUM_THREADS" else "1" for v in THREAD_VARS}
+
+
+def test_thread_pin_loads_no_numpy():
+    code = ("import sys, fsdg.threads as t; t.pin_blas_threads(); "
+            "print('numpy' in sys.modules, *t.BLAS_THREAD_VARS)")
+    assert _fresh_python(code).split() == ["False", *THREAD_VARS]
+
+
+@pytest.mark.parametrize("script", ["oracle_digest.py", "node_census.py"])
+def test_scripts_pin_blas_threads_unless_set(script):
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    code = ("import importlib.util, os\n"
+            f"spec = importlib.util.spec_from_file_location('m', {str(path)!r})\n"
+            "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+            f"print(*(os.environ[v] for v in {THREAD_VARS!r}))\n")
+    got = dict(zip(THREAD_VARS, _fresh_python(code, MKL_NUM_THREADS="3").split()))
+    assert got == {v: "3" if v == "MKL_NUM_THREADS" else "1" for v in THREAD_VARS}

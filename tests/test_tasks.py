@@ -297,6 +297,18 @@ def test_load_csv_error_taxonomy(tmp_path):
         tasks.load_domain(write("badnum.csv", "class_id,f0\n0,banana\n"))
     with pytest.raises(ParseError, match="norows.csv: no sample rows"):
         tasks.load_domain(write("norows.csv", "class_id,f0\n"))
+    # The binary format stores class ids as uint32.
+    for cid in (-1, 2**32):
+        with pytest.raises(ParseError, match=f"ids.csv, line 3: class id {cid} outside 0..4294967295"):
+            tasks.load_domain(write("ids.csv", f"class_id,f0\n0,1.0\n{cid},2.0\n"))
+
+
+def test_csv_class_id_at_the_binary_range_limit_round_trips(tmp_path):
+    path = str(tmp_path / "ids.csv")
+    open(path, "w").write(f"class_id,f0\n0,1.0\n{2**32 - 1},2.0\n")
+    binary = str(tmp_path / "ids.bin")
+    tasks.save_domain_binary(tasks.load_domain(path), binary)
+    assert sorted(tasks.load_domain(binary).classes) == [0, 2**32 - 1]
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

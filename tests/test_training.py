@@ -76,8 +76,8 @@ def test_build_model_per_mode():
     lft = tr.build_model(toy_config(mode="lft"), 6, rng)
     assert lft.ft_named()
     rel = tr.build_model(toy_config(head="relation"), 6, rng)
-    assert rel.params["head.rel.w1"].shape == (2 * 4, 4)  # hidden width = embedding width
-    assert list(rel.params)[-4:] == ["head.rel.w1", "head.rel.b1", "head.rel.w2", "head.rel.b2"]
+    assert rel.params["head.rel.w1q"].shape == (4, 4)  # hidden width = embedding width
+    assert list(rel.params)[-4:] == ["head.rel.w1q", "head.rel.w1p", "head.rel.b1", "head.rel.w2"]
 
 
 def test_ft_layers_follow_block_flags():
@@ -91,7 +91,7 @@ def test_param_store_contains_all_named_parameters():
     model = tr.build_model(toy_config(mode="lft", head="relation"), 6, RngStream(3))
     names = list(model.param_store())
     assert "enc.block0.weight" in names
-    assert "head.rel.w1" in names
+    assert "head.rel.w1q" in names
     assert "ft.block0.gamma" in names
     assert names == sorted(names)
 
@@ -340,7 +340,7 @@ def test_lft_adam_step_uses_first_inner_gradients():
     trainable = model.trainable()
     grads = ad.backward(loss, [t for _, t in trainable])
     expected = tr.Adam(cfg.alpha).step({n: (t, g) for (n, t), g in zip(trainable, grads)})
-    assert "head.rel.w1" in expected
+    assert "head.rel.w1q" in expected
     for name, t in new_model.trainable():
         assert np.array_equal(t.data, expected[name].data)
 
