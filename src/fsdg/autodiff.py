@@ -24,16 +24,18 @@ Conventions:
   * results may share memory with their inputs; every array is write-locked,
     so updates always build new leaves.
 
-Six fused primitives stand for composites of the others, because on
+Seven fused primitives stand for composites of the others, because on
 arrays this small each node's Python overhead, not its arithmetic, is the
 cost: ``linear`` (``x @ w + b``), ``affine`` (``x * s + b``),
-``standardize`` (batch normalization's column standardization),
-``softmax_rows``, ``softmax_cross_entropy`` and ``neg_sq_distances``
-(prototype logits).  Each forward runs the NumPy operations of its
-composite in the same order, so its values match the composite's bit for
-bit.  ``linear`` and ``affine`` make the VJP calls of their composites and
-link their inputs in the composite's depth-first order, so their
-gradients, first and second order, equal the composite's bit for bit as
+``sub_scaled`` (``t - alpha * g``, an SGD step), ``standardize`` (batch
+normalization's column standardization), ``softmax_rows``,
+``softmax_cross_entropy`` and ``neg_sq_distances`` (prototype logits).
+Each forward runs the NumPy operations of its composite in the same
+order, so its values match the composite's bit for bit.  ``linear`` and
+``affine`` make the VJP calls of their composites and link their inputs
+in the composite's depth-first order, and ``sub_scaled``'s VJPs compute
+its composite's values with one node fewer, so the gradients of all three,
+first and second order, equal the composite's bit for bit as
 well.  The VJP of each of the other four is NumPy arithmetic that records
 one adjoint node per input link (``_adjoint``), where the same VJP written
 in primitives would record four to eleven nodes.  The adjoint node's own
@@ -42,6 +44,12 @@ terms in the same order, so gradients of first and second order are those
 of the primitive form bit for bit.  Second order is the highest these four
 support: a third backward through an adjoint node raises ContractError.
 The lft meta-gradient needs only the second.
+
+``backward`` keys its walk and its adjoints by the tensors themselves,
+which hash by identity (``Tensor`` defines no ``__eq__`` or ``__hash__``).
+A first-order pass sums two contributions to one adjoint in NumPy, with
+the bits and the NumericError of ``add``; a recording pass sums with
+``add``.
 
 Leading batch axes: the matrix primitives (``linear``, ``matmul``,
 ``transpose``, ``standardize``, ``softmax_rows``, ``neg_sq_distances``)
@@ -81,7 +89,8 @@ __all__ = [
     "softplus", "square", "sqrt", "tensor_sum", "tensor_mean",
     "concat", "narrow", "broadcast_to", "reshape",
     "transpose", "scale", "neg", "leaf", "adopt", "adopt_leaf", "constant",
-    "linear", "affine", "standardize", "softmax_rows", "softmax_cross_entropy", "neg_sq_distances",
+    "linear", "affine", "sub_scaled", "standardize", "softmax_rows", "softmax_cross_entropy",
+    "neg_sq_distances",
 ]
 
 # glibc mallopt parameters.
@@ -680,6 +689,24 @@ def affine(x, s, b) -> Tensor:
     ))
 
 
+def _sub_scaled_data(t: np.ndarray, g: np.ndarray, alpha: float) -> np.ndarray:
+    return np.subtract(t, np.multiply(g, alpha))
+
+
+def sub_scaled(t, g, alpha: float) -> Tensor:
+    """``sub(t, scale(g, alpha))`` as one node, for operands of one shape:
+    an SGD step.  g's VJP is ``scale(h, -alpha)``, which equals the
+    composite's ``scale(neg(h), alpha)`` bit for bit with one node fewer."""
+    t, g = _wrap(t), _wrap(g)
+    if t.shape != g.shape:
+        raise ShapeError(f"sub_scaled: shapes {t.shape} and {g.shape} differ")
+    alpha = float(alpha)
+    out = _fresh("sub_scaled", _raising("sub_scaled", _sub_scaled_data, t.data, g.data, alpha))
+    if not _records(t, g):
+        return out
+    return _link(out, ((t, lambda h: h), (g, lambda h: scale(h, -alpha))))
+
+
 def _adjoint(op: str, data: np.ndarray, links: Sequence[Tensor],
              sweep: Callable[[np.ndarray], Sequence[np.ndarray]], scan: bool = False) -> Tensor:
     """One input's adjoint under a VJP of ``op``, computed in NumPy, as one node.
@@ -916,33 +943,33 @@ def neg_sq_distances(q, p) -> Tensor:
 # backward pass
 
 
-def _reaching_order(loss: Tensor, wanted: set[int]) -> tuple[list[Tensor], set[int]]:
+def _reaching_order(loss: Tensor, wanted: set[Tensor]) -> tuple[list[Tensor], set[Tensor]]:
     """The nodes under ``loss`` that have a path to a wanted node (or are
-    one), parents before children, and the set of their ids."""
+    one), parents before children, and the set of them.  Tensors hash by
+    identity, so the sets hold the nodes themselves."""
     order: list[Tensor] = []
-    reach: set[int] = set()
-    visited: set[int] = set()
+    reach: set[Tensor] = set()
+    visited: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
         node, expanded = stack.pop()
-        key = id(node)
         if expanded:
-            if key in wanted:
-                reach.add(key)
+            if node in wanted:
+                reach.add(node)
                 order.append(node)
             else:
                 for parent, _ in node.parents:
-                    if id(parent) in reach:
-                        reach.add(key)
+                    if parent in reach:
+                        reach.add(node)
                         order.append(node)
                         break
             continue
-        if key in visited:
+        if node in visited:
             continue
-        visited.add(key)
+        visited.add(node)
         stack.append((node, True))
         for parent, _ in node.parents:
-            if id(parent) not in visited:
+            if parent not in visited:
                 stack.append((parent, False))
     return order, reach
 
@@ -962,7 +989,9 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) ->
     does not raise.  The one exception is an adjoint node of a fused
     primitive, whose reverse sweep computes the contributions of all its
     links at once.  Every vector-Jacobian product runs inside
-    ``trap_non_finite()``.
+    ``trap_non_finite()``.  Without ``create_graph`` two contributions to
+    one adjoint are summed in NumPy, as ``add`` sums them, and a
+    non-finite sum raises NumericError naming ``add``.
     """
     if not isinstance(loss, Tensor) or loss.shape != ():
         raise ContractError("backward: loss must be a scalar tensor")
@@ -973,24 +1002,28 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) ->
         if not isinstance(w, Tensor) or not w.requires_grad:
             raise DetachedTensorError(f"backward: wrt[{i}] is not attached to a graph")
 
-    wanted = {id(w) for w in wrt}
+    wanted = set(wrt)
     order, reach = _reaching_order(loss, wanted)
-    adjoints: dict[int, Tensor] = {id(loss): _bare(np.ones(()))}
+    adjoints: dict[Tensor, Tensor] = {loss: _bare(np.ones(()))}
     with _grad_mode(create_graph), trap_non_finite():
         for node in reversed(order):
-            key = id(node)
-            g = adjoints.get(key) if key in wanted else adjoints.pop(key, None)
+            g = adjoints.get(node) if node in wanted else adjoints.pop(node, None)
             if g is None:
                 continue
             for parent, vjp in node.parents:
-                pid = id(parent)
-                if pid not in reach:
+                if parent not in reach:
                     continue
                 contribution = vjp(g)
                 if contribution.data.shape != parent.data.shape:
                     raise ShapeError(
                         f"backward: vjp produced {contribution.shape}, expected {parent.shape}"
                     )
-                held = adjoints.get(pid)
-                adjoints[pid] = contribution if held is None else add(held, contribution)
-    return [adjoints.get(id(w), _bare(np.zeros(w.shape))) for w in wrt]
+                held = adjoints.get(parent)
+                if held is None:
+                    adjoints[parent] = contribution
+                elif create_graph:
+                    adjoints[parent] = add(held, contribution)
+                else:
+                    adjoints[parent] = _fresh("add", _raising("add", np.add, held.data,
+                                                              contribution.data))
+    return [adjoints.get(w, _bare(np.zeros(w.shape))) for w in wrt]

@@ -25,7 +25,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, FormatError, NumericError, ParseError, VersionError
 from .rng import RngStream
-from .tasks import read_exact
+from .tasks import read_exact, replacing
 from .training import ModelState, TrainConfig, build_model
 
 CHECKPOINT_MAGIC = b"FTCP"
@@ -34,7 +34,7 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(model: ModelState, config_text: str, path: str) -> None:
     store = model.param_store()
-    with open(path, "wb") as fh:
+    with replacing([path]) as (tmp,), open(tmp, "xb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         payload = config_text.encode("utf-8")
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(payload)))

@@ -35,6 +35,7 @@ from .tasks import (
     generate_synthetic_domain,
     load_domain,
     save_domain,
+    save_domains,
     split_classes,
 )
 from .training import ModelState, TrainConfig, build_model, pretrain_encoder, train_loop
@@ -161,10 +162,10 @@ def _cmd_split(args) -> int:
     domain = load_domain(args.domain)
     seed = _config_from_args(args).seed
     parts = split_classes(domain, fractions, RngStream(seed).substream("class-split"))
-    for tag, part in parts.items():
-        path = _split_path(args.out, tag)
-        save_domain(part, path)
-        print(f"{tag}: {part.n_classes} classes -> {path}")
+    paths = {tag: _split_path(args.out, tag) for tag in parts}
+    save_domains([(parts[tag], path) for tag, path in paths.items()])
+    for tag, path in paths.items():
+        print(f"{tag}: {parts[tag].n_classes} classes -> {path}")
     return 0
 
 

@@ -16,13 +16,15 @@ domains (train, val, test).  A ``.csv`` path is a CSV file, any other binary.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
 import os
+import secrets
 import struct
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -68,6 +70,9 @@ class Domain:
         self.rows.setflags(write=False)
         self.classes = {}
         for cid in sorted(self.spans):
+            if not 0 <= cid <= MAX_CLASS_ID:
+                raise ContractError(f"domain {self.name!r}: class id {cid} outside "
+                                    f"0..{MAX_CLASS_ID}, the binary format's range")
             span = self.spans[cid]
             if span.step != 1 or not 0 <= span.start <= span.stop <= self.rows.shape[0]:
                 raise ContractError(
@@ -190,9 +195,25 @@ def generate_synthetic_domain(spec: SyntheticDomainSpec) -> Domain:
 # persistence
 
 
-def save_domain_binary(domain: Domain, path: str) -> None:
+@contextlib.contextmanager
+def replacing(paths: Sequence[str]) -> Iterator[list[str]]:
+    """A fresh temporary path next to each of ``paths``, for the block to
+    write.  Once the block returns, each temporary file replaces its path;
+    if it raises, no path is replaced and the temporary files are removed."""
+    temps = [f"{path}.{secrets.token_hex(4)}.tmp" for path in paths]
+    try:
+        yield temps
+        for tmp, path in zip(temps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+
+
+def _write_binary(domain: Domain, target: str) -> None:
     """Little-endian layout: FSDS, version, counts, then per-class payload."""
-    with open(path, "wb") as fh:
+    with open(target, "xb") as fh:
         fh.write(DATASET_MAGIC)
         fh.write(struct.pack("<III", DATASET_VERSION, domain.n_classes, domain.dim))
         for cid in sorted(domain.classes):
@@ -201,8 +222,8 @@ def save_domain_binary(domain: Domain, path: str) -> None:
             fh.write(arr.tobytes())
 
 
-def save_domain_csv(domain: Domain, path: str) -> None:
-    with open(path, "w", newline="") as fh:
+def _write_csv(domain: Domain, target: str) -> None:
+    with open(target, "x", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["class_id"] + [f"f{i}" for i in range(domain.dim)])
         for cid in sorted(domain.classes):
@@ -210,11 +231,26 @@ def save_domain_csv(domain: Domain, path: str) -> None:
                 writer.writerow([cid] + [repr(float(v)) for v in row])
 
 
+def save_domain_binary(domain: Domain, path: str) -> None:
+    with replacing([path]) as (tmp,):
+        _write_binary(domain, tmp)
+
+
+def save_domain_csv(domain: Domain, path: str) -> None:
+    with replacing([path]) as (tmp,):
+        _write_csv(domain, tmp)
+
+
+def save_domains(parts: Sequence[tuple[Domain, str]]) -> None:
+    """Save each domain to its path, as CSV if the path ends in ``.csv``;
+    no path is replaced before every file is written."""
+    with replacing([path for _, path in parts]) as temps:
+        for (domain, path), tmp in zip(parts, temps):
+            (_write_csv if path.endswith(".csv") else _write_binary)(domain, tmp)
+
+
 def save_domain(domain: Domain, path: str) -> None:
-    if path.endswith(".csv"):
-        save_domain_csv(domain, path)
-    else:
-        save_domain_binary(domain, path)
+    save_domains([(domain, path)])
 
 
 def claim(fh: io.BufferedReader, n: int, what: str, kind: str) -> None:

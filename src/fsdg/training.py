@@ -170,7 +170,7 @@ def inner_update(model: ModelState, episode: Episode, alpha: float,
     loss, and the named parameters with the gradients the step used.
     """
     loss, grads = episode_gradients(model, episode, rng, create_graph=True)
-    stepped = {n: ad.sub(t, ad.scale(g, alpha)) for n, (t, g) in grads.items()}
+    stepped = {n: ad.sub_scaled(t, g, alpha) for n, (t, g) in grads.items()}
     return model.with_values(stepped), loss, grads
 
 

@@ -134,6 +134,30 @@ def test_gradient_accumulates_over_shared_input():
     assert g.item() == pytest.approx(8.0, abs=1e-12)
 
 
+def test_tensor_hashes_by_identity():
+    # backward keys its walk and its adjoints by the tensors themselves.
+    assert ad.Tensor.__hash__ is object.__hash__
+    assert ad.Tensor.__eq__ is object.__eq__
+    a, b = ad.leaf(1.0), ad.leaf(1.0)
+    assert len({a, b, a}) == 2
+
+
+@p("create_graph", [False, True])
+def test_repeated_wrt_gets_the_same_gradient_each_time(create_graph):
+    w = ad.leaf([1.0, 2.0])
+    first, second = ad.backward(ad.tensor_sum(ad.square(w)), [w, w], create_graph=create_graph)
+    assert np.array_equal(first.data, [2.0, 4.0]) and np.array_equal(second.data, [2.0, 4.0])
+
+
+@p("create_graph", [False, True])
+def test_overflow_summing_two_contributions_raises_numeric_error_naming_add(create_graph):
+    w = ad.leaf(1e-300)
+    loss = ad.add(ad.scale(w, 1e308), ad.scale(w, 1e308))  # 2e8, but each contribution is 1e308
+    assert np.isfinite(loss.item())
+    with pytest.raises(NumericError, match=r"^add: non-finite values in result$"):
+        ad.backward(loss, [w], create_graph=create_graph)
+
+
 def test_backward_linearity_is_exact():
     stream = RngStream(31)
     x = random_tensor(stream, (4, 3))
@@ -396,7 +420,8 @@ HUGE = [[1e308], [1e308]]
 # Ops whose name is not their function's name, called as fn(constant(a), b).
 _NAMED = {"sum": ad.tensor_sum,
           "linear": lambda x, wb: ad.linear(x, *map(ad.constant, wb)),
-          "affine": lambda x, sb: ad.affine(x, *map(ad.constant, sb))}
+          "affine": lambda x, sb: ad.affine(x, *map(ad.constant, sb)),
+          "sub_scaled": lambda t, ga: ad.sub_scaled(t, ad.constant(ga[0]), ga[1])}
 
 
 @pytest.mark.parametrize("op,a,b", [
@@ -423,6 +448,8 @@ _NAMED = {"sum": ad.tensor_sum,
     pytest.param("linear", HUGE, ([[1.0]], [1e308]), id="linear-bias"),
     pytest.param("affine", BIG, (BIG, [0.0, 0.0]), id="affine-product"),
     pytest.param("affine", HUGE, ([1.0], [1e308]), id="affine-bias"),
+    pytest.param("sub_scaled", HUGE, ([[1e200], [1e200]], 1e200), id="sub_scaled-product"),
+    pytest.param("sub_scaled", HUGE, ([[-1e308], [0.0]], 1.0), id="sub_scaled-difference"),
 ])
 def test_non_finite_result_raises_numeric_error_naming_op(op, a, b):
     # The same error outside the trap and inside it.
@@ -594,6 +621,7 @@ _CALLS = {
     "constant": lambda v: ad.constant(v["x"].data),
     "linear": lambda v: ad.linear(v["y"], v["w"], ad.narrow(v["w"], 0, 0, 1)),
     "affine": lambda v: ad.affine(v["x"], v["y"], v["pos"]),
+    "sub_scaled": lambda v: ad.sub_scaled(v["x"], v["y"], 0.5),
     "standardize": lambda v: ad.standardize(v["x"], 1e-5),
     "softmax_rows": lambda v: ad.softmax_rows(v["x"]),
     "softmax_cross_entropy": lambda v: ad.softmax_cross_entropy(v["x"], ad.constant(np.eye(3, 4))),

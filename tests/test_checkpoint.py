@@ -107,6 +107,19 @@ def test_tensors_stored_in_lexicographic_order(tmp_path):
     assert names == list(model.param_store())
 
 
+def test_failing_save_leaves_the_target_as_it_was_and_no_temporary_file(tmp_path):
+    cfg, model = toy_model()
+    path = tmp_path / "m.ckpt"
+    ck.save_checkpoint(model, format_config(cfg), str(path))
+    saved = path.read_bytes()
+    # a lone surrogate has no UTF-8 form, so the write fails at that name
+    unnamable = model.with_values({"\udc80": model.params["enc.block0.weight"]})
+    with pytest.raises(UnicodeEncodeError):
+        ck.save_checkpoint(unnamable, format_config(cfg), str(path))
+    assert path.read_bytes() == saved
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+
 # ---------------------------------------------------------------------------
 # error taxonomy
 

@@ -1,8 +1,10 @@
 """Fused autodiff primitives against the composites they replace.
 
 Each fused op must give its composite's forward values bit for bit.
-``linear`` and ``affine`` make their composite's VJP calls in its order, so
-their gradients must equal the composite's bit for bit.  The VJPs of
+``linear`` and ``affine`` make their composite's VJP calls in its order,
+and ``sub_scaled``'s VJPs compute its composite's values with one node
+fewer, so the gradients of all three must equal the composite's bit for
+bit.  The VJPs of
 ``standardize``, ``softmax_rows``, ``softmax_cross_entropy`` and
 ``neg_sq_distances`` are NumPy adjoint nodes; their first- and
 second-order gradients must equal, bit for bit, those of the same
@@ -39,7 +41,7 @@ FIRST_ORDER_RTOL = 1e-14
 SECOND_ORDER_RTOL = 1e-13
 ROUNDED = ("standardize", "softmax_rows", "softmax_cross_entropy", "neg_sq_distances")
 # Cases of linear and affine, in the forms the encoder and FT layers use.
-EXACT = ("linear", "affine", "affine_scalar_bias")
+EXACT = ("linear", "affine", "affine_scalar_bias", "sub_scaled")
 FUSED = ROUNDED + EXACT
 
 
@@ -60,6 +62,10 @@ def _case(name: str, seed: int, primitive_vjps: bool = False):
         eps = ad.constant(stream.normals(4))
         return ((lambda a: ad.affine(ad.softplus(a), eps, 1.0)),
                 (lambda a: ad.add(1.0, ad.mul(ad.softplus(a), eps))), [normal(4)])
+    if name == "sub_scaled":
+        # the inner SGD step, squared so that its VJPs record on an attached adjoint
+        return ((lambda t, g: ad.square(ad.sub_scaled(t, g, 0.05))),
+                (lambda t, g: ad.square(ad.sub(t, ad.scale(g, 0.05)))), [normal(4, 3), normal(4, 3)])
     ref = PRIMITIVE_VJPS[name] if primitive_vjps else {
         "standardize": ref_standardize, "softmax_rows": ref_softmax_rows,
         "softmax_cross_entropy": ref_softmax_cross_entropy,
@@ -272,14 +278,10 @@ def test_overflow_in_a_second_order_adjoint_raises_numeric_error_naming_op(name)
         ad.backward(total, xs)
 
 
-@pytest.mark.parametrize("head,extra", [
-    ("proto", {}), ("matching", {"optimizer": "sgd"}), ("relation", {}), ("proto", {"inner_steps": 2}),
-])
-def test_lft_training_equals_primitive_vjps_bit_for_bit(head, extra, monkeypatch):
-    # The whole lft graph, where adjoint nodes meet the forward's other
-    # consumers and each other, against the same run with the VJPs
-    # written in primitives swapped in where the encoder and heads look
-    # the four ops up.
+def _lft_runs_are_bit_identical(head, extra, swap) -> None:
+    """Four lft iterations on a tiny testbed, as they are and after
+    ``swap()`` has swapped reference forms in, give equal logs and
+    parameters bit for bit."""
     specs = [SyntheticDomainSpec(master_seed=13, domain_seed=d, n_classes=6, dim=6,
                                  samples_per_class=12, latent_dim=3) for d in range(2)]
     domains = [generate_synthetic_domain(s) for s in specs]
@@ -288,14 +290,38 @@ def test_lft_training_equals_primitive_vjps_bit_for_bit(head, extra, monkeypatch
     runs = []
     for swapped in (False, True):
         if swapped:
-            for name, ref in PRIMITIVE_VJPS.items():
-                monkeypatch.setattr(ad, name, ref)
+            swap()
         model, rows = train_loop(config, domains)
         runs.append(([(n, t.data) for n, t in model.param_store().items()], rows))
     (params, rows), (ref_params, ref_rows) = runs
     assert rows == ref_rows
     for (name, got), (ref_name, want) in zip(params, ref_params):
         assert name == ref_name and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("head,extra", [
+    ("proto", {}), ("matching", {"optimizer": "sgd"}), ("relation", {}), ("proto", {"inner_steps": 2}),
+])
+def test_lft_training_equals_primitive_vjps_bit_for_bit(head, extra, monkeypatch):
+    # The whole lft graph, where adjoint nodes meet the forward's other
+    # consumers and each other, against the same run with the VJPs
+    # written in primitives swapped in where the encoder and heads look
+    # the four ops up.
+    def swap():
+        for name, ref in PRIMITIVE_VJPS.items():
+            monkeypatch.setattr(ad, name, ref)
+
+    _lft_runs_are_bit_identical(head, extra, swap)
+
+
+@pytest.mark.parametrize("inner_steps", [1, 2])
+def test_lft_training_equals_the_unfused_inner_step_bit_for_bit(inner_steps, monkeypatch):
+    # The meta-backward walks the inner steps in another order once each
+    # is one node; its sums must not change.
+    def swap():
+        monkeypatch.setattr(ad, "sub_scaled", lambda t, g, alpha: ad.sub(t, ad.scale(g, alpha)))
+
+    _lft_runs_are_bit_identical("proto", {"inner_steps": inner_steps}, swap)
 
 
 @pytest.mark.parametrize("name", FUSED)

@@ -12,6 +12,11 @@ node_census = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(node_census)
 
 TINY = ["--seed", "3", "--iterations", "2", "--widths", "8", "4"]
+# Tensors made per iteration and the walk of each backward.  They depend
+# on the graph's shape only, so they equal those of the benchmark's 64-32
+# encoder; a change that makes more nodes has to update them here.
+TENSORS = {"lft": 248, "ft": 57}
+WALKS = [25, 83, 25]  # lft's create_graph and meta-backward, then ft's backward
 
 
 def test_census_prints_counts_per_iteration_and_walks_by_op(capsys):
@@ -23,11 +28,13 @@ def test_census_prints_counts_per_iteration_and_walks_by_op(capsys):
     for header, mode in ((lines[0], "lft"), (lines[3], "ft")):
         counts = re.fullmatch(rf"train-{mode} seed=3: _fresh per iteration (\d+) (\d+)", header)
         assert counts and counts[1] == counts[2]  # the graph's shape repeats
+        assert int(counts[1]) == TENSORS[mode]
     walks = [re.fullmatch(r"  backward (\d) \((create_graph|first order)\): walk (\d+): (.*)", line)
              for line in lines[1:3] + lines[4:]]
     assert all(walks)
     assert [(w[1], w[2]) for w in walks] == [("1", "create_graph"), ("2", "first order"),
                                              ("1", "first order")]
+    assert [int(w[3]) for w in walks] == WALKS
     for w in walks:
         by_op = dict(part.rsplit(" ", 1) for part in w[4].split(", "))
         assert sum(map(int, by_op.values())) == int(w[3])

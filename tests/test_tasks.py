@@ -74,6 +74,14 @@ def test_domain_rejects_a_bad_block_or_span():
         tasks.Domain("d", 2, np.array([[0.0, 1.0], [np.nan, 0.0]]), {0: range(0, 2)})
 
 
+@pytest.mark.parametrize("cid", [-1, 2**32])
+def test_domain_rejects_a_class_id_that_no_format_stores(cid):
+    # The binary format stores class ids as uint32, so a domain with any
+    # other id could be built but not saved.
+    with pytest.raises(ContractError, match=rf"^domain 'x': class id {cid} outside 0\.\.4294967295"):
+        tasks.Domain.from_classes("x", 2, {0: np.ones((2, 2)), cid: np.ones((2, 2))})
+
+
 @pytest.mark.parametrize("suffix", ["bin", "csv"])
 def test_made_and_loaded_domains_hold_each_row_once(tmp_path, suffix):
     made = tasks.generate_synthetic_domain(small_spec())
@@ -301,6 +309,40 @@ def test_load_csv_error_taxonomy(tmp_path):
     for cid in (-1, 2**32):
         with pytest.raises(ParseError, match=f"ids.csv, line 3: class id {cid} outside 0..4294967295"):
             tasks.load_domain(write("ids.csv", f"class_id,f0\n0,1.0\n{cid},2.0\n"))
+
+
+def _unwritable(domain):
+    """``domain`` with a class added after construction whose rows are no
+    numbers: saving it fails after the classes before it are written."""
+    domain.classes[99] = np.array([["x", "y"]], dtype=object)
+    return domain
+
+
+@pytest.mark.parametrize("save", [tasks.save_domain_binary, tasks.save_domain_csv, tasks.save_domain])
+@pytest.mark.parametrize("suffix", ["bin", "csv"])
+def test_failing_save_leaves_the_target_as_it_was_and_no_temporary_file(tmp_path, save, suffix):
+    path = tmp_path / f"dom.{suffix}"
+    path.write_bytes(b"earlier contents")
+    with pytest.raises(ValueError):
+        save(_unwritable(tasks.generate_synthetic_domain(small_spec())), str(path))
+    assert path.read_bytes() == b"earlier contents"
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_save_domains_replaces_no_path_unless_every_file_is_written(tmp_path):
+    good = tasks.generate_synthetic_domain(small_spec())
+    kept = tmp_path / "a.bin"
+    kept.write_bytes(b"earlier contents")
+    with pytest.raises(ValueError):
+        tasks.save_domains([(good, str(kept)), (good, str(tmp_path / "b.csv")),
+                            (_unwritable(tasks.generate_synthetic_domain(small_spec())),
+                             str(tmp_path / "c.bin"))])
+    assert kept.read_bytes() == b"earlier contents"
+    assert [p.name for p in tmp_path.iterdir()] == ["a.bin"]
+    tasks.save_domains([(good, str(kept)), (good, str(tmp_path / "b.csv"))])
+    for name in ("a.bin", "b.csv"):
+        assert np.array_equal(tasks.load_domain(str(tmp_path / name)).rows, good.rows)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin", "b.csv"]
 
 
 def test_csv_class_id_at_the_binary_range_limit_round_trips(tmp_path):
