@@ -31,25 +31,25 @@ cost: ``linear`` (``x @ w + b``), ``affine`` (``x * s + b``),
 normalization's column standardization), ``softmax_rows``,
 ``softmax_cross_entropy`` and ``neg_sq_distances`` (prototype logits).
 Each forward runs the NumPy operations of its composite in the same
-order, so its values match the composite's bit for bit.  ``linear`` and
-``affine`` make the VJP calls of their composites and link their inputs
-in the composite's depth-first order, and ``sub_scaled``'s VJPs compute
-its composite's values with one node fewer, so the gradients of all three,
-first and second order, equal the composite's bit for bit as
-well.  The VJP of each of the other four is NumPy arithmetic that records
-one adjoint node per input link (``_adjoint``), where the same VJP written
-in primitives would record four to eleven nodes.  The adjoint node's own
-VJP is the reverse sweep of that primitive form in NumPy, adding the same
+order, so its values match the composite's bit for bit.  ``sub_scaled``'s
+VJPs compute its composite's values with one node fewer.  The VJP of each
+of the other six is NumPy arithmetic that records one adjoint node per
+input link (``_adjoint``), where the same VJP written in primitives would
+record one to eleven nodes (``linear``'s VJP for x also records the
+transpose of w that its composite records).  The adjoint node's own VJP
+is the reverse sweep of that primitive form in NumPy, adding the same
 terms in the same order, so gradients of first and second order are those
-of the primitive form bit for bit.  Second order is the highest these four
-support: a third backward through an adjoint node raises ContractError.
-The lft meta-gradient needs only the second.
+of the primitive form bit for bit: for ``linear`` and ``affine``, their
+two-node composites'.  Second order is the highest these six support: a
+third backward through an adjoint node raises ContractError.  The lft
+meta-gradient needs only the second.
 
 ``backward`` keys its walk and its adjoints by the tensors themselves,
-which hash by identity (``Tensor`` defines no ``__eq__`` or ``__hash__``).
-A first-order pass sums two contributions to one adjoint in NumPy, with
-the bits and the NumericError of ``add``; a recording pass sums with
-``add``.
+which hash by identity (``Tensor`` defines no ``__eq__`` or ``__hash__``),
+and publishes the walk to the adjoint nodes, whose sweeps compute only
+the terms of the links it calls.  A first-order pass sums two
+contributions to one adjoint in NumPy, with the bits and the NumericError
+of ``add``; a recording pass sums with ``add``.
 
 Leading batch axes: the matrix primitives (``linear``, ``matmul``,
 ``transpose``, ``standardize``, ``softmax_rows``, ``neg_sq_distances``)
@@ -261,12 +261,13 @@ def _non_finite(op: str) -> NumericError:
 def _kept(data) -> np.ndarray:
     """``data`` in the layout that a Tensor holds.
 
-    Contiguous views are kept.  Transposes, stride-0 broadcasts and the
-    NumPy scalars that 0-d ufunc results come back as are copied (a copy
-    keeps a view's order, so a transpose comes back F-ordered), so BLAS and
-    reductions downstream see the memory layouts they always saw.
+    C- and F-contiguous arrays are kept, views among them, so a 2-d
+    transpose stays a view of its input.  Other strided views (a stride-0
+    broadcast, a column slice, a transposed stack) and the NumPy scalars
+    that 0-d ufunc results come back as are copied.  A copy keeps a view's
+    order, so BLAS and reductions downstream see the layout the view had.
     """
-    if type(data) is not np.ndarray or not data.flags.c_contiguous:
+    if type(data) is not np.ndarray or not data.flags.forc:
         data = np.array(data)
     return data
 
@@ -665,9 +666,9 @@ def linear(x, w, b) -> Tensor:
     if x.data.ndim > 2:
         raise _stacked("linear", x)
     return _link(out, (
-        (x, lambda g: matmul(g, transpose(w))),
-        (w, lambda g: matmul(transpose(x), g)),
-        (b, lambda g: _unbroadcast(g, b.shape)),
+        (x, lambda g: _linear_x_vjp(g, w)),
+        (w, lambda g: _linear_w_vjp(x, g)),
+        (b, lambda g: _bias_vjp("linear", g, b.shape)),
     ))
 
 
@@ -683,9 +684,9 @@ def affine(x, s, b) -> Tensor:
     if not _records(x, s, b):
         return out
     return _link(out, (
-        (x, lambda g: _unbroadcast(mul(g, s), x.shape)),
-        (s, lambda g: _unbroadcast(mul(g, x), s.shape)),
-        (b, lambda g: _unbroadcast(g, b.shape)),
+        (x, lambda g: _affine_vjp(g, s, x.shape)),
+        (s, lambda g: _affine_vjp(g, x, s.shape)),
+        (b, lambda g: _bias_vjp("affine", g, b.shape)),
     ))
 
 
@@ -707,18 +708,28 @@ def sub_scaled(t, g, alpha: float) -> Tensor:
     return _link(out, ((t, lambda h: h), (g, lambda h: scale(h, -alpha))))
 
 
+# The nodes that the running backward walks (its ``reach``): an adjoint
+# node's sweep computes only the terms of the links that the walk calls.
+_walk: contextvars.ContextVar[set | None] = contextvars.ContextVar("fsdg_walk", default=None)
+
+
 def _adjoint(op: str, data: np.ndarray, links: Sequence[Tensor],
-             sweep: Callable[[np.ndarray], Sequence[np.ndarray]], scan: bool = False) -> Tensor:
-    """One input's adjoint under a VJP of ``op``, computed in NumPy, as one node.
+             sweep: Callable[[np.ndarray, list[bool]], Sequence[np.ndarray | None]],
+             scan: bool = False) -> Tensor:
+    """One input's adjoint under a VJP of ``op``, computed in NumPy, as one node
+    (``data``, scanned for NaN and inf if ``scan``, as ``_fresh`` scans).
 
     Recording, the node links each tensor of ``links`` in turn, and a tensor
     may appear more than once: there is one link per term that the VJP
     written in primitives would add to that tensor's adjoint, in the order
     in which a walk of that form adds them, so a second backward adds the
-    same terms in the same order.  ``sweep(h)`` is the reverse sweep of that
-    form in NumPy: one term per link for an incoming adjoint ``h``.  It runs
-    once per incoming adjoint and its links share the result; a flag it
-    raises is a NumericError naming ``op``.  Second order is the highest
+    same terms in the same order.  ``sweep(h, need)`` is the reverse sweep
+    of that form in NumPy for an incoming adjoint ``h``: one term per link,
+    computed where ``need`` (one flag per link) holds and None elsewhere.
+    A link is needed when the running backward walks its tensor, so a sweep
+    computes nothing, and raises on nothing, that no walk adds.  The sweep
+    runs once per incoming adjoint and its links share the result; a flag
+    it raises is a NumericError naming ``op``.  Second order is the highest
     supported: a backward that records through the node raises
     ContractError.
     """
@@ -736,12 +747,88 @@ def _adjoint(op: str, data: np.ndarray, links: Sequence[Tensor],
                 raise ContractError(f"{op}: cannot record the gradient of a gradient "
                                     "(second order is the highest supported)")
             if memo[0]() is not h:
-                memo[0], memo[1] = weakref.ref(h), list(_raising(op, sweep, h.data))
+                walk = _walk.get()
+                need = [walk is None or t in walk for t in links]
+                memo[0], memo[1] = weakref.ref(h), list(_raising(op, sweep, h.data, need))
             contribution, memo[1][i] = memo[1][i], None
             return _fresh(op, contribution, scan)
         return vjp
 
     return _link(out, [(t, part(i)) for i, t in enumerate(links)])
+
+
+def _sum_to(data: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``data`` summed down to ``shape`` by ``_unbroadcast``'s sums, in NumPy."""
+    if data.shape == shape:
+        return data
+    while data.ndim > len(shape):
+        data = np.add.reduce(data, 0)
+    for axis, dim in enumerate(shape):
+        if dim == 1 and data.shape[axis] != 1:
+            data = np.add.reduce(data, axis, None, None, True)
+    return data if data.shape == shape else data.reshape(shape)
+
+
+def _bias_vjp(op: str, g: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """``_unbroadcast(g, shape)``, the VJP of ``op``'s bias: g itself, or its
+    chain of sums as one adjoint node, whose sweep is the chain's broadcast."""
+    gd = g.data
+    if gd.shape == shape:
+        return g
+    data = _raising(op, _sum_to, gd, shape)
+    if not _records(g):
+        return _fresh(op, data)
+    return _adjoint(op, data, (g,), lambda h, need: (_spread(h, gd.shape),))
+
+
+def _affine_vjp(g: Tensor, other: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """``_unbroadcast(mul(g, other), shape)``, the VJP of one factor of
+    affine's product, as one adjoint node linked as that ``mul`` links."""
+    gd, od = g.data, other.data  # g has the product's shape, and other fits into it
+    data = _raising("affine", np.multiply, gd, od)
+    if data.shape != shape:
+        data = _raising("affine", _sum_to, data, shape)
+    if not _records(g, other):
+        return _fresh("affine", data)
+
+    def sweep(h, need):
+        if h.shape != gd.shape:  # back through the sums
+            h = _spread(h, gd.shape)
+        return h * od if need[0] else None, _sum_to(h * gd, od.shape) if need[1] else None
+
+    return _adjoint("affine", data, (g, other), sweep)
+
+
+def _linear_x_vjp(g: Tensor, w: Tensor) -> Tensor:
+    """``matmul(g, transpose(w))``, linear's VJP for x, with the product as
+    one adjoint node.  Recording, it links w through a ``transpose`` node,
+    as the composite does: a walk reaches that node only after the graph
+    under g, so w's term is added where the composite adds it."""
+    gd, wd = g.data, w.data
+    data = _raising("linear", np.matmul, gd, wd.T)
+    if not _records(g, w):
+        return _fresh("linear", data, scan=True)
+
+    def sweep(h, need):
+        return h @ wd if need[0] else None, gd.T @ h if need[1] else None
+
+    return _adjoint("linear", data, (g, transpose(w)), sweep, scan=True)
+
+
+def _linear_w_vjp(x: Tensor, g: Tensor) -> Tensor:
+    """``matmul(transpose(x), g)``, linear's VJP for w, as one adjoint node
+    linked to x and g.  x is linked directly: a walk reaches the composite's
+    transpose of x right after its product, so x's term, the transpose of
+    ``h @ g.T``, is added where the composite adds it."""
+    xd, gd = x.data, g.data
+    data = _raising("linear", np.matmul, xd.T, gd)
+    if not _records(x, g):
+        return _fresh("linear", data, scan=True)
+
+    def sweep(h, need):
+        return (h @ gd.T).T if need[0] else None, xd @ h if need[1] else None
+
+    return _adjoint("linear", data, (x, g), sweep, scan=True)
 
 
 def _spread(row: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -776,14 +863,21 @@ def _standardize_vjp(a: Tensor, xhat: Tensor, inv_std: np.ndarray, g: Tensor) ->
 
     data, centered_g, m2 = _raising("standardize", first)
 
-    def sweep(h):
-        d_inv_std = np.add.reduce(h * centered_g, axis=0, keepdims=True)
-        d_centered = h * inv_std
-        d_t2 = d_centered * -1.0
-        d_m1 = np.add.reduce(d_t2, axis=0, keepdims=True) * (1.0 / n)
-        d_m2 = np.add.reduce(d_t2 * x, axis=0, keepdims=True) * (1.0 / n)
-        return (x * (d_inv_std * (np.square(inv_std) * (-1.0 / n))),
-                d_centered, _spread(d_m1, gd.shape), d_t2 * m2, d_m2 * x, d_m2 * gd)
+    def sweep(h, need):
+        terms = [None] * 6
+        if need[0]:
+            d_inv_std = np.add.reduce(h * centered_g, axis=0, keepdims=True)
+            terms[0] = x * (d_inv_std * (np.square(inv_std) * (-1.0 / n)))
+        if need[1] or need[3]:
+            d_centered = h * inv_std
+            d_t2 = d_centered * -1.0
+            d_m2 = np.add.reduce(d_t2 * x, axis=0, keepdims=True) * (1.0 / n)
+            if need[1]:
+                d_m1 = np.add.reduce(d_t2, axis=0, keepdims=True) * (1.0 / n)
+                terms[1], terms[2], terms[4] = d_centered, _spread(d_m1, gd.shape), d_m2 * x
+            if need[3]:
+                terms[3], terms[5] = d_t2 * m2, d_m2 * gd
+        return terms
 
     # a through inv_std; g through the centering, mean0(g) and g * xhat;
     # xhat through xhat * mean0(g * xhat) and g * xhat
@@ -821,10 +915,12 @@ def _softmax_vjp(s: Tensor, g: Tensor) -> Tensor:
 
     data, centered = _raising("softmax_rows", first)
 
-    def sweep(h):
+    def sweep(h, need):
         d_centered = h * sd
         d_rowsum = np.add.reduce(d_centered * -1.0, axis=1, keepdims=True)
-        return h * centered, d_centered, d_rowsum * sd, d_rowsum * gd
+        want_s, want_g = need[0], need[1]
+        return (h * centered if want_s else None, d_centered if want_g else None,
+                d_rowsum * sd if want_g else None, d_rowsum * gd if want_s else None)
 
     # s through s * centered and g * s; g through the centering and g * s
     return _adjoint("softmax_rows", data, (s, g, g, s), sweep)
@@ -862,11 +958,15 @@ def _cross_entropy_vjp(logits: Tensor, onehot: Tensor, g: Tensor) -> Tensor:
 
     data, s, diff = _raising("softmax_cross_entropy", first)
 
-    def sweep(h):
+    def sweep(h, need):
         d_scaled = h * (1.0 / n)
-        d_s = d_scaled * gd
-        d_g = np.add.reduce(np.add.reduce(d_scaled * diff, axis=0), axis=0)
-        return s * (d_s - np.add.reduce(d_s * s, axis=1, keepdims=True)), d_g
+        d_logits = d_g = None
+        if need[0]:
+            d_s = d_scaled * gd
+            d_logits = s * (d_s - np.add.reduce(d_s * s, axis=1, keepdims=True))
+        if need[1]:
+            d_g = np.add.reduce(np.add.reduce(d_scaled * diff, axis=0), axis=0)
+        return d_logits, d_g
 
     return _adjoint("softmax_cross_entropy", data, (logits, g), sweep)
 
@@ -904,14 +1004,18 @@ def _sq_distance_vjp(own: Tensor, other: Tensor, g: Tensor, by_row: bool) -> Ten
 
     data, rowsum = _raising("neg_sq_distances", first)
 
-    def sweep(h):
+    def sweep(h, need):
         d_diff = h * 2.0
-        d_g, d_other = d_diff @ other_d.T, gd.T @ d_diff
         d_sub = d_diff * -1.0
+        d_other = gd.T @ d_diff if need[0] else None
+        d_own = d_sub * rowsum if need[-1] else None
+        if not need[1]:
+            return (d_other, None, None, d_own) if by_row else (d_other, None, d_own)
+        d_g = d_diff @ other_d.T
         d_rowsum = np.add.reduce(d_sub * own_d, axis=1, keepdims=True)
         if by_row:
-            return d_other, d_g, _spread(d_rowsum, gd.shape), d_sub * rowsum
-        return d_other, (d_g + d_rowsum).T, d_sub * rowsum
+            return d_other, d_g, _spread(d_rowsum, gd.shape), d_own
+        return d_other, (d_g + d_rowsum).T, d_own
 
     # other through the product; g through the product and rowsum(g), which
     # for the prototypes meet in g's transpose first; own through
@@ -986,9 +1090,10 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) ->
     contribution to such a node comes from another such node, so each sum
     and its order are those of the full pass.  A non-finite value on a
     path that reaches no tensor in wrt is therefore never computed, and
-    does not raise.  The one exception is an adjoint node of a fused
-    primitive, whose reverse sweep computes the contributions of all its
-    links at once.  Every vector-Jacobian product runs inside
+    does not raise.  That holds inside an adjoint node too: the set of
+    walked nodes is published (``_walk``) while the pass runs, and the
+    node's sweep computes only the terms of the links into it.  Every
+    vector-Jacobian product runs inside
     ``trap_non_finite()``.  Without ``create_graph`` two contributions to
     one adjoint are summed in NumPy, as ``add`` sums them, and a
     non-finite sum raises NumericError naming ``add``.
@@ -1005,25 +1110,29 @@ def backward(loss: Tensor, wrt: Sequence[Tensor], create_graph: bool = False) ->
     wanted = set(wrt)
     order, reach = _reaching_order(loss, wanted)
     adjoints: dict[Tensor, Tensor] = {loss: _bare(np.ones(()))}
-    with _grad_mode(create_graph), trap_non_finite():
-        for node in reversed(order):
-            g = adjoints.get(node) if node in wanted else adjoints.pop(node, None)
-            if g is None:
-                continue
-            for parent, vjp in node.parents:
-                if parent not in reach:
+    token = _walk.set(reach)
+    try:
+        with _grad_mode(create_graph), trap_non_finite():
+            for node in reversed(order):
+                g = adjoints.get(node) if node in wanted else adjoints.pop(node, None)
+                if g is None:
                     continue
-                contribution = vjp(g)
-                if contribution.data.shape != parent.data.shape:
-                    raise ShapeError(
-                        f"backward: vjp produced {contribution.shape}, expected {parent.shape}"
-                    )
-                held = adjoints.get(parent)
-                if held is None:
-                    adjoints[parent] = contribution
-                elif create_graph:
-                    adjoints[parent] = add(held, contribution)
-                else:
-                    adjoints[parent] = _fresh("add", _raising("add", np.add, held.data,
-                                                              contribution.data))
+                for parent, vjp in node.parents:
+                    if parent not in reach:
+                        continue
+                    contribution = vjp(g)
+                    if contribution.data.shape != parent.data.shape:
+                        raise ShapeError(
+                            f"backward: vjp produced {contribution.shape}, expected {parent.shape}"
+                        )
+                    held = adjoints.get(parent)
+                    if held is None:
+                        adjoints[parent] = contribution
+                    elif create_graph:
+                        adjoints[parent] = add(held, contribution)
+                    else:
+                        adjoints[parent] = _fresh("add", _raising("add", np.add, held.data,
+                                                                  contribution.data))
+    finally:
+        _walk.reset(token)
     return [adjoints.get(w, _bare(np.zeros(w.shape))) for w in wrt]

@@ -231,16 +231,6 @@ def _write_csv(domain: Domain, target: str) -> None:
                 writer.writerow([cid] + [repr(float(v)) for v in row])
 
 
-def save_domain_binary(domain: Domain, path: str) -> None:
-    with replacing([path]) as (tmp,):
-        _write_binary(domain, tmp)
-
-
-def save_domain_csv(domain: Domain, path: str) -> None:
-    with replacing([path]) as (tmp,):
-        _write_csv(domain, tmp)
-
-
 def save_domains(parts: Sequence[tuple[Domain, str]]) -> None:
     """Save each domain to its path, as CSV if the path ends in ``.csv``;
     no path is replaced before every file is written."""

@@ -222,19 +222,21 @@ def lft_train_step(model: ModelState, pseudo_seen: Episode, pseudo_unseen: Episo
     The optimizer applies the meta-gradient to the modulation
     hyper-parameters.  Encoder and head parameters depend on the
     optimizer: SGD keeps the inner-stepped values, while Adam instead
-    takes one adaptive step from the first inner step's gradients.  The differentiation graph dies with this
-    call's locals.
+    takes one adaptive step from the first inner step's gradients, in the
+    same call as the hyper-parameters' step.  The differentiation graph
+    dies with this call's locals.
     """
     total, loss_ps, loss_pu, stepped, inner_grads = lft_outer_loss(
         model, pseudo_seen, pseudo_unseen, config, rng)
     ft_items = model.ft_named()
     meta_grads = ad.backward(total, [t for _, t in ft_items])
+    meta = {n: (t, g) for (n, t), g in zip(ft_items, meta_grads)}
 
     if isinstance(optimizer, SGD):
         new_values = {n: ad.adopt_leaf(t.data) for n, t in stepped.trainable()}
+        new_values.update(optimizer.step(meta))
     else:
-        new_values = optimizer.step(inner_grads)
-    new_values.update(optimizer.step({n: (t, g) for (n, t), g in zip(ft_items, meta_grads)}))
+        new_values = optimizer.step({**inner_grads, **meta})
     return model.with_values(new_values), loss_ps, loss_pu
 
 
@@ -265,7 +267,10 @@ class Adam:
     A call updates all its parameters as one flat vector.  Each group of
     names (the keys of a call, in order) keeps its own moments and step
     count, so a group stepped once per iteration is stepped exactly as
-    each of its parameters would be on its own.
+    each of its parameters would be on its own.  The update is elementwise,
+    so groups that a caller always steps together, such as lft's encoder
+    and head parameters and its modulation hyper-parameters, get the same
+    bits as one group as they would apart.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8

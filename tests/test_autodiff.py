@@ -678,6 +678,18 @@ def test_view_op_results_are_write_locked(make):
     assert np.array_equal(x.data, np.arange(6.0).reshape(2, 3))
 
 
+def test_a_transpose_is_a_view_whose_product_equals_the_copied_form_bit_for_bit():
+    stream = RngStream(41)
+    a = ad.leaf(stream.normals(35).reshape(7, 5))
+    b = ad.leaf(stream.normals(15).reshape(3, 5))
+    t = ad.transpose(b)
+    assert np.shares_memory(t.data, b.data) and t.data.flags.f_contiguous
+    copied = np.array(b.data.T)  # an F-ordered copy, with the view's strides
+    assert copied.strides == t.data.strides and not np.shares_memory(copied, b.data)
+    assert np.array_equal(ad.matmul(a, t).data, a.data @ copied)
+    assert np.array_equal(ad.tensor_sum(t, axis=0).data, np.add.reduce(copied, 0))
+
+
 # ---------------------------------------------------------------------------
 # the finite-difference oracle itself (tests/helpers.py)
 

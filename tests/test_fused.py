@@ -1,12 +1,12 @@
 """Fused autodiff primitives against the composites they replace.
 
 Each fused op must give its composite's forward values bit for bit.
-``linear`` and ``affine`` make their composite's VJP calls in its order,
-and ``sub_scaled``'s VJPs compute its composite's values with one node
-fewer, so the gradients of all three must equal the composite's bit for
-bit.  The VJPs of
+``sub_scaled``'s VJPs compute its composite's values with one node fewer,
+and the VJPs of ``linear`` and ``affine`` are NumPy adjoint nodes that
+replay their composite's VJP calls, so the gradients of all three must
+equal the composite's bit for bit.  The VJPs of
 ``standardize``, ``softmax_rows``, ``softmax_cross_entropy`` and
-``neg_sq_distances`` are NumPy adjoint nodes; their first- and
+``neg_sq_distances`` are NumPy adjoint nodes too; their first- and
 second-order gradients must equal, bit for bit, those of the same
 primitives with the VJPs written in primitives (``helpers.PRIMITIVE_VJPS``),
 and match the op-by-op composites up to rounding.  Those tolerances are
@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from fsdg import autodiff as ad
+from fsdg import training
 from fsdg.encoder import BN_EPS
 from fsdg.errors import ContractError, NumericError, ShapeError
 from fsdg.rng import RngStream
@@ -43,6 +44,9 @@ ROUNDED = ("standardize", "softmax_rows", "softmax_cross_entropy", "neg_sq_dista
 # Cases of linear and affine, in the forms the encoder and FT layers use.
 EXACT = ("linear", "affine", "affine_scalar_bias", "sub_scaled")
 FUSED = ROUNDED + EXACT
+# The cases whose VJPs record adjoint nodes, and the op each one names.
+ADJOINT = {name: name for name in ROUNDED} | {"linear": "linear", "affine": "affine",
+                                              "affine_scalar_bias": "affine"}
 
 
 def _case(name: str, seed: int, primitive_vjps: bool = False):
@@ -206,17 +210,70 @@ def test_create_graph_backward_records_one_node_per_input_link(name, monkeypatch
         assert {id(t) for t, _ in g.parents} <= inputs
 
 
-@pytest.mark.parametrize("name", ROUNDED)
+@pytest.mark.parametrize("name", sorted(ADJOINT))
 def test_third_order_through_an_adjoint_node_is_refused(name):
     fused, ref, xs = _case(name, 4)
     out = fused(*xs)
     (w,) = _weights(4, [out.shape])
     (v,) = _weights(5, [xs[0].shape])
-    grads = ad.backward(_contract(out, w), xs, create_graph=True)
+    # tanh makes the op's incoming adjoint attached, so that a second
+    # backward walks every adjoint node the first one recorded
+    grads = ad.backward(_contract(_tanh(out), w), xs, create_graph=True)
     total = _contract(grads[0], v)
     ad.backward(total, xs)  # second order is supported
-    with pytest.raises(ContractError, match=rf"^{name}: cannot record the gradient of a gradient"):
+    with pytest.raises(ContractError,
+                       match=rf"^{ADJOINT[name]}: cannot record the gradient of a gradient"):
         ad.backward(total, xs, create_graph=True)
+
+
+def _reused(name, seed):
+    """A second-order gradient through the op applied twice, with the same
+    factor and bias: its inputs get three or more terms from both uses, so
+    the order in which a walk adds them shows."""
+    stream = RngStream(seed)
+
+    def normal(*shape):
+        return ad.leaf(stream.normals(int(np.prod(shape))).reshape(shape))
+
+    xs = [normal(6, 4), normal(4, 4) if name == "linear" else normal(4), normal(4)]
+    w = ad.constant(stream.normals(24).reshape(6, 4))
+    vs = [ad.constant(stream.normals(x.size).reshape(x.shape)) for x in xs]
+    op = {"linear": (ad.linear, ref_linear), "affine": (ad.affine, ref_affine)}[name]
+
+    def run(fn):
+        x, factor, b = xs
+        out = fn(ad.standardize(fn(x, factor, b), BN_EPS), factor, b)
+        grads = ad.backward(_contract(ad.square(out), w), xs, create_graph=True)
+        total = _contract(ad.square(grads[0]), vs[0])
+        for g, v in zip(grads[1:], vs[1:]):
+            total = ad.add(total, _contract(ad.square(g), v))
+        return grads + ad.backward(total, xs)
+
+    return [run(fn) for fn in op]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["linear", "affine"])
+def test_gradients_through_a_reused_op_equal_composite_bit_for_bit(name, seed):
+    got, want = _reused(name, seed)
+    for g, r in zip(got, want):
+        assert np.array_equal(g.data, r.data)
+
+
+def test_an_adjoint_node_computes_no_term_for_a_link_the_walk_skips():
+    # standardize's adjoint node links a, g and xhat.  A second backward
+    # with respect to w alone walks only its g links; its a term, which
+    # overflows here, is not computed.
+    x = ad.leaf(1e-10 * RngStream(6).normals(24).reshape(6, 4))
+    w = ad.leaf(RngStream(7).normals(24).reshape(6, 4))
+    v = ad.constant(1e290 * RngStream(8).normals(24).reshape(6, 4))
+    out = ad.standardize(x, 1e-30)
+    gx, _ = ad.backward(_contract(out, w), [x, w], create_graph=True)
+    total = _contract(gx, v)
+    (gw,) = ad.backward(total, [w])
+    assert np.isfinite(gw.data).all()
+    with pytest.raises(NumericError, match=r"^standardize: non-finite values in result$"):
+        ad.backward(total, [x, w])  # x's walk adds the a term
 
 
 _U = np.ones((5, 3))  # queries and prototypes all at one point: distances are exactly 0
@@ -232,6 +289,11 @@ FIRST_ORDER_OVERFLOW = {
     "softmax_rows": ([[[-800.0, 0.0]]], None, [[1e308, -1e308]]),
     # g @ p adds 4 x 1e308 before rowsum(g) * q takes it away again
     "neg_sq_distances": ([_U, _U[:4]], None, np.full((5, 4), 1e308)),
+    # x's term g @ w.T and g * s are 1e200 * 1e200 where the forward is 1
+    "linear": ([np.full((2, 2), 5e-201), np.full((2, 2), 1e200), np.zeros(2)], None,
+               np.full((2, 2), 1e200)),
+    "affine": ([np.full((2, 2), 1e-200), np.full(2, 1e200), np.zeros(2)], None,
+               np.full((2, 2), 1e200)),
 }
 # (inputs, eps or targets, w, v): the second backward's incoming adjoint v
 # is large where the first-order gradient is tiny or zero.
@@ -244,6 +306,12 @@ SECOND_ORDER_OVERFLOW = {
     "softmax_cross_entropy": ([[[230.0, 0.0, 0.0], [0.0, 230.0, 0.0]]], np.eye(3)[:2], 1e200,
                               np.full((2, 3), 1e200)),
     "neg_sq_distances": ([_U, _U[:4]], None, np.ones((5, 4)), np.full((5, 3), 1e308)),
+    # x's gradient is 0 at w = 0 or s = 0, and the terms of w, g.T @ h,
+    # and of s, sum(h * g), add 2 x 10 x 1e308
+    "linear": ([np.ones((2, 2)), np.zeros((2, 2)), np.zeros(2)], None, np.full((2, 2), 10.0),
+               np.full((2, 2), 1e308)),
+    "affine": ([np.ones((2, 2)), np.zeros(2), np.zeros(2)], None, np.full((2, 2), 10.0),
+               np.full((2, 2), 1e308)),
 }
 
 
@@ -301,15 +369,19 @@ def _lft_runs_are_bit_identical(head, extra, swap) -> None:
 
 @pytest.mark.parametrize("head,extra", [
     ("proto", {}), ("matching", {"optimizer": "sgd"}), ("relation", {}), ("proto", {"inner_steps": 2}),
+    ("proto", {"inner_steps": 2, "optimizer": "adam"}),
 ])
 def test_lft_training_equals_primitive_vjps_bit_for_bit(head, extra, monkeypatch):
     # The whole lft graph, where adjoint nodes meet the forward's other
     # consumers and each other, against the same run with the VJPs
-    # written in primitives swapped in where the encoder and heads look
-    # the four ops up.
+    # written in primitives swapped in where the encoder, FT layers and
+    # heads look the six ops up: linear and affine as their two-node
+    # composites.
     def swap():
         for name, ref in PRIMITIVE_VJPS.items():
             monkeypatch.setattr(ad, name, ref)
+        monkeypatch.setattr(ad, "linear", ref_linear)
+        monkeypatch.setattr(ad, "affine", ref_affine)
 
     _lft_runs_are_bit_identical(head, extra, swap)
 
@@ -322,6 +394,35 @@ def test_lft_training_equals_the_unfused_inner_step_bit_for_bit(inner_steps, mon
         monkeypatch.setattr(ad, "sub_scaled", lambda t, g, alpha: ad.sub(t, ad.scale(g, alpha)))
 
     _lft_runs_are_bit_identical("proto", {"inner_steps": inner_steps}, swap)
+
+
+def _two_adam_calls(model, pseudo_seen, pseudo_unseen, config, rng, optimizer):
+    """lft_train_step with Adam stepping the encoder and head parameters
+    and the modulation hyper-parameters in two calls, two state groups."""
+    total, loss_ps, loss_pu, _, inner_grads = training.lft_outer_loss(
+        model, pseudo_seen, pseudo_unseen, config, rng)
+    ft_items = model.ft_named()
+    meta_grads = ad.backward(total, [t for _, t in ft_items])
+    new_values = optimizer.step(inner_grads)
+    new_values.update(optimizer.step({n: (t, g) for (n, t), g in zip(ft_items, meta_grads)}))
+    return model.with_values(new_values), loss_ps, loss_pu
+
+
+@pytest.mark.parametrize("inner_steps", [1, 2])
+def test_lft_adam_steps_one_group_equal_to_two_calls_bit_for_bit(inner_steps, monkeypatch):
+    made = []
+
+    class Recorded(training.Adam):
+        def __init__(self, alpha):
+            super().__init__(alpha)
+            made.append(self)
+
+    def swap():
+        monkeypatch.setattr(training, "lft_train_step", _two_adam_calls)
+
+    monkeypatch.setattr(training, "Adam", Recorded)
+    _lft_runs_are_bit_identical("proto", {"inner_steps": inner_steps, "optimizer": "adam"}, swap)
+    assert [len(opt.state) for opt in made] == [1, 2]
 
 
 @pytest.mark.parametrize("name", FUSED)

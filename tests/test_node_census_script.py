@@ -15,8 +15,8 @@ TINY = ["--seed", "3", "--iterations", "2", "--widths", "8", "4"]
 # Tensors made per iteration and the walk of each backward.  They depend
 # on the graph's shape only, so they equal those of the benchmark's 64-32
 # encoder; a change that makes more nodes has to update them here.
-TENSORS = {"lft": 248, "ft": 57}
-WALKS = [25, 83, 25]  # lft's create_graph and meta-backward, then ft's backward
+TENSORS = {"lft": 227, "ft": 52}
+WALKS = [25, 80, 25]  # lft's create_graph and meta-backward, then ft's backward
 
 
 def test_census_prints_counts_per_iteration_and_walks_by_op(capsys):
@@ -40,6 +40,7 @@ def test_census_prints_counts_per_iteration_and_walks_by_op(capsys):
         assert sum(map(int, by_op.values())) == int(w[3])
     # the meta-backward walks the adjoint nodes that the create_graph backward made
     meta = walks[1][4]
-    for op in ("standardize'", "neg_sq_distances'", "softmax_cross_entropy'"):
+    for op in ("standardize'", "neg_sq_distances'", "softmax_cross_entropy'", "affine'", "linear'"):
         assert op in meta
+    assert "matmul" not in meta and "transpose" not in meta  # linear's VJPs are adjoint nodes
     assert "'" not in walks[0][4] + walks[2][4]

@@ -318,13 +318,12 @@ def _unwritable(domain):
     return domain
 
 
-@pytest.mark.parametrize("save", [tasks.save_domain_binary, tasks.save_domain_csv, tasks.save_domain])
 @pytest.mark.parametrize("suffix", ["bin", "csv"])
-def test_failing_save_leaves_the_target_as_it_was_and_no_temporary_file(tmp_path, save, suffix):
+def test_failing_save_leaves_the_target_as_it_was_and_no_temporary_file(tmp_path, suffix):
     path = tmp_path / f"dom.{suffix}"
     path.write_bytes(b"earlier contents")
     with pytest.raises(ValueError):
-        save(_unwritable(tasks.generate_synthetic_domain(small_spec())), str(path))
+        tasks.save_domain(_unwritable(tasks.generate_synthetic_domain(small_spec())), str(path))
     assert path.read_bytes() == b"earlier contents"
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
@@ -349,7 +348,7 @@ def test_csv_class_id_at_the_binary_range_limit_round_trips(tmp_path):
     path = str(tmp_path / "ids.csv")
     open(path, "w").write(f"class_id,f0\n0,1.0\n{2**32 - 1},2.0\n")
     binary = str(tmp_path / "ids.bin")
-    tasks.save_domain_binary(tasks.load_domain(path), binary)
+    tasks.save_domain(tasks.load_domain(path), binary)
     assert sorted(tasks.load_domain(binary).classes) == [0, 2**32 - 1]
 
 
